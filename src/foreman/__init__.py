@@ -7,7 +7,7 @@ baseline, and similarity metrics over plan tokens.
 """
 
 from .executor import ExecError, Trace, WorldState, coverage_complete, execute, makespan
-from .fcfs import Assignment, RealizationError, UnassignableTask, fcfs_schedule, realize_schedule
+from .fcfs import Assignment, RealizationError, UnassignableTask, fcfs_schedule
 from .gateway import (
     Gateway,
     GatewayError,

@@ -187,8 +187,7 @@ def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
 @click.option("--seed", default=0, show_default=True)
 @click.option("--profiles", "profiles_path", type=click.Path(), default=None)
 @click.option("--mocks-dir", type=click.Path(), default=None)
-@click.option("--parallel-arms", is_flag=True, help="run the hybrid/FCFS arms concurrently")
-def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_dir, seed, profiles_path, mocks_dir, parallel_arms):
+def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_dir, seed, profiles_path, mocks_dir):
     """Run generator-only, hybrid and FCFS arms; write CSV/JSON reports."""
     if not supervisors:
         supervisors = ("llm:gemma", "llm:llama", "llm:mistral", "search-minimal")
@@ -203,7 +202,6 @@ def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_di
             seed=seed,
             mocks_dir=Path(mocks_dir) if mocks_dir else None,
             profiles_path=Path(profiles_path) if profiles_path else None,
-            parallel_arms=parallel_arms,
         )
         summary = run_experiment(cfg)
     except (ConfigError, ValueError) as e:

@@ -46,7 +46,6 @@ class ExperimentConfig:
     seed: int = 0
     mocks_dir: Path | None = None
     profiles_path: Path | None = None
-    parallel_arms: bool = False
 
     def validate_config(self):
         if not Path(self.scenario_path).exists():
@@ -123,22 +122,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         )
     )
 
-    def _hybrid_arm(spec: str) -> tuple[str, EvalReport, RepairResult, ArmResult]:
-        supervisor = _make_supervisor(spec, cfg, gateway, profiles, s.name)
-        result = repair_loop(s, draft, supervisor, cfg.max_iters, cfg.checks)
-        report = eval_run(s, draft, result)
-        label = getattr(supervisor, "name", spec)
-        arm = ArmResult(
-            name=f"hybrid/{label}",
-            feasible=result.feasible,
-            psi=result.report.psi if result.report else -1,
-            makespan_tu=report.makespan_tu,
-            t_rep=result.iterations_used,
-            report=report,
-            edited_steps=result.script.render() if result.script else "",
-        )
-        return label, report, result, arm
-
     def _fcfs_arm() -> ArmResult:
         try:
             _, fcfs_plan = fcfs_schedule(s)
@@ -153,24 +136,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         except Exception as e:  # an unschedulable baseline is a result, not a crash
             return ArmResult(name="fcfs", feasible=False, psi=-1, makespan_tu=0.0, t_rep=0, error=str(e))
 
-    if cfg.parallel_arms:
-        # arms share only the immutable Scenario and draft
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=len(cfg.supervisors) + 1) as pool:
-            hybrid_futures = [pool.submit(_hybrid_arm, spec) for spec in cfg.supervisors]
-            fcfs_future = pool.submit(_fcfs_arm)
-            hybrid_results = [f.result() for f in hybrid_futures]
-            fcfs_arm = fcfs_future.result()
-    else:
-        hybrid_results = [_hybrid_arm(spec) for spec in cfg.supervisors]
-        fcfs_arm = _fcfs_arm()
-
     hybrid_rows: list[tuple[str, EvalReport, RepairResult]] = []
-    for label, report, result, arm in hybrid_results:
+    for spec in cfg.supervisors:
+        supervisor = _make_supervisor(spec, cfg, gateway, profiles, s.name)
+        result = repair_loop(s, draft, supervisor, cfg.max_iters, cfg.checks)
+        report = eval_run(s, draft, result)
+        label = getattr(supervisor, "name", spec)
         hybrid_rows.append((label, report, result))
-        arms.append(arm)
-    arms.append(fcfs_arm)
+        arms.append(
+            ArmResult(
+                name=f"hybrid/{label}",
+                feasible=result.feasible,
+                psi=result.report.psi if result.report else -1,
+                makespan_tu=report.makespan_tu,
+                t_rep=result.iterations_used,
+                report=report,
+                edited_steps=result.script.render() if result.script else "",
+            )
+        )
+    arms.append(_fcfs_arm())
 
     _write_similarity_csv(out_dir / "similarity.csv", s, hybrid_rows)
     _write_edit_profile_csv(out_dir / "edit_profile.csv", hybrid_rows, draft_ms)

@@ -9,11 +9,10 @@ coverage reasoning, no post-hoc edits.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .plan import Action, ActionKind, MOVE_TARGETS, Plan, PlanStep
-from .scenario import Scenario, TaskSpec, cell_id, parse_cell
+from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
+from .scenario import Scenario, TaskSpec, parse_cell
 
 
 class UnassignableTask(ValueError):
@@ -23,16 +22,13 @@ class UnassignableTask(ValueError):
 
 
 class RealizationError(ValueError):
-    """The requested start times are inconsistent with travel times."""
+    """An assigned task cannot be lowered to executable plan steps."""
 
 
 @dataclass(frozen=True)
 class Assignment:
     alpha: tuple[tuple[str, tuple[str, ...]], ...]  # task id -> robot ids
     theta: tuple[tuple[str, float], ...]  # task id -> start TU
-
-    def robots_for(self, task_id: str) -> tuple[str, ...]:
-        return dict(self.alpha)[task_id]
 
     def start_of(self, task_id: str) -> float:
         return dict(self.theta)[task_id]
@@ -45,10 +41,11 @@ class Assignment:
 
 
 _MOVE_FOR_NODE = {node: kind for kind, node in MOVE_TARGETS.items()}
+_MOVE_FOR_STEP = {step: kind for kind, step in GRID_MOVES.items()}
 
 
 class _Lowering:
-    """Shared sequential lowering used by fcfs_schedule and realize_schedule."""
+    """Sequential lowering of FCFS task assignments to plan steps."""
 
     def __init__(self, s: Scenario):
         self.s = s
@@ -63,66 +60,31 @@ class _Lowering:
         self.elapsed += tu
 
     def travel(self, robot: str, target: str):
+        """One move step per hop of the site's shortest route."""
         s = self.s
-        if self.loc[robot] == target:
-            return
-        if s.site.is_grid():
-            moves = s.site.grid_path(parse_cell(self.loc[robot]), parse_cell(target))
-            if moves is None:
-                raise RealizationError(f"{target} unreachable from {self.loc[robot]}")
-            cur = parse_cell(self.loc[robot])
-            for kind in moves:
-                from .plan import GRID_MOVES
-
-                dx, dy = GRID_MOVES[kind]
-                cur = (cur[0] + dx, cur[1] + dy)
-                self._emit(robot, Action(kind), s.cost.tu_per_du)
-            self.loc[robot] = cell_id(cur)
-        else:
-            # hop along the shortest path, one move step per edge
-            path = self._named_path(self.loc[robot], target)
-            if path is None:
-                raise RealizationError(f"{target} unreachable from {self.loc[robot]}")
-            for node, w in path:
-                kind = _MOVE_FOR_NODE.get(node)
-                action = Action(kind) if kind else Action(ActionKind.NAVIGATE, node)
-                self._emit(robot, action, s.cost.tu_per_du * w)
-                self.loc[robot] = node
-
-    def _named_path(self, a: str, b: str) -> list[tuple[str, float]] | None:
-        import heapq
-
-        dist = {a: 0.0}
-        prev: dict[str, tuple[str, float]] = {}
-        heap = [(0.0, a)]
-        while heap:
-            d, node = heapq.heappop(heap)
-            if node == b:
-                hops = []
-                cur = b
-                while cur != a:
-                    p, w = prev[cur]
-                    hops.append((cur, w))
-                    cur = p
-                return list(reversed(hops))
-            if d > dist.get(node, math.inf):
-                continue
-            for nbr, w in sorted(self.s.site.neighbors(node)):
-                nd = d + w
-                if nd < dist.get(nbr, math.inf):
-                    dist[nbr] = nd
-                    prev[nbr] = (node, w)
-                    heapq.heappush(heap, (nd, nbr))
-        return None
+        here = self.loc[robot]
+        hops = s.site.route(here, target)
+        if hops is None:
+            raise RealizationError(f"{target} unreachable from {here}")
+        for loc, du in hops:
+            if s.site.is_grid():
+                (x0, y0), (x1, y1) = parse_cell(here), parse_cell(loc)
+                action = Action(_MOVE_FOR_STEP[(x1 - x0, y1 - y0)])
+            else:
+                kind = _MOVE_FOR_NODE.get(loc)
+                action = Action(kind) if kind else Action(ActionKind.NAVIGATE, loc)
+            self._emit(robot, action, s.cost.tu_per_du * du)
+            here = loc
+        self.loc[robot] = here
 
     def nearest_stock(self, robot: str) -> str:
-        candidates = [loc for loc, mu in sorted(self.stock.items()) if mu > 0]
-        if not candidates:
+        reachable = []
+        for loc, mu in self.stock.items():
+            if mu > 0 and (du := self.s.site.shortest_path_du(self.loc[robot], loc)) is not None:
+                reachable.append((du, loc))
+        if not reachable:
             raise RealizationError("no stock left anywhere")
-        return min(
-            candidates,
-            key=lambda loc: (self.s.site.shortest_path_du(self.loc[robot], loc) or math.inf, loc),
-        )
+        return min(reachable)[1]
 
     def run_task(self, robot: str, task: TaskSpec) -> float:
         """Lower one task; returns its start time theta (first arrival at the site)."""
@@ -197,35 +159,3 @@ def fcfs_schedule(s: Scenario) -> tuple[Assignment, Plan]:
         theta.append((task_id, lowering.run_task(robot, task)))
     return Assignment(tuple(alpha), tuple(theta)), lowering.to_plan()
 
-
-def realize_schedule(s: Scenario, assignment: Assignment) -> Plan:
-    """Lower an Assignment to the canonical plan realizing it.
-
-    Tasks run in theta order with shortest-path connecting moves; IDLE
-    steps pad early arrivals.  Raises RealizationError if a requested
-    start time is earlier than the robot can physically arrive.
-    """
-    by_id = {t.id: t for t in s.tasks}
-    order = sorted(assignment.theta, key=lambda kv: (kv[1], kv[0]))
-    lowering = _Lowering(s)
-    for task_id, start in order:
-        task = by_id[task_id]
-        robots = assignment.robots_for(task_id)
-        if not robots:
-            raise RealizationError(f"task {task_id} assigned to an empty robot set")
-        robot = robots[0]
-        if not task.required_skills <= s.robot(robot).skills:
-            raise RealizationError(f"robot {robot} cannot perform task {task_id}")
-        before = len(lowering.templates)
-        arrival = lowering.run_task(robot, task)
-        if arrival > start:
-            raise RealizationError(
-                f"task {task_id}: theta {start} TU unreachable (earliest arrival {arrival} TU)"
-            )
-        # pad the gap with IDLE so completion events occur in theta order
-        gap = start - arrival
-        idles = int(round(gap / 1.0))
-        for _ in range(idles):
-            lowering.templates.insert(before, (robot, Action(ActionKind.IDLE)))
-            lowering.elapsed += 1.0
-    return lowering.to_plan()

@@ -197,7 +197,10 @@ class Gateway:
         return self._http_complete(profile, prompt)
 
     def _http_complete(self, profile: LlmProfile, prompt: str) -> str:
-        import requests
+        # imported here: the HTTP stack is slow to import and offline runs never use it
+        import http.client
+        import urllib.error
+        import urllib.request
 
         headers = {"Content-Type": "application/json"}
         if profile.api_key_env:
@@ -215,23 +218,31 @@ class Gateway:
             payload["stop"] = list(profile.stop_tokens)
         if profile.seed is not None:
             payload["seed"] = profile.seed
+        try:
+            request = urllib.request.Request(
+                profile.endpoint, data=json.dumps(payload).encode("utf-8"), headers=headers, method="POST"
+            )
+        except ValueError as e:  # not a URL at all
+            raise GatewayError("transport", f"bad endpoint {profile.endpoint!r}: {e}") from None
 
         last_exc: Exception | None = None
         for _ in range(2):  # one retry on transport failure
             try:
-                resp = requests.post(profile.endpoint, json=payload, headers=headers, timeout=60)
-            except requests.RequestException as e:
+                with urllib.request.urlopen(request, timeout=60) as resp:
+                    body = resp.read()
+            except urllib.error.HTTPError as e:
+                e.close()  # the error holds the response and its socket
+                if e.code in (401, 403):
+                    raise GatewayError("auth", f"endpoint returned {e.code}") from None
+                if e.code == 429:
+                    raise GatewayError("rate-limit", "endpoint returned 429") from None
+                raise GatewayError("transport", f"endpoint returned {e.code}") from None
+            except (OSError, http.client.HTTPException) as e:
                 last_exc = e
                 continue
-            if resp.status_code in (401, 403):
-                raise GatewayError("auth", f"endpoint returned {resp.status_code}")
-            if resp.status_code == 429:
-                raise GatewayError("rate-limit", "endpoint returned 429")
-            if resp.status_code >= 400:
-                raise GatewayError("transport", f"endpoint returned {resp.status_code}")
             try:
-                return resp.json()["choices"][0]["message"]["content"]
-            except (KeyError, IndexError, ValueError) as e:
+                return json.loads(body)["choices"][0]["message"]["content"]
+            except (KeyError, IndexError, TypeError, ValueError) as e:
                 raise GatewayError("malformed-response", str(e)) from None
         raise GatewayError("transport", f"request failed twice: {last_exc}")
 

@@ -114,14 +114,6 @@ def rouge(candidate: Tokens, reference: Tokens, variant: str) -> float | None:
     raise ValueError(f"unknown ROUGE variant {variant!r}")
 
 
-def rouge_recall(candidate: Tokens, reference: Tokens, n: int = 1) -> float:
-    """Recall side of ROUGE-n (how much of the reference the candidate keeps)."""
-    if not candidate or not reference:
-        raise EmptyInput("ROUGE inputs must be nonempty")
-    match, _, ref_total = _clipped_overlap(candidate, reference, n)
-    return match / ref_total if ref_total else 0.0
-
-
 def _meteor_alignment(candidate: Tokens, reference: Tokens) -> tuple[int, int]:
     """Greedy exact-match alignment: returns (matches, chunks).
 

@@ -12,6 +12,7 @@ the executor, never edited textually.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -256,25 +257,35 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
 # ---------------------------------------------------------------------------
 
 
-def _apply_candidate(
+def _apply_edits(
     templates: list[StepTemplate],
-    subs: tuple[tuple[int, Action], ...],
-    inserts: tuple[tuple[int, Action], ...],
-    transposes: tuple[int, ...],
+    subs: Iterable[tuple[int, Action]],
+    inserts: Iterable[tuple[int, Action]],
+    transposes: Iterable[int],
+    deletes: frozenset[int] = frozenset(),
 ) -> list[StepTemplate]:
-    """Apply ops given in original-index space (subs/transposes 1-based)."""
-    out = list(templates)
-    sub_map = dict(subs)
-    for pos, action in sub_map.items():
-        t = out[pos - 1]
-        out[pos - 1] = StepTemplate(t.robot, action, t.coalition)
+    """Apply edits given in the original index space of ``templates``.
+
+    ``subs`` are (1-based step, action) pairs, ``transposes`` swap step
+    ``p`` with ``p + 1``, ``deletes`` drop 1-based steps, and ``inserts``
+    are (gap, action) pairs with gaps counted from 0 (before step 1) to n
+    (after the last step).  Inserts sharing a gap enter the plan in list
+    order and take the robot of the step after the gap (the last step's
+    at the end).
+    """
+    work = list(templates)
+    for pos, action in subs:
+        t = work[pos - 1]
+        work[pos - 1] = StepTemplate(t.robot, action, t.coalition)
     for pos in transposes:
-        out[pos - 1], out[pos] = out[pos], out[pos - 1]
-    # insert gaps counted from 0 (before step 1) .. n (after last step)
-    for gap, action in sorted(inserts, key=lambda x: x[0], reverse=True):
-        robot = out[min(gap, len(out) - 1)].robot if out else None
+        work[pos - 1], work[pos] = work[pos], work[pos - 1]
+    out = [None if i in deletes else t for i, t in enumerate(work, 1)]
+    # Right to left, so lower gap indices stay valid; within a gap, back to
+    # front, so the inserts end up in list order.
+    for gap, action in reversed(sorted(inserts, key=lambda ins: ins[0])):
+        robot = work[min(gap, len(work) - 1)].robot if work else None
         out.insert(gap, StepTemplate(robot, action))
-    return out
+    return [t for t in out if t is not None]
 
 
 def _candidate_key(subs, inserts, transposes) -> tuple:
@@ -326,7 +337,9 @@ def _enumerate_scripts(n_steps: int, alphabet: list[Action], templates: list[Ste
                     if not ok:
                         continue
                     for inserts in itertools.combinations_with_replacement(ins_choices, n_ins):
-                        yield subs, inserts, swaps
+                        # a gap's inserts come out in alphabet order; reversed,
+                        # they keep the repaired plans the tests pin
+                        yield subs, inserts[::-1], swaps
 
 
 def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
@@ -335,38 +348,23 @@ def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
     Op positions are interpreted in the draft's index space (substitute,
     delete and transpose name existing steps; insert names the index the
     new step will occupy), which is how both the search and the alignment
-    emit them.
+    emit them.  Inserts at one position enter the plan in script order.
     """
-    templates = plan_templates(draft)
-    n = len(templates)
     subs: dict[int, Action] = {}
     deletes: set[int] = set()
-    inserts_by_gap: dict[int, list[Action]] = {}
+    inserts: list[tuple[int, Action]] = []
     swaps: list[int] = []
     for op in script.ops:
-        if op.kind is EditKind.Substitute:
-            if op.payload is None:
-                deletes.add(op.position)
-            else:
-                subs[op.position] = op.payload
-        elif op.kind is EditKind.Insert:
-            inserts_by_gap.setdefault(op.position - 1, []).append(op.payload)
-        else:
+        if op.kind is EditKind.Insert:
+            inserts.append((op.position - 1, op.payload))
+        elif op.kind is EditKind.Transpose:
             swaps.append(op.position)
-    work = list(templates)
-    for pos, action in subs.items():
-        t = work[pos - 1]
-        work[pos - 1] = StepTemplate(t.robot, action, t.coalition)
-    for pos in swaps:
-        work[pos - 1], work[pos] = work[pos], work[pos - 1]
-    out: list[StepTemplate] = []
-    for idx in range(n + 1):
-        for action in inserts_by_gap.get(idx, ()):
-            robot = work[min(idx, n - 1)].robot if work else None
-            out.append(StepTemplate(robot, action))
-        if idx < n and (idx + 1) not in deletes:
-            out.append(work[idx])
-    plan, _ = reconcile_plan(s, out)
+        elif op.payload is None:
+            deletes.add(op.position)
+        else:
+            subs[op.position] = op.payload
+    edited = _apply_edits(plan_templates(draft), subs.items(), inserts, swaps, frozenset(deletes))
+    plan, _ = reconcile_plan(s, edited)
     return plan
 
 
@@ -401,7 +399,7 @@ def minimal_edit_repair(
         )
         battery_checked = ViolationClass.Battery in checks
         for subs, inserts, swaps in candidates:
-            edited = _apply_candidate(templates, subs, inserts, swaps)
+            edited = _apply_edits(templates, subs, inserts, swaps)
             plan, trace = reconcile_plan(s, edited)
             if trace.error is not None:
                 continue
@@ -416,6 +414,7 @@ def minimal_edit_repair(
                 ]
                 ops += [EditOp(EditKind.Insert, g + 1, a) for g, a in inserts]
                 ops += [EditOp(EditKind.Transpose, p) for p in swaps]
+                # stable: inserts at one position stay in plan order
                 ops.sort(key=lambda op: (op.position, op.kind.value))
                 found = (plan, ops, report)
                 break

@@ -9,8 +9,11 @@ file on failure.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -102,82 +105,76 @@ class SiteMap:
                 return w
         return None
 
-    def neighbors(self, node: str) -> list[tuple[str, float]]:
+    def _steps(self, loc: str) -> list[tuple[str, float]]:
+        """Locations one hop from ``loc`` with their DU, in tie-break order."""
         out = []
-        for u, v, w in self.edges:
-            if u == node:
-                out.append((v, w))
-            elif v == node:
-                out.append((u, w))
+        if not self.is_grid():
+            for u, v, w in self.edges:
+                if u == loc:
+                    out.append((v, w))
+                elif v == loc:
+                    out.append((u, w))
+            return sorted(out)
+        cell = parse_cell(loc)
+        if cell is None:
+            return out
+        for dx, dy in GRID_MOVES.values():  # L, R, U, D
+            n = (cell[0] + dx, cell[1] + dy)
+            if self.in_grid(n) and n not in self.blocked:
+                out.append((cell_id(n), 1.0))
         return out
 
-    def shortest_path_du(self, a: str, b: str) -> float | None:
-        """Dijkstra over named edges, BFS over grid 4-neighborhoods."""
-        if a == b:
-            return 0.0
-        if self.is_grid():
-            ca, cb = parse_cell(a), parse_cell(b)
-            if ca is None or cb is None:
-                return None
-            frontier, seen, dist = [ca], {ca}, 0
-            while frontier:
-                dist += 1
-                nxt = []
-                for cell in frontier:
-                    for dx, dy in GRID_MOVES.values():
-                        n = (cell[0] + dx, cell[1] + dy)
-                        if not self.in_grid(n) or n in self.blocked or n in seen:
-                            continue
-                        if n == cb:
-                            return float(dist)
-                        seen.add(n)
-                        nxt.append(n)
-                frontier = nxt
-            return None
-        import heapq
+    def _search(self, a: str, goal: str | None = None) -> dict[str, tuple[str, float] | None]:
+        """Dijkstra from ``a``: the hop into each settled location.
 
-        dists = {a: 0.0}
-        heap = [(0.0, a)]
+        Stops once ``goal`` is settled.  Named graphs pop the frontier by
+        (distance, node id); grids pop equal distances first in, first out,
+        which is breadth-first in L, R, U, D move order.
+        """
+        grid = self.is_grid()
+        tick = itertools.count()
+        dist = {a: 0.0}
+        settled: dict[str, tuple[str, float] | None] = {}
+        heap = [(0.0, next(tick) if grid else a, a, None)]
         while heap:
-            d, node = heapq.heappop(heap)
-            if node == b:
-                return d
-            if d > dists.get(node, float("inf")):
+            d, _, loc, hop = heapq.heappop(heap)
+            if loc in settled:
                 continue
-            for nbr, w in self.neighbors(node):
+            settled[loc] = hop
+            if loc == goal:
+                break
+            for nbr, w in self._steps(loc):
                 nd = d + w
-                if nd < dists.get(nbr, float("inf")):
-                    dists[nbr] = nd
-                    heapq.heappush(heap, (nd, nbr))
-        return None
+                if nd < dist.get(nbr, math.inf):
+                    dist[nbr] = nd
+                    heapq.heappush(heap, (nd, next(tick) if grid else nbr, nbr, (loc, w)))
+        return settled
 
-    def grid_path(self, a: Cell, b: Cell) -> list[ActionKind] | None:
-        """Deterministic BFS move sequence (neighbor order L, R, U, D)."""
-        if a == b:
-            return []
-        order = [ActionKind.MOVE_Left, ActionKind.MOVE_Right, ActionKind.MOVE_Up, ActionKind.MOVE_Down]
-        prev: dict[Cell, tuple[Cell, ActionKind]] = {}
-        frontier, seen = [a], {a}
-        while frontier:
-            nxt = []
-            for cell in frontier:
-                for kind in order:
-                    dx, dy = GRID_MOVES[kind]
-                    n = (cell[0] + dx, cell[1] + dy)
-                    if not self.in_grid(n) or n in self.blocked or n in seen:
-                        continue
-                    seen.add(n)
-                    prev[n] = (cell, kind)
-                    if n == b:
-                        moves = []
-                        cur = n
-                        while cur != a:
-                            cur, kind2 = prev[cur]
-                            moves.append(kind2)
-                        return list(reversed(moves))
-                    nxt.append(n)
-            frontier = nxt
-        return None
+    def route(self, a: str, b: str) -> list[tuple[str, float]] | None:
+        """Shortest route from ``a`` to ``b`` as (location, DU) hops.
+
+        Empty when ``a == b``; None when ``b`` cannot be reached.
+        """
+        settled = self._search(a, b)
+        if b not in settled:
+            return None
+        hops = []
+        while settled[b] is not None:
+            prev, w = settled[b]
+            hops.append((b, w))
+            b = prev
+        return hops[::-1]
+
+    def shortest_path_du(self, a: str, b: str) -> float | None:
+        """Length of ``route(a, b)`` in DU; None when unreachable."""
+        hops = self.route(a, b)
+        if hops is None:
+            return None
+        du = 0.0
+        # left to right, as the search added them: sum() may round differently
+        for _, w in hops:
+            du += w
+        return du
 
     def scan_footprint(self, cell: Cell, mode: ScanFootprint) -> frozenset[Cell]:
         """Cells a SCAN performed at ``cell`` reveals."""
@@ -356,18 +353,8 @@ def _load_site(raw: dict, where: str) -> SiteMap:
             no_go=frozenset(_canon_id(n).upper() for n in raw.get("no_go", [])),
             chargers=frozenset(_canon_id(n).upper() for n in raw.get("chargers", [])),
         )
-        # connectivity over the declared nodes
-        if nodes:
-            reachable = {nodes[0]}
-            frontier = [nodes[0]]
-            while frontier:
-                n = frontier.pop()
-                for nbr, _ in site.neighbors(n):
-                    if nbr not in reachable:
-                        reachable.add(nbr)
-                        frontier.append(nbr)
-            if reachable != set(nodes):
-                raise ValidationError(f"{where}", "site graph is not connected")
+        if nodes and len(site._search(nodes[0])) != len(nodes):
+            raise ValidationError(f"{where}", "site graph is not connected")
         return site
     if kind == "grid":
         width, height = int(_require(raw, "width", where)), int(_require(raw, "height", where))
@@ -388,19 +375,8 @@ def _load_site(raw: dict, where: str) -> SiteMap:
             chargers=frozenset(cell_id((int(c[0]), int(c[1]))) for c in raw.get("chargers", [])),
         )
         cells = site.traversable_cells()
-        if cells:
-            start = min(cells)
-            reachable = {start}
-            frontier = [start]
-            while frontier:
-                cell = frontier.pop()
-                for dx, dy in GRID_MOVES.values():
-                    n = (cell[0] + dx, cell[1] + dy)
-                    if n in cells and n not in reachable:
-                        reachable.add(n)
-                        frontier.append(n)
-            if reachable != cells:
-                raise ValidationError(where, "grid is not connected over traversable cells")
+        if cells and len(site._search(cell_id(min(cells)))) != len(cells):
+            raise ValidationError(where, "grid is not connected over traversable cells")
         return site
     raise ValidationError(f"{where}.kind", f"unknown site kind {kind!r}")
 

@@ -24,8 +24,8 @@ from foreman.plan import Action, ActionKind, tokenize_plan
 from foreman.repair import (
     SearchSupervisor,
     StepTemplate,
+    _apply_edits,
     _enumerate_scripts,
-    _apply_candidate,
     minimal_edit_repair,
     plan_templates,
     reconcile_plan,
@@ -100,7 +100,7 @@ def _no_cheaper_script_is_feasible(s, draft, below_cost) -> bool:
     alphabet = s.action_alphabet()
     for cost in range(1, below_cost):
         for subs, inserts, swaps in _enumerate_scripts(len(templates), alphabet, templates, cost):
-            plan, trace = reconcile_plan(s, _apply_candidate(templates, subs, inserts, swaps))
+            plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
             if trace.error is not None:
                 continue
             if validate(s, plan, ALL_CHECKS, trace=trace).feasible:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from foreman.fcfs import Assignment, RealizationError, UnassignableTask, fcfs_schedule, realize_schedule
-from foreman.plan import ActionKind, Plan
+from foreman.fcfs import UnassignableTask, fcfs_schedule
+from foreman.plan import ActionKind
 from foreman.scenario import load_scenario_dict
 from foreman.validator import ALL_CHECKS, ViolationClass as VC, validate
 
@@ -95,27 +95,28 @@ def test_determinism(wall):
     assert a1 == a2 and p1 == p2
 
 
-def test_realize_empty_assignment_is_empty_plan(wall):
-    plan = realize_schedule(wall, Assignment((), ()))
-    assert plan == Plan(())
-
-
-def test_realize_fcfs_assignment_reproduces_plan(wall):
-    assignment, plan = fcfs_schedule(wall)
-    assert realize_schedule(wall, assignment) == plan
-
-
-def test_realize_rejects_impossible_theta(wall):
-    assignment = Assignment((("build_1", ("r1",)),), (("build_1", 0.0),))
-    with pytest.raises(RealizationError):
-        realize_schedule(wall, assignment)  # needs at least the stock detour first
-
-
-def test_realize_pads_early_arrival_with_idle():
-    s = _world([{"id": "go", "type": "NAVIGATE", "location": "B"}], [])
-    plan = realize_schedule(s, Assignment((("go", ("r1",)),), (("go", 3.0),)))
+def test_stock_under_the_robot_is_picked_without_moving():
+    s = load_scenario_dict(
+        {
+            "instruction": "x",
+            "site": {
+                "kind": "named_graph",
+                "nodes": ["S", "B", "C"],
+                "edges": [["S", "B", 1], ["B", "C", 1], ["C", "S", 1]],
+            },
+            "robots": [
+                {"id": "r1", "skills": ["MOVE_S", "MOVE_B", "MOVE_C", "PICK", "BUILD"],
+                 "payload_capacity": 3, "start_location": "S"}
+            ],
+            "tasks": [{"id": "b1", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 3}],
+            "dag": [],
+            "cost": {},
+            "resources": {"S": 3, "C": 3},
+        }
+    )
+    _, plan = fcfs_schedule(s)
     kinds = [st.action.kind for st in plan.steps]
-    assert kinds.count(ActionKind.IDLE) == 2  # arrival at 1 TU, start at 3 TU
+    assert kinds == [ActionKind.PICK, ActionKind.MOVE_B, ActionKind.BUILD]
 
 
 def test_fcfs_respects_precedence_and_capability_on_random_dags(wall):

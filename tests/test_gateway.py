@@ -1,4 +1,7 @@
+import http.server
 import json
+import threading
+from dataclasses import replace
 
 import pytest
 
@@ -92,6 +95,109 @@ def test_live_profile_missing_key_is_auth_error():
     with pytest.raises(GatewayError) as exc:
         Gateway().complete(profile, "prompt")
     assert exc.value.kind == "auth"
+
+
+# ---------------------------------------------------------------------------
+# Live transport against a loopback stub server
+# ---------------------------------------------------------------------------
+
+
+def _completion(text: str) -> bytes:
+    return json.dumps({"choices": [{"message": {"role": "assistant", "content": text}}]}).encode()
+
+
+@pytest.fixture
+def stub(monkeypatch):
+    """A chat-completions stub on 127.0.0.1.
+
+    Yields ``(profile_for, seen)``: ``profile_for(path, *answers)`` scripts the
+    answers to successive POSTs on ``path`` (``(status, body)``, or None to
+    drop the connection unanswered) and returns a live profile aimed at it;
+    ``seen`` collects (path, JSON payload, Authorization header) per request.
+    """
+    answers: dict[str, list] = {}
+    seen: list = []
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append((self.path, json.loads(body), self.headers.get("Authorization")))
+            answer = answers[self.path].pop(0)
+            if answer is None:
+                self.close_connection = True
+                return
+            status, payload = answer
+            self.send_response(status)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    monkeypatch.setenv("no_proxy", "*")  # loopback requests never go through a proxy
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True)
+    thread.start()
+
+    def profile_for(path, *scripted):
+        answers[path] = list(scripted)
+        endpoint = f"http://127.0.0.1:{server.server_port}{path}"
+        return LlmProfile(name="live", role="supervisor", endpoint=endpoint, model_name="m")
+
+    yield profile_for, seen
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+def test_live_transport_returns_completion(stub, monkeypatch):
+    profile_for, seen = stub
+    monkeypatch.setenv("FOREMAN_STUB_KEY", "k1")
+    profile = replace(profile_for("/v1/chat", (200, _completion("STEP 1"))), api_key_env="FOREMAN_STUB_KEY", seed=7)
+    assert Gateway().complete(profile, "the prompt") == "STEP 1"
+    [(path, payload, auth)] = seen
+    assert path == "/v1/chat" and auth == "Bearer k1"
+    assert payload["model"] == "m" and payload["seed"] == 7
+    assert payload["messages"] == [{"role": "user", "content": "the prompt"}]
+
+
+@pytest.mark.parametrize("status, kind", [(401, "auth"), (403, "auth"), (429, "rate-limit"), (500, "transport")])
+def test_live_transport_error_status_kinds(stub, status, kind):
+    profile_for, seen = stub
+    with pytest.raises(GatewayError) as exc:
+        Gateway().complete(profile_for("/err", (status, b"{}"), (200, _completion("late"))), "p")
+    assert exc.value.kind == kind
+    assert len(seen) == 1  # an answered request is never retried
+
+
+@pytest.mark.parametrize("body", [b"not json", b'{"choices": []}', b'["choices"]'])
+def test_live_transport_malformed_body(stub, body):
+    profile_for, _ = stub
+    with pytest.raises(GatewayError) as exc:
+        Gateway().complete(profile_for("/bad", (200, body)), "p")
+    assert exc.value.kind == "malformed-response"
+
+
+def test_live_transport_rejects_non_url_endpoint():
+    profile = LlmProfile(name="live", role="supervisor", endpoint="chat-completions", model_name="m")
+    with pytest.raises(GatewayError) as exc:
+        Gateway().complete(profile, "p")
+    assert exc.value.kind == "transport"
+
+
+def test_live_transport_retries_dropped_connection_once(stub):
+    profile_for, seen = stub
+    assert Gateway().complete(profile_for("/flaky", None, (200, _completion("ok"))), "p") == "ok"
+    assert len(seen) == 2
+
+
+def test_live_transport_gives_up_after_one_retry(stub):
+    profile_for, seen = stub
+    with pytest.raises(GatewayError) as exc:
+        Gateway().complete(profile_for("/down", None, None, (200, _completion("late"))), "p")
+    assert exc.value.kind == "transport"
+    assert len(seen) == 2
 
 
 def test_supervise_with_llm_mock_roundtrip(fix_dir, wall, wall_draft, wall_gemma):

@@ -10,7 +10,6 @@ from foreman.metrics import (
     eval_run,
     meteor,
     rouge,
-    rouge_recall,
     similarity,
 )
 from foreman.plan import tokenize_plan
@@ -137,22 +136,6 @@ def test_identity_property_fuzz():
         assert rouge(toks, toks, "rl") == 1.0
         m = len(toks)
         assert meteor(toks, toks) >= 1 - 0.5 / m**3 - 1e-12
-
-
-def test_appending_noise_never_increases_recall():
-    rng = random.Random(5)
-    for _ in range(200):
-        cand = [rng.choice([A, B, C]) for _ in range(rng.randint(1, 8))]
-        ref = [rng.choice([A, B, C]) for _ in range(rng.randint(1, 8))]
-        before = rouge_recall(cand, ref)
-        after = rouge_recall(cand + ["NOISE"], ref)
-        assert after <= before + 1e-12
-
-
-def test_insert_only_fixtures_keep_recall_at_one(grid_draft, grid_gemma, grid_llama, grid_mistral):
-    ref = tokenize_plan(grid_draft)
-    for cand_plan in (grid_gemma, grid_llama, grid_mistral):
-        assert rouge_recall(tokenize_plan(cand_plan), ref) == 1.0
 
 
 # Frozen regression values for the shipped fixture pairs (computed by this

@@ -4,6 +4,8 @@ import time
 from hypothesis import given, settings, strategies as st
 
 from foreman.executor import execute, makespan
+from foreman.experiment import battery_pressured_batch
+from foreman.fcfs import fcfs_schedule
 from foreman.plan import Action, ActionKind, Plan, parse_plan
 from foreman.repair import (
     EditKind,
@@ -245,9 +247,22 @@ def test_edit_distance_bounds(xs, ys):
 
 
 def test_applying_search_script_reproduces_repaired_plan(wall, grid, wall_draft, grid_draft):
-    for s, draft in [(wall, wall_draft), (grid, grid_draft)]:
-        result = minimal_edit_repair(s, draft, budget=4)
+    cases = [(wall, wall_draft, 4), (grid, grid_draft, 4)]
+    # one FCFS draft per (tasks x initial battery) class of criterion 10's
+    # batch; 3 tasks at 50% is the class no budget-2 script repairs
+    classes = {}
+    for s in battery_pressured_batch(2024, 50):
+        classes.setdefault((len(s.tasks), s.robots[0].battery_init), s)
+    del classes[(3, 50.0)]
+    cases += [(s, fcfs_schedule(s)[1], 2) for _, s in sorted(classes.items())]
+    same_gap_inserts = 0
+    for s, draft, budget in cases:
+        result = minimal_edit_repair(s, draft, budget)
+        assert result.feasible
         assert apply_script(s, draft, result.script) == result.plan
+        positions = [op.position for op in result.script.ops if op.kind is EditKind.Insert]
+        same_gap_inserts += len(positions) - len(set(positions))
+    assert same_gap_inserts  # 3 tasks at 100% needs two inserts in one gap
 
 
 def test_applying_alignment_script_reproduces_target(wall, wall_draft, wall_gemma, wall_mistral):

@@ -1,7 +1,9 @@
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brute_oracle import brute_has_cycle
 from foreman.scenario import (
@@ -9,8 +11,10 @@ from foreman.scenario import (
     ParseError,
     PrecedenceDag,
     ScanFootprint,
+    SiteMap,
     ValidationError,
     canonical_context,
+    cell_id,
     load_scenario,
     load_scenario_dict,
     serialize_scenario,
@@ -100,6 +104,14 @@ def test_disconnected_graph_rejected():
     doc = _minimal_doc(
         site={"kind": "named_graph", "nodes": ["A", "B", "X"], "edges": [["A", "B", 1]]}
     )
+    with pytest.raises(ValidationError) as exc:
+        load_scenario_dict(doc)
+    assert "connected" in str(exc.value)
+
+
+def test_disconnected_grid_rejected():
+    doc = _minimal_doc(site={"kind": "grid", "width": 3, "height": 2, "blocked": [[1, 0], [1, 1]]})
+    doc["robots"][0]["start_location"] = "(0,0)"
     with pytest.raises(ValidationError) as exc:
         load_scenario_dict(doc)
     assert "connected" in str(exc.value)
@@ -197,3 +209,88 @@ def test_dag_acyclicity_matches_brute_force():
         dag = PrecedenceDag(frozenset((ids[a], ids[b]) for a, b in edges))
         kahn_says_acyclic = dag.topological_order(ids) is not None
         assert kahn_says_acyclic == (not brute_has_cycle(n, edges))
+
+
+# ---------------------------------------------------------------------------
+# Routing against an all-pairs reference
+# ---------------------------------------------------------------------------
+
+def test_route_tie_order():
+    # both routes below tie on length; named graphs settle equal distances by
+    # node id, grids go breadth-first trying moves L, R, U, D
+    named = SiteMap(
+        kind="named_graph",
+        nodes=("A", "B", "Y", "Z", "D"),
+        edges=(("A", "Z", 1.0), ("A", "B", 0.5), ("B", "Y", 0.5), ("Y", "D", 1.0), ("Z", "D", 1.0)),
+    )
+    assert named.route("A", "D") == [("B", 0.5), ("Y", 0.5), ("D", 1.0)]
+    grid = SiteMap(kind="grid", width=3, height=3)
+    assert grid.route("(0,0)", "(1,1)") == [("(1,0)", 1.0), ("(1,1)", 1.0)]
+    assert grid.route("(1,1)", "(1,1)") == []
+
+
+# Multiples of 1/8 add up exactly, so every path length is exact in binary
+# and route lengths can be compared with ==.
+_WEIGHTS = st.integers(1, 40).map(lambda k: k / 8)
+
+
+@st.composite
+def _named_sites(draw):
+    n = draw(st.integers(2, 7))
+    nodes = tuple(f"N{i}" for i in range(n))
+    # a random spanning tree keeps the graph connected; extra edges add
+    # cycles, parallel edges and ties
+    edges = [(nodes[i], nodes[draw(st.integers(0, i - 1))], draw(_WEIGHTS)) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes), _WEIGHTS), max_size=2 * n))
+    edges += [(u, v, w) for u, v, w in extra if u != v]
+    return SiteMap(kind="named_graph", nodes=nodes, edges=tuple(draw(st.permutations(edges))))
+
+
+@st.composite
+def _grid_sites(draw):
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    blocked = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - 1))
+    return SiteMap(kind="grid", width=width, height=height, blocked=frozenset(blocked))
+
+
+def _all_pairs(site):
+    """Locations, directed (from, to, DU) moves, and Floyd-Warshall distances."""
+    if site.is_grid():
+        free = {(x, y) for x in range(site.width) for y in range(site.height)} - site.blocked
+        locs = sorted(cell_id(c) for c in free)
+        moves = {
+            (cell_id((x, y)), cell_id((x + dx, y + dy)), 1.0)
+            for x, y in free
+            for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+            if (x + dx, y + dy) in free
+        }
+    else:
+        locs = list(site.nodes)
+        moves = {(u, v, w) for u, v, w in site.edges} | {(v, u, w) for u, v, w in site.edges}
+    dist = {(a, b): 0.0 if a == b else math.inf for a in locs for b in locs}
+    for u, v, w in moves:
+        dist[u, v] = min(dist[u, v], w)
+    for k in locs:
+        for i in locs:
+            for j in locs:
+                dist[i, j] = min(dist[i, j], dist[i, k] + dist[k, j])
+    return locs, moves, dist
+
+
+@given(st.one_of(_named_sites(), _grid_sites()))
+@settings(max_examples=150, deadline=None)
+def test_route_is_a_shortest_walk_over_real_moves(site):
+    locs, moves, dist = _all_pairs(site)
+    for a in locs:
+        for b in locs:
+            hops = site.route(a, b)
+            if dist[a, b] == math.inf:
+                assert hops is None and site.shortest_path_du(a, b) is None
+                continue
+            here, total = a, 0.0
+            for loc, w in hops:
+                assert (here, loc, w) in moves
+                here, total = loc, total + w
+            assert here == b
+            assert total == dist[a, b] == site.shortest_path_du(a, b)
