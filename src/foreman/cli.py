@@ -15,7 +15,7 @@ import click
 
 from .executor import execute, makespan
 from .experiment import ConfigError, ExperimentConfig, fixtures_dir, run_experiment
-from .fcfs import UnassignableTask, fcfs_schedule
+from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
 from .gateway import Gateway, load_profiles
 from .metrics import similarity
 from .plan import SchemaError, parse_plan, serialize_plan, tokenize_plan, tokenize_plan_full
@@ -35,7 +35,7 @@ def _load(scenario_path: str):
 def _read_plan_text(plan_path: str) -> str:
     try:
         return Path(plan_path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
 
@@ -149,7 +149,7 @@ def cmd_fcfs(scenario_path):
     s = _load(scenario_path)
     try:
         assignment, plan = fcfs_schedule(s)
-    except UnassignableTask as e:
+    except (UnassignableTask, RealizationError) as e:
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     click.echo(serialize_plan(plan).rstrip("\n"))

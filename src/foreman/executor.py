@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
+from .plan import ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
 from .scenario import Cell, Scenario, cell_id, parse_cell
 
 
@@ -86,14 +86,7 @@ def _initial_state(s: Scenario) -> WorldState:
     )
 
 
-def _bind_robot(s: Scenario, step: PlanStep) -> str:
-    if step.robot is None:
-        return s.sole_robot().id
-    return step.robot
-
-
-def _apply(s: Scenario, world: WorldState, step: PlanStep) -> TraceEntry:
-    robot_id = _bind_robot(s, step)
+def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> TraceEntry:
     if robot_id not in world.robots:
         raise ExecError(robot_id, step.step, "bad_action", f"unknown robot {robot_id!r}")
     rs = world.robots[robot_id]
@@ -140,12 +133,12 @@ def _apply(s: Scenario, world: WorldState, step: PlanStep) -> TraceEntry:
         rs.battery -= cost.battery_per_du
         tu = cost.tu_per_du
     elif kind is ActionKind.PICK:
-        if rs.location not in dict(s.resources):
+        if rs.location not in world.stock:
             raise ExecError(robot_id, step.step, "bad_pick", f"no stockpile at {rs.location}")
-        moved = min(3, spec.payload_capacity - rs.cargo, world.stock.get(rs.location, 0))
+        moved = min(3, spec.payload_capacity - rs.cargo, world.stock[rs.location])
         moved = max(0, moved)
         rs.cargo += moved
-        world.stock[rs.location] = world.stock.get(rs.location, 0) - moved
+        world.stock[rs.location] -= moved
         picked_here = moved
         tu = cost.pick_build_tu_per_3mu if moved > 0 else 0.0
     elif kind is ActionKind.BUILD:
@@ -193,13 +186,15 @@ def execute(s: Scenario, plan: Plan) -> Trace:
     """Simulate ``plan`` against ``s``; deterministic.
 
     Multi-robot plans are replayed in per-robot elapsed-time order so that
-    shared stockpiles decrement consistently.  On an impossible transition
-    the partial Trace is returned with ``error`` set.
+    shared stockpiles decrement consistently.  Each plan label is bound to
+    a robot id once; unlabelled steps belong to the scenario's sole robot.
+    On an impossible transition the partial Trace is returned with
+    ``error`` set.
     """
     world = _initial_state(s)
     entries: list[TraceEntry] = []
     try:
-        bound = {robot: _bind_robot(s, step) for robot in plan.robots for step in plan.steps_for(robot)[:1]}
+        bound = {label: s.sole_robot().id if label is None else label for label in plan.robots}
     except ValueError as e:
         first = plan.steps[0].step if plan.steps else 0
         err = ExecError(None, first, "bad_action", str(e))
@@ -212,7 +207,7 @@ def execute(s: Scenario, plan: Plan) -> Trace:
         robot = min(ready, key=lambda r: (world.elapsed.get(bound[r], 0.0), str(r)))
         step = streams[robot].pop(0)
         try:
-            entries.append(_apply(s, world, step))
+            entries.append(_apply(s, world, step, bound[robot]))
         except ExecError as e:
             error = e
     return Trace(entries=tuple(entries), final=world, error=error)

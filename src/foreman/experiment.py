@@ -91,7 +91,6 @@ class ArmResult:
     psi: int
     makespan_tu: float
     t_rep: int
-    report: EvalReport | None = None
     edited_steps: str = ""
     error: str = ""
 
@@ -122,20 +121,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         )
     )
 
-    def _fcfs_arm() -> ArmResult:
-        try:
-            _, fcfs_plan = fcfs_schedule(s)
-            fcfs_report = validate(s, fcfs_plan, cfg.checks)
-            return ArmResult(
-                name="fcfs",
-                feasible=fcfs_report.feasible,
-                psi=fcfs_report.psi,
-                makespan_tu=makespan(execute(s, fcfs_plan)),
-                t_rep=0,
-            )
-        except Exception as e:  # an unschedulable baseline is a result, not a crash
-            return ArmResult(name="fcfs", feasible=False, psi=-1, makespan_tu=0.0, t_rep=0, error=str(e))
-
     hybrid_rows: list[tuple[str, EvalReport, RepairResult]] = []
     for spec in cfg.supervisors:
         supervisor = _make_supervisor(spec, cfg, gateway, profiles, s.name)
@@ -150,11 +135,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
                 psi=result.report.psi if result.report else -1,
                 makespan_tu=report.makespan_tu,
                 t_rep=result.iterations_used,
-                report=report,
                 edited_steps=result.script.render() if result.script else "",
             )
         )
-    arms.append(_fcfs_arm())
+    try:
+        _, fcfs_plan = fcfs_schedule(s)
+    except Exception as e:  # an unschedulable baseline is a result, not a crash
+        arms.append(ArmResult(name="fcfs", feasible=False, psi=-1, makespan_tu=0.0, t_rep=0, error=str(e)))
+    else:
+        fcfs_report = validate(s, fcfs_plan, cfg.checks)
+        arms.append(
+            ArmResult(
+                name="fcfs",
+                feasible=fcfs_report.feasible,
+                psi=fcfs_report.psi,
+                makespan_tu=makespan(execute(s, fcfs_plan)),
+                t_rep=0,
+            )
+        )
 
     _write_similarity_csv(out_dir / "similarity.csv", s, hybrid_rows)
     _write_edit_profile_csv(out_dir / "edit_profile.csv", hybrid_rows, draft_ms)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
+from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan
+from .repair import StepTemplate, reconcile_plan
 from .scenario import Scenario, TaskSpec, parse_cell
 
 
@@ -29,9 +30,6 @@ class RealizationError(ValueError):
 class Assignment:
     alpha: tuple[tuple[str, tuple[str, ...]], ...]  # task id -> robot ids
     theta: tuple[tuple[str, float], ...]  # task id -> start TU
-
-    def start_of(self, task_id: str) -> float:
-        return dict(self.theta)[task_id]
 
     def to_dict(self) -> dict:
         return {
@@ -53,10 +51,11 @@ class _Lowering:
         self.cargo = {r.id: r.cargo_init for r in s.robots}
         self.stock = s.stock()
         self.elapsed = 0.0
-        self.templates: list[tuple[str, Action]] = []
+        self.templates: list[StepTemplate] = []
 
     def _emit(self, robot: str, action: Action, tu: float):
-        self.templates.append((robot, action))
+        # single-robot plans leave their steps unlabelled
+        self.templates.append(StepTemplate(robot if len(self.s.robots) > 1 else None, action))
         self.elapsed += tu
 
     def travel(self, robot: str, target: str):
@@ -121,20 +120,6 @@ class _Lowering:
             raise RealizationError(f"task {task.id}: cannot lower task type {task.type.value}")
         return theta if theta is not None else self.elapsed
 
-    def to_plan(self) -> Plan:
-        counters: dict[str, int] = {}
-        multi = len(self.s.robots) > 1
-        steps = []
-        for robot, action in self.templates:
-            counters[robot] = counters.get(robot, 0) + 1
-            steps.append(
-                PlanStep(counters[robot], robot if multi else None, "?", action, 0, 0, 0.0)
-            )
-        from .repair import plan_templates, reconcile_plan
-
-        plan, _ = reconcile_plan(self.s, plan_templates(Plan(tuple(steps))))
-        return plan
-
 
 def fcfs_schedule(s: Scenario) -> tuple[Assignment, Plan]:
     """Schedule tasks FCFS and lower to an executable sequential plan.
@@ -157,5 +142,6 @@ def fcfs_schedule(s: Scenario) -> tuple[Assignment, Plan]:
         robot = capable[0].id  # sequential execution: every robot is idle, lowest id wins
         alpha.append((task_id, (robot,)))
         theta.append((task_id, lowering.run_task(robot, task)))
-    return Assignment(tuple(alpha), tuple(theta)), lowering.to_plan()
+    plan, _ = reconcile_plan(s, lowering.templates)  # numbers the steps, fills the state columns
+    return Assignment(tuple(alpha), tuple(theta)), plan
 

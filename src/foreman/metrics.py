@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from .executor import execute, makespan
 from .plan import Plan, tokenize_plan
-from .repair import EditProfile, RepairResult, edit_script
+from .repair import EditProfile, RepairResult
 from .scenario import Scenario
 from .validator import ALL_CHECKS, ViolationClass, validate
 
@@ -220,8 +220,10 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
     """Aggregate one draft -> repair run into the per-run metric row.
 
     Similarity compares the corrected plan (candidate) against the draft
-    (reference) over action/location tokens.  FR and FPR coincide for a
-    single run: 1.0 iff the final plan validates with zero violations.
+    (reference) over action/location tokens.  The edit profile is the
+    run's own draft -> final script (empty when the run found no plan).
+    FR and FPR coincide for a single run: 1.0 iff the final plan validates
+    with zero violations.
     """
     draft_tokens = tokenize_plan(draft)
     final = result.plan if result.feasible and result.plan is not None else draft
@@ -235,7 +237,7 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
         scores=scores,
         fr=fr,
         fpr=fr,
-        edits=edit_script(draft, final).profile,
+        edits=result.script.profile if result.script is not None else EditProfile(),
         battery_violations=battery,
         makespan_tu=ms_final,
         makespan_delta=ms_final - ms_draft,

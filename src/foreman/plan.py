@@ -13,6 +13,7 @@ serializer emits the bracketed form shown above.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -119,6 +120,7 @@ class SchemaError(ValueError):
 
 
 _STEP_RE = re.compile(r"^STEP\s+(-?\d+)$", re.IGNORECASE)
+_DECIMAL_RE = re.compile(r"[-+]?\d+(\.\d+)?([eE][-+]?\d+)?")
 _PREFIX_RE = re.compile(r"^([A-Za-z_][\w+-]*)\s*:\s*(STEP\b.*)$")
 
 
@@ -154,6 +156,14 @@ def _parse_int(raw: str, line: int, what: str) -> int:
         return int(_unbracket(raw))
     except ValueError:
         raise SchemaError(line, f"{what} is not an integer: {raw!r}") from None
+
+
+def _parse_decimal(raw: str, line: int, what: str) -> float:
+    """A finite decimal such as ``50``, ``87.5`` or ``1e-05`` (what ``_fmt_num`` writes)."""
+    text = _unbracket(raw)
+    if _DECIMAL_RE.fullmatch(text) and math.isfinite(value := float(text)):
+        return value
+    raise SchemaError(line, f"{what} is not a finite decimal: {raw!r}")
 
 
 def _parse_action(raw: str, line: int) -> Action:
@@ -214,13 +224,13 @@ def parse_plan(text: str) -> Plan:
         action = _parse_action(fields[2], line_no)
         cargo = _parse_int(fields[3], line_no, "INTERNAL_CARGO")
         placed = _parse_int(fields[4], line_no, "PLACED_BRICKS")
-        battery = _parse_int(fields[5], line_no, "REMAINING_BATTERY")
+        battery = _parse_decimal(fields[5], line_no, "REMAINING_BATTERY")
         if cargo < 0:
             raise SchemaError(line_no, f"negative cargo {cargo}")
         if placed < 0:
             raise SchemaError(line_no, f"negative placed count {placed}")
         steps.append(
-            PlanStep(index, robot, location, action, cargo, placed, float(battery), coalition)
+            PlanStep(index, robot, location, action, cargo, placed, battery, coalition)
         )
     return Plan(tuple(steps))
 

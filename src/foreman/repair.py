@@ -16,12 +16,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .executor import Trace, execute, makespan
+from .executor import Trace, execute
 from .plan import Action, ActionKind, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
     ALL_CHECKS,
-    Violation,
     ViolationClass,
     ViolationReport,
     validate,
@@ -106,7 +105,6 @@ class RepairResult:
     script: EditScript | None
     iterations_used: int  # T_rep
     report: ViolationReport | None  # report of the final plan
-    justification: tuple[tuple[Violation, EditOp], ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -114,9 +112,6 @@ class RepairResult:
             "iterations_used": self.iterations_used,
             "edit_script": self.script.render() if self.script else None,
             "edit_profile": self.script.profile.to_dict() if self.script else None,
-            "justification": [
-                {"violation": v.render(), "edit": op.render()} for v, op in self.justification
-            ],
         }
 
 
@@ -141,9 +136,10 @@ def reconcile_plan(s: Scenario, templates: list[StepTemplate]) -> tuple[Plan, Tr
 
     State fields (location, cargo, placed, battery) come from executing
     the action sequence, so structurally edited plans can never carry
-    contradictory state columns.  If execution fails, claimed fields for
-    the unexecuted suffix fall back to zeros and the Trace carries the
-    error.
+    contradictory state columns.  Step numbers count per template label,
+    and each step takes the trace entry of its own (label, step number).
+    If execution fails, claimed fields for the unexecuted suffix fall back
+    to zeros and the Trace carries the error.
     """
     counters: dict[str | None, int] = {}
     skeleton = []
@@ -153,11 +149,10 @@ def reconcile_plan(s: Scenario, templates: list[StepTemplate]) -> tuple[Plan, Tr
             PlanStep(counters[t.robot], t.robot, "?", t.action, 0, 0, 0.0, t.coalition)
         )
     trace = execute(s, Plan(tuple(skeleton)))
-    by_key = {(e.robot, e.step.step): e for e in trace.entries}
+    by_key = {(e.step.robot, e.step.step): e for e in trace.entries}
     steps = []
     for sk in skeleton:
-        robot = sk.robot if sk.robot is not None else s.sole_robot().id
-        e = by_key.get((robot, sk.step))
+        e = by_key.get((sk.robot, sk.step))
         if e is None:
             steps.append(sk)
         else:
@@ -436,7 +431,7 @@ def minimal_edit_repair(
             tail_plan, tail_trace = reconcile_plan(s, tail)
             tail_report = validate(s, tail_plan, checks, trace=tail_trace)
             if tail_report.feasible:
-                ops = ops + [EditOp(EditKind.Insert, len(plan.steps) + 1, Action(tail_kind))]
+                ops = ops + [EditOp(EditKind.Insert, len(templates) + 1, Action(tail_kind))]
                 plan, report = tail_plan, tail_report
 
     profile = EditProfile(
@@ -444,9 +439,7 @@ def minimal_edit_repair(
         substitutions=sum(1 for o in ops if o.kind is EditKind.Substitute),
         reorders=sum(1 for o in ops if o.kind is EditKind.Transpose),
     )
-    script = EditScript(tuple(ops), profile)
-    justification = tuple(zip(base_report.violations, ops))
-    return RepairResult(True, plan, script, 1, report, justification)
+    return RepairResult(True, plan, EditScript(tuple(ops), profile), 1, report)
 
 
 # ---------------------------------------------------------------------------
@@ -525,30 +518,21 @@ def repair_loop(
         raise ValueError("max_iters must be >= 1")
     current = draft
     proposals = 0
-    justification: list[tuple[Violation, EditOp]] = []
+    report: ViolationReport | None = None  # of ``current``; None until validated
     for t in range(1, max_iters + 1):
         report = validate(s, current, checks)
         if report.feasible:
-            script = edit_script(draft, current)
-            return RepairResult(True, current, script, max(1, proposals), report, tuple(justification))
+            break
+        proposals += 1
         try:
-            proposed = supervisor.propose(s, current, report, t)
-            proposals += 1
+            current = supervisor.propose(s, current, report, t)
         except SupervisorError:
-            proposals += 1
             if getattr(supervisor, "deterministic", False):
                 break
             continue
-        script_step = edit_script(current, proposed)
-        justification.extend(zip(report.violations, script_step.ops))
-        current = proposed
-    report = validate(s, current, checks)
+        report = None
+    if report is None:
+        report = validate(s, current, checks)
     if report.feasible:
-        return RepairResult(
-            True, current, edit_script(draft, current), max(1, proposals), report, tuple(justification)
-        )
-    return RepairResult(False, None, None, max_iters, report, tuple(justification))
-
-
-def delta_makespan(s: Scenario, draft: Plan, final: Plan) -> float:
-    return makespan(execute(s, final)) - makespan(execute(s, draft))
+        return RepairResult(True, current, edit_script(draft, current), max(1, proposals), report)
+    return RepairResult(False, None, None, max_iters, report)

@@ -322,9 +322,43 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _typed(raw, kind: type, where: str):
+    """``raw`` itself when it is a JSON array (``list``) or object (``dict``)."""
+    if not isinstance(raw, kind):
+        raise ValidationError(where, f"must be a JSON {'array' if kind is list else 'object'}")
+    return raw
+
+
+def _number(raw, where: str, kind: type = float):
+    """``raw`` as a finite float, or as an int when ``kind`` is int."""
+    try:
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value) or (kind is int and not value.is_integer()):
+        raise ValidationError(where, f"expected a finite {'integer' if kind is int else 'number'}, got {raw!r}")
+    return kind(value)
+
+
+def _row(raw, n: int, where: str) -> list:
+    if not isinstance(raw, list) or len(raw) != n:
+        raise ValidationError(where, f"expected an array of {n} values, got {raw!r}")
+    return raw
+
+
+def _cells(raw: dict, key: str, where: str) -> list[Cell]:
+    """The ``[x, y]`` pairs listed under ``raw[key]`` (empty when absent)."""
+    out = []
+    for i, c in enumerate(_typed(raw.get(key, []), list, f"{where}.{key}")):
+        at = f"{where}.{key}[{i}]"
+        x, y = _row(c, 2, at)
+        out.append((_number(x, at, int), _number(y, at, int)))
+    return out
+
+
 def _skills(raw: list, where: str) -> frozenset[ActionKind]:
     out = set()
-    for i, name in enumerate(raw):
+    for i, name in enumerate(_typed(raw, list, where)):
         try:
             out.add(ActionKind(str(name)))
         except ValueError:
@@ -333,14 +367,15 @@ def _skills(raw: list, where: str) -> frozenset[ActionKind]:
 
 
 def _load_site(raw: dict, where: str) -> SiteMap:
-    kind = _require(raw, "kind", where)
+    kind = _require(_typed(raw, dict, where), "kind", where)
     if kind == "named_graph":
-        nodes = tuple(_canon_id(n).upper() for n in _require(raw, "nodes", where))
+        nodes = tuple(_canon_id(n).upper() for n in _typed(_require(raw, "nodes", where), list, f"{where}.nodes"))
         if len(set(nodes)) != len(nodes):
             raise ValidationError(f"{where}.nodes", "duplicate node ids")
         edges = []
-        for i, e in enumerate(_require(raw, "edges", where)):
-            u, v, w = _canon_id(e[0]).upper(), _canon_id(e[1]).upper(), float(e[2])
+        for i, e in enumerate(_typed(_require(raw, "edges", where), list, f"{where}.edges")):
+            u, v, w = _row(e, 3, f"{where}.edges[{i}]")
+            u, v, w = _canon_id(u).upper(), _canon_id(v).upper(), _number(w, f"{where}.edges[{i}]")
             if u not in nodes or v not in nodes:
                 raise ValidationError(f"{where}.edges[{i}]", f"edge references undeclared node {u!r}/{v!r}")
             if w <= 0:
@@ -350,19 +385,19 @@ def _load_site(raw: dict, where: str) -> SiteMap:
             kind="named_graph",
             nodes=nodes,
             edges=tuple(edges),
-            no_go=frozenset(_canon_id(n).upper() for n in raw.get("no_go", [])),
-            chargers=frozenset(_canon_id(n).upper() for n in raw.get("chargers", [])),
+            no_go=frozenset(_canon_id(n).upper() for n in _typed(raw.get("no_go", []), list, f"{where}.no_go")),
+            chargers=frozenset(_canon_id(n).upper() for n in _typed(raw.get("chargers", []), list, f"{where}.chargers")),
         )
         if nodes and len(site._search(nodes[0])) != len(nodes):
             raise ValidationError(f"{where}", "site graph is not connected")
         return site
     if kind == "grid":
-        width, height = int(_require(raw, "width", where)), int(_require(raw, "height", where))
+        width = _number(_require(raw, "width", where), f"{where}.width", int)
+        height = _number(_require(raw, "height", where), f"{where}.height", int)
         if width <= 0 or height <= 0:
             raise ValidationError(where, "grid dimensions must be positive")
         blocked = set()
-        for i, c in enumerate(raw.get("blocked", [])):
-            cell = (int(c[0]), int(c[1]))
+        for i, cell in enumerate(_cells(raw, "blocked", where)):
             if not (0 <= cell[0] < width and 0 <= cell[1] < height):
                 raise ValidationError(f"{where}.blocked[{i}]", f"cell {cell} outside {width}x{height} grid")
             blocked.add(cell)
@@ -371,8 +406,8 @@ def _load_site(raw: dict, where: str) -> SiteMap:
             width=width,
             height=height,
             blocked=frozenset(blocked),
-            no_go=frozenset(cell_id((int(c[0]), int(c[1]))) for c in raw.get("no_go", [])),
-            chargers=frozenset(cell_id((int(c[0]), int(c[1]))) for c in raw.get("chargers", [])),
+            no_go=frozenset(cell_id(c) for c in _cells(raw, "no_go", where)),
+            chargers=frozenset(cell_id(c) for c in _cells(raw, "chargers", where)),
         )
         cells = site.traversable_cells()
         if cells and len(site._search(cell_id(min(cells)))) != len(cells):
@@ -389,7 +424,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
 
     def check_location(loc: str, where: str) -> str:
         if site.is_grid():
-            cell = parse_cell(loc)
+            cell = parse_cell(str(loc))
             if cell is None or not site.in_grid(cell) or cell in site.blocked:
                 raise ValidationError(where, f"unknown or blocked grid cell {loc!r}")
             return cell_id(cell)
@@ -399,13 +434,13 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         return loc
 
     robots = []
-    for i, r in enumerate(_require(doc, "robots", "robots")):
+    for i, r in enumerate(_typed(_require(doc, "robots", "robots"), list, "robots")):
         where = f"robots[{i}]"
-        rid = _canon_id(_require(r, "id", where)).lower()
-        battery_max = float(r.get("battery_max", 100))
-        battery_init = float(r.get("battery_init", battery_max))
-        cap = int(r.get("payload_capacity", 0))
-        cargo = int(r.get("cargo_init", 0))
+        rid = _canon_id(_require(_typed(r, dict, where), "id", where)).lower()
+        battery_max = _number(r.get("battery_max", 100), f"{where}.battery_max")
+        battery_init = _number(r.get("battery_init", battery_max), f"{where}.battery_init")
+        cap = _number(r.get("payload_capacity", 0), f"{where}.payload_capacity", int)
+        cargo = _number(r.get("cargo_init", 0), f"{where}.cargo_init", int)
         if not (0 <= battery_init <= battery_max <= 100):
             raise ValidationError(where, f"need 0 <= battery_init <= battery_max <= 100, got {battery_init}/{battery_max}")
         if cargo > cap:
@@ -425,10 +460,10 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         raise ValidationError("robots", "duplicate robot ids")
 
     tasks = []
-    for i, t in enumerate(doc.get("tasks", [])):
+    for i, t in enumerate(_typed(doc.get("tasks", []), list, "tasks")):
         where = f"tasks[{i}]"
-        duration = float(t.get("duration", 1))
-        demand = int(t.get("demand", 0))
+        duration = _number(_typed(t, dict, where).get("duration", 1), f"{where}.duration")
+        demand = _number(t.get("demand", 0), f"{where}.demand", int)
         if duration <= 0:
             raise ValidationError(where, f"duration {duration} must be > 0")
         if demand < 0:
@@ -452,9 +487,9 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
 
     task_ids = [t.id for t in tasks]
     dag_edges = set()
-    for i, e in enumerate(doc.get("dag", [])):
+    for i, e in enumerate(_typed(doc.get("dag", []), list, "dag")):
         where = f"dag[{i}]"
-        a, b = _canon_id(e[0]).lower(), _canon_id(e[1]).lower()
+        a, b = (_canon_id(x).lower() for x in _row(e, 2, where))
         if a not in task_ids or b not in task_ids:
             raise ValidationError(where, f"edge ({a!r}, {b!r}) references undeclared task")
         dag_edges.add((a, b))
@@ -462,21 +497,25 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     if dag.topological_order(task_ids) is None:
         raise ValidationError("dag", "precedence graph has a cycle")
 
-    raw_cost = doc.get("cost", {})
+    raw_cost = _typed(doc.get("cost", {}), dict, "cost")
+    rates = {}
     for key in ("battery_per_du", "tu_per_du", "pick_build_tu_per_3mu", "recharge_tu", "scan_tu_per_su"):
-        if float(raw_cost.get(key, 0)) < 0:
-            raise ValidationError(f"cost.{key}", "rates must be >= 0")
-    cost = CostModel(
-        battery_per_du=float(raw_cost.get("battery_per_du", 25.0)),
-        tu_per_du=float(raw_cost.get("tu_per_du", 1.0)),
-        pick_build_tu_per_3mu=float(raw_cost.get("pick_build_tu_per_3mu", 1.0)),
-        recharge_tu=float(raw_cost.get("recharge_tu", 1.0)),
-        scan_tu_per_su=float(raw_cost.get("scan_tu_per_su", 1.0)),
-        scan_footprint=ScanFootprint(raw_cost.get("scan_footprint", "row_col_los")),
-    )
+        if key in raw_cost:
+            rates[key] = _number(raw_cost[key], f"cost.{key}")
+            if rates[key] < 0:
+                raise ValidationError(f"cost.{key}", "rates must be >= 0")
+    footprint = raw_cost.get("scan_footprint", ScanFootprint.RowColLos.value)
+    try:
+        footprint = ScanFootprint(footprint)
+    except ValueError:
+        raise ValidationError("cost.scan_footprint", f"unknown scan footprint {footprint!r}") from None
+    cost = CostModel(**rates, scan_footprint=footprint)
 
     resources = tuple(
-        sorted((check_location(loc, f"resources.{loc}"), int(mu)) for loc, mu in doc.get("resources", {}).items())
+        sorted(
+            (check_location(loc, f"resources.{loc}"), _number(mu, f"resources.{loc}", int))
+            for loc, mu in _typed(doc.get("resources", {}), dict, "resources").items()
+        )
     )
 
     scenario = Scenario(
@@ -488,7 +527,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         dag=dag,
         cost=cost,
         resources=resources,
-        safety_rules=tuple(doc.get("safety_rules", [])),
+        safety_rules=tuple(str(r) for r in _typed(doc.get("safety_rules", []), list, "safety_rules")),
     )
 
     all_skills = frozenset().union(*(r.skills for r in robots)) if robots else frozenset()
@@ -504,7 +543,7 @@ def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # malformed JSON or text that is not UTF-8
         raise ParseError(f"{path}: {e}") from None
     return load_scenario_dict(doc, name=path.name.split(".")[0])
 
@@ -517,7 +556,7 @@ def serialize_scenario(s: Scenario) -> str:
             "width": s.site.width,
             "height": s.site.height,
             "blocked": sorted(list(c) for c in s.site.blocked),
-            "no_go": sorted(s.site.no_go),
+            "no_go": sorted(list(parse_cell(c)) for c in s.site.no_go),
             "chargers": sorted(list(parse_cell(c)) for c in s.site.chargers),
         }
     else:

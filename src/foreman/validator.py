@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .executor import Trace, coverage_complete, execute
-from .plan import Action, ActionKind, Plan, SchemaError, parse_plan
+from .plan import ActionKind, Plan, SchemaError, parse_plan
 from .scenario import Scenario, cell_id
 
 
@@ -31,7 +31,7 @@ ALL_CHECKS = frozenset(ViolationClass)
 
 # The invalidity score counts over the classic five-class vector
 # (precedence, capability, capacity, battery, safety); Coverage folds
-# into Safety for that count unless told otherwise.
+# into Safety for that count.
 _PSI_GROUPING = {ViolationClass.Coverage: ViolationClass.Safety}
 
 
@@ -102,18 +102,9 @@ class ViolationReport:
 
 
 def _make_report(
-    violations: list[Violation],
-    checks: frozenset[ViolationClass],
-    completed: bool,
-    coverage_as_safety: bool,
+    violations: list[Violation], checks: frozenset[ViolationClass], completed: bool
 ) -> ViolationReport:
-    classes = set()
-    for v in violations:
-        cls = v.cls
-        if coverage_as_safety:
-            cls = _PSI_GROUPING.get(cls, cls)
-        classes.add(cls)
-    psi = len(classes)
+    psi = len({_PSI_GROUPING.get(v.cls, v.cls) for v in violations})
     return ViolationReport(
         violations=tuple(violations),
         checks_run=checks,
@@ -345,6 +336,7 @@ _EXEC_ERROR_CLASS = {
     "bad_action": ViolationClass.Schema,
 }
 
+# In report order: validate runs the enabled checks in this order.
 _CHECKS = {
     ViolationClass.Precedence: _check_precedence,
     ViolationClass.Capability: _check_capability,
@@ -368,7 +360,7 @@ def validate(
     s: Scenario,
     plan: Plan,
     checks: frozenset[ViolationClass] | set[ViolationClass] = ALL_CHECKS,
-    coverage_as_safety: bool = True,
+    *,
     trace: Trace | None = None,
 ) -> ViolationReport:
     """Run the enabled check classes against the executed plan.
@@ -391,32 +383,25 @@ def validate(
                 FixHint(HintKind.Substitute, err.step, ActionKind.IDLE),
             )
         )
-    for cls in (
-        ViolationClass.Precedence,
-        ViolationClass.Capability,
-        ViolationClass.Capacity,
-        ViolationClass.Battery,
-        ViolationClass.Safety,
-        ViolationClass.Coverage,
-    ):
-        if cls in checks and trace.error is None:
-            violations.extend(_CHECKS[cls](s, trace))
-    return _make_report(violations, checks, trace.error is None, coverage_as_safety)
+    else:
+        for cls, check in _CHECKS.items():
+            if cls in checks:
+                violations.extend(check(s, trace))
+    return _make_report(violations, checks, trace.error is None)
 
 
 def validate_text(
     s: Scenario,
     text: str,
     checks: frozenset[ViolationClass] | set[ViolationClass] = ALL_CHECKS,
-    coverage_as_safety: bool = True,
 ) -> ViolationReport:
     """Validate raw plan text; schema failures short-circuit deeper checks."""
     try:
         plan = parse_plan(text)
     except SchemaError as e:
         v = Violation(ViolationClass.Schema, e.line, e.reason, None)
-        return _make_report([v], frozenset(checks), False, coverage_as_safety)
-    return validate(s, plan, checks, coverage_as_safety)
+        return _make_report([v], frozenset(checks), False)
+    return validate(s, plan, checks)
 
 
 def parse_check_names(names: str) -> frozenset[ViolationClass]:

@@ -4,6 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from foreman.cli import main
+from foreman.plan import parse_plan
+from foreman.scenario import load_scenario
+from foreman.validator import validate
+from test_scenario import _MALFORMED, _minimal_doc
 
 
 @pytest.fixture
@@ -67,6 +71,26 @@ def test_repair_cli_search_minimal(runner, fix_dir):
     assert payload["iterations_used"] == 1
 
 
+@pytest.mark.parametrize("scenario", ["wall", "grid"])
+@pytest.mark.parametrize("supervisor", ["search-minimal", "search-conservative", "llm:mistral"])
+def test_repair_cli_plan_reads_back_feasible(runner, fix_dir, scenario, supervisor):
+    p = _paths(fix_dir)
+    res = runner.invoke(main, ["repair", p[scenario], p[f"{scenario}_draft"], "--supervisor", supervisor])
+    assert res.exit_code == 0
+    payload = json.loads(res.output)
+    assert sorted(payload) == ["edit_profile", "edit_script", "iterations_used", "outcome", "plan"]
+    assert validate(load_scenario(p[scenario]), parse_plan(payload["plan"])).feasible
+
+
+def test_malformed_scenario_is_a_one_line_error(runner, fix_dir, tmp_path):
+    for where, overrides in _MALFORMED.items():
+        path = tmp_path / "bad.scn.json"
+        path.write_text(json.dumps(_minimal_doc(**overrides)), encoding="utf-8")
+        res = runner.invoke(main, ["validate", str(path), _paths(fix_dir)["wall_draft"]])
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), where
+        assert res.output.startswith(f"error: {where}: ") and "Traceback" not in res.output
+
+
 def test_repair_cli_llm_mock(runner, fix_dir):
     p = _paths(fix_dir)
     res = runner.invoke(main, ["repair", p["grid"], p["grid_draft"], "--supervisor", "llm:mistral"])
@@ -81,6 +105,24 @@ def test_fcfs_cli(runner, fix_dir):
     assert res.exit_code == 0
     assert "STEP 1, [S], MOVE_S" in res.output
     assert '"build_1"' in res.output
+
+
+def test_plan_file_that_is_not_utf8_is_a_one_line_error(runner, fix_dir, tmp_path):
+    path = tmp_path / "latin1.plan"
+    path.write_bytes("STEP 1, [S], MOVE_S, [0], 0, [75] # café\n".encode("latin-1"))
+    res = runner.invoke(main, ["validate", _paths(fix_dir)["wall"], str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output.startswith("error: ") and "Traceback" not in res.output
+
+
+def test_fcfs_cli_unlowerable_schedule_is_an_error(runner, fix_dir, tmp_path):
+    doc = json.loads(open(_paths(fix_dir)["wall"], encoding="utf-8").read())
+    doc["resources"] = {}  # nothing to build with
+    path = tmp_path / "nostock.scn.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    res = runner.invoke(main, ["fcfs", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output == "error: no stock left anywhere\n"
 
 
 def test_metrics_cli(runner, fix_dir):

@@ -58,7 +58,7 @@ def _world(tasks, dag, robots=None, stock=9):
 def test_single_navigate_task_theta_is_travel_time():
     s = _world([{"id": "go", "type": "NAVIGATE", "location": "B"}], [])
     assignment, plan = fcfs_schedule(s)
-    assert assignment.start_of("go") == 1.0  # one 1-DU hop at 1 TU/DU
+    assert dict(assignment.theta)["go"] == 1.0  # one 1-DU hop at 1 TU/DU
     assert dict(assignment.alpha)["go"] == ("r1",)
 
 

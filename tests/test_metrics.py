@@ -13,7 +13,7 @@ from foreman.metrics import (
     similarity,
 )
 from foreman.plan import tokenize_plan
-from foreman.repair import SearchSupervisor, repair_loop
+from foreman.repair import EditProfile, SearchSupervisor, repair_loop
 
 # ---------------------------------------------------------------------------
 # Hand-computed golden values.  Each expected number was derived by hand from
@@ -179,6 +179,15 @@ def test_eval_run_feasible_draft_scores_one(wall, wall_gemma):
     assert report.edits.total() == 0
     assert report.makespan_delta == 0.0
     assert report.t_rep == 1
+
+
+def test_eval_run_on_infeasible_loop_has_empty_edit_profile(wall, wall_draft):
+    result = repair_loop(wall, wall_draft, SearchSupervisor("minimal", 1))
+    assert not result.feasible and result.script is None
+    report = eval_run(wall, wall_draft, result)
+    assert report.fr == 0.0
+    assert report.edits == EditProfile()
+    assert report.makespan_delta == 0.0
 
 
 def test_eval_run_on_repair(wall, wall_draft):

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from foreman.plan import (
     Action,
@@ -12,6 +14,9 @@ from foreman.plan import (
     tokenize_plan,
     tokenize_plan_full,
 )
+from foreman.repair import StepTemplate, reconcile_plan
+from foreman.scenario import load_scenario_dict, serialize_scenario
+from foreman.validator import validate
 
 
 def test_parse_canonical_step_line():
@@ -48,6 +53,15 @@ def test_negative_battery_is_accepted_as_claimed_state():
     # enforcement is the validator's job, not the parser's
     plan = parse_plan("STEP 1, [S], MOVE_S, [0], 0, [-25]")
     assert plan.steps[0].battery == -25.0
+
+
+def test_fractional_battery_parses_in_plain_and_exponent_form():
+    for text, value in [("[87.5]", 87.5), ("-12.5", -12.5), ("[1e-05]", 1e-05), ("2.5E+1", 25.0)]:
+        assert parse_plan(f"STEP 1, [S], MOVE_S, [0], 0, {text}").steps[0].battery == value
+    for text in ("nan", "[inf]", "-inf", "1e999", "1.", ".5", "1e", "0x10"):
+        with pytest.raises(SchemaError) as exc:
+            parse_plan(f"STEP 1, [S], MOVE_S, [0], 0, {text}")
+        assert "REMAINING_BATTERY" in exc.value.reason
 
 
 def test_non_consecutive_step_index_rejected():
@@ -177,3 +191,33 @@ def test_pi_closure(plan):
 @settings(max_examples=60, deadline=None)
 def test_tokenize_length(plan):
     assert len(tokenize_plan(plan)) == 2 * len(plan)
+
+
+_RATES = st.one_of(
+    st.integers(0, 60).map(float),
+    st.floats(0.001, 60.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(
+    rate=_RATES,
+    weight=st.floats(0.01, 5.0, allow_nan=False, allow_infinity=False),
+    kinds=st.lists(
+        st.sampled_from([ActionKind.MOVE_S, ActionKind.MOVE_B, ActionKind.MOVE_C, ActionKind.PICK,
+                         ActionKind.BUILD, ActionKind.CHARGE, ActionKind.IDLE]),
+        max_size=12,
+    ),
+)
+@example(rate=12.5, weight=1.0, kinds=[ActionKind.MOVE_S, ActionKind.PICK, ActionKind.MOVE_B])
+@settings(max_examples=150, deadline=None)
+def test_executor_generated_plans_round_trip(wall, rate, weight, kinds):
+    # state columns written by the executor under fractional rates and edge
+    # weights parse back to the same plan, which validates the same way
+    doc = json.loads(serialize_scenario(wall))
+    doc["cost"]["battery_per_du"] = rate
+    doc["site"]["edges"][0][2] = weight
+    s = load_scenario_dict(doc, name="rates")
+    plan, _ = reconcile_plan(s, [StepTemplate(None, Action(k)) for k in kinds])
+    again = parse_plan(serialize_plan(plan))
+    assert again == plan
+    assert validate(s, again) == validate(s, plan)

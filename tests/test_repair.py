@@ -3,6 +3,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
+from foreman import repair
 from foreman.executor import execute, makespan
 from foreman.experiment import battery_pressured_batch
 from foreman.fcfs import fcfs_schedule
@@ -101,6 +102,10 @@ def test_conservative_appends_idle_on_low_end_battery(grid, grid_draft):
     assert len(conservative.plan) == len(minimal.plan) + 1
     assert conservative.plan.steps[-1].action == Action(ActionKind.IDLE)
     assert validate(grid, conservative.plan, ALL_CHECKS).feasible
+    # the terminal insert is placed in the draft's index space, like every
+    # other search op, so the script replays onto the draft
+    assert conservative.script.render() == "S8: SCAN (+); S8: IDLE (+)"
+    assert apply_script(grid, grid_draft, conservative.script) == conservative.plan
 
 
 def test_repair_feasibility_postcondition(wall, grid, wall_draft, grid_draft):
@@ -124,14 +129,6 @@ def test_battery_only_repair(wall, wall_draft):
     assert result.script.cost <= 2
     report = validate(wall, result.plan, {VC.Battery})
     assert not report.by_class(VC.Battery)
-
-
-def test_justification_pairs_violations_with_edits(grid, grid_draft):
-    result = minimal_edit_repair(grid, grid_draft, budget=4)
-    assert result.justification
-    violation, op = result.justification[0]
-    assert violation.cls is VC.Coverage
-    assert op.kind is EditKind.Insert
 
 
 def test_supervisor_error_counts_as_failed_iteration(wall, wall_draft):
@@ -160,6 +157,45 @@ def test_repair_loop_with_canned_plan_supervisor(wall, wall_draft, wall_llama):
     # cumulative draft->final script matches the fixture's known profile
     assert result.script.profile.substitutions == 2
     assert result.script.profile.insertions == 0
+
+
+def test_reconcile_reads_each_step_its_own_trace_entry(wall):
+    # one robot addressed both unlabelled and as r1: the two labels number
+    # their steps separately, and each step's state columns must come from
+    # its own (label, step) entry, not from the other label's step 1 or 2
+    K = ActionKind
+    templates = [StepTemplate(None, Action(K.MOVE_S)), StepTemplate(None, Action(K.PICK))]
+    templates += [StepTemplate("r1", Action(K.MOVE_B)), StepTemplate("r1", Action(K.BUILD))]
+    plan, trace = reconcile_plan(wall, templates)
+    assert trace.error is None
+    rows = [(s.robot, s.step, s.location, s.action.kind, s.cargo, s.placed, s.battery) for s in plan.steps]
+    assert rows == [
+        (None, 1, "S", K.MOVE_S, 0, 0, 75.0),
+        (None, 2, "S", K.PICK, 3, 0, 75.0),
+        ("r1", 1, "B", K.MOVE_B, 3, 0, 50.0),
+        ("r1", 2, "B", K.BUILD, 0, 3, 50.0),
+    ]
+
+
+def test_failed_deterministic_supervisor_reuses_the_loops_report(monkeypatch, wall, wall_draft):
+    class Stuck:
+        name = "stuck"
+        deterministic = True
+
+        def propose(self, s, draft, report, iteration):
+            raise SupervisorError("stuck")
+
+    validated = []
+
+    def counting_validate(s, plan, *args, **kwargs):
+        validated.append(plan)
+        return validate(s, plan, *args, **kwargs)
+
+    monkeypatch.setattr(repair, "validate", counting_validate)
+    result = repair_loop(wall, wall_draft, Stuck(), max_iters=3)
+    assert not result.feasible and result.iterations_used == 3
+    assert result.report.psi == 1
+    assert validated == [wall_draft]
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,28 @@ def test_malformed_json_is_parse_error(tmp_path):
         load_scenario(p)
 
 
+_MALFORMED = {
+    "site.edges[0]": {"site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["A", "B"]]}},
+    "cost.battery_per_du": {"cost": {"battery_per_du": "fast"}},
+    "cost.scan_footprint": {"cost": {"scan_footprint": "wide"}},
+    "robots": {"robots": {"r1": {"skills": ["NAVIGATE"], "start_location": "A"}}},
+    "robots[0].battery_init": {
+        "robots": [{"id": "r1", "skills": ["NAVIGATE"], "start_location": "A", "battery_init": "full"}]
+    },
+    "tasks[0]": {"tasks": ["build the wall"]},
+    "tasks[0].demand": {"tasks": [{"id": "t1", "type": "NAVIGATE", "location": "A", "demand": 2.5}]},
+    "dag[0]": {"dag": [["a"]]},
+    "resources.A": {"resources": {"A": "lots"}},
+}
+
+
+@pytest.mark.parametrize("where", sorted(_MALFORMED))
+def test_malformed_value_is_validation_error_at_its_path(where):
+    with pytest.raises(ValidationError) as exc:
+        load_scenario_dict(_minimal_doc(**_MALFORMED[where]))
+    assert exc.value.where == where
+
+
 def test_serialize_round_trip(wall, grid):
     for s in (wall, grid):
         doc = json.loads(serialize_scenario(s))
@@ -294,3 +316,101 @@ def test_route_is_a_shortest_walk_over_real_moves(site):
                 here, total = loc, total + w
             assert here == b
             assert total == dist[a, b] == site.shortest_path_du(a, b)
+
+
+@st.composite
+def _scenario_docs(draw):
+    """Loadable documents over both site kinds, with fractional costs."""
+    finite = st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False)
+    if draw(st.booleans()):
+        width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cells = [[x, y] for x in range(width) for y in range(height)]
+        blocked = draw(st.lists(st.sampled_from(cells), max_size=min(1, len(cells) - 1), unique_by=tuple))
+        free = [c for c in cells if c not in blocked]
+        site = {
+            "kind": "grid", "width": width, "height": height, "blocked": blocked,
+            "no_go": draw(st.lists(st.sampled_from(free), max_size=3, unique_by=tuple)),
+            "chargers": draw(st.lists(st.sampled_from(free), max_size=2, unique_by=tuple)),
+        }
+        locations = [cell_id(tuple(c)) for c in free]
+    else:
+        n = draw(st.integers(2, 5))
+        nodes = [f"N{i}" for i in range(n)]
+        weight = st.floats(0.01, 9.0, allow_nan=False, allow_infinity=False)
+        site = {
+            "kind": "named_graph", "nodes": nodes,
+            "edges": [[nodes[i], nodes[draw(st.integers(0, i - 1))], draw(weight)] for i in range(1, n)],
+            "no_go": draw(st.lists(st.sampled_from(nodes), max_size=2, unique=True)),
+            "chargers": draw(st.lists(st.sampled_from(nodes), max_size=2, unique=True)),
+        }
+        locations = nodes
+    battery_max = draw(st.floats(1.0, 100.0, allow_nan=False))
+    n_tasks = draw(st.integers(0, 3))
+    return {
+        "instruction": draw(st.text(max_size=10)),
+        "site": site,
+        "robots": [{
+            "id": "r1", "skills": ["BUILD", "PICK", "SCAN"], "payload_capacity": 3,
+            "battery_max": battery_max, "battery_init": draw(st.floats(0.0, battery_max)),
+            "start_location": draw(st.sampled_from(locations)),
+        }],
+        "tasks": [
+            {"id": f"t{k}", "type": "SCAN", "location": draw(st.sampled_from(locations)),
+             "duration": draw(st.floats(0.5, 4.0)), "demand": draw(st.integers(0, 6))}
+            for k in range(n_tasks)
+        ],
+        "dag": [[f"t{a}", f"t{b}"] for a in range(n_tasks) for b in range(a + 1, n_tasks) if draw(st.booleans())],
+        "cost": {
+            "battery_per_du": draw(finite), "tu_per_du": draw(finite), "recharge_tu": draw(finite),
+            "scan_footprint": draw(st.sampled_from([f.value for f in ScanFootprint])),
+        },
+        "resources": {draw(st.sampled_from(locations)): draw(st.integers(0, 9))},
+    }
+
+
+@given(_scenario_docs())
+@settings(max_examples=150, deadline=None)
+def test_serialized_scenarios_load_back_equal(doc):
+    try:
+        s = load_scenario_dict(doc, name="x")
+    except ValidationError as e:
+        assert "connected" in e.reason  # a blocked cell may split a grid
+        return
+    text = serialize_scenario(s)
+    again = load_scenario_dict(json.loads(text), name="x")
+    assert again == s
+    assert serialize_scenario(again) == text
+
+
+def _json_paths(doc, prefix=()):
+    """Every path into a JSON document, the root excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _json_paths(value, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 200) | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+
+
+@given(name=st.sampled_from(["wall_assembly", "scan_grid"]), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_mutated_fixture_documents_raise_only_load_errors(fix_dir, name, data):
+    doc = json.loads((fix_dir / f"{name}.scn.json").read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        *parents, key = data.draw(st.sampled_from(list(_json_paths(doc))))
+        target = doc
+        for k in parents:
+            target = target[k]
+        if isinstance(target, dict) and data.draw(st.booleans()):
+            del target[key]
+        else:
+            target[key] = data.draw(_JSON_VALUES)
+    try:
+        load_scenario_dict(doc)
+    except (ParseError, ValidationError):
+        pass

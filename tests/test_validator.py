@@ -68,9 +68,8 @@ def test_psi_counts_classes_not_violations(wall, wall_draft):
 
 
 def test_coverage_groups_under_safety_for_psi(grid, grid_draft):
-    merged = validate(grid, grid_draft, ALL_CHECKS, coverage_as_safety=True)
-    separate = validate(grid, grid_draft, ALL_CHECKS, coverage_as_safety=False)
-    assert merged.psi == separate.psi == 1  # no safety violation to collide with
+    merged = validate(grid, grid_draft, ALL_CHECKS)
+    assert merged.psi == 1  # no safety violation to collide with
     # force a collision: a no-go cell on the draft path, so the plan now has
     # one Safety and one Coverage violation
     import json
@@ -80,11 +79,9 @@ def test_coverage_groups_under_safety_for_psi(grid, grid_draft):
     doc = json.loads(serialize_scenario(grid))
     doc["site"]["no_go"] = [[0, 1]]
     risky = load_scenario_dict(doc, name="risky")
-    m = validate(risky, grid_draft, ALL_CHECKS, coverage_as_safety=True)
-    sep = validate(risky, grid_draft, ALL_CHECKS, coverage_as_safety=False)
-    assert {v.cls for v in sep.violations} == {VC.Safety, VC.Coverage}
+    m = validate(risky, grid_draft, ALL_CHECKS)
+    assert {v.cls for v in m.violations} == {VC.Safety, VC.Coverage}
     assert m.psi == 1  # five-element-vector parity: coverage folds into safety
-    assert sep.psi == 2
 
 
 def test_monotonicity_in_checks(wall, wall_draft, grid, grid_draft):
