@@ -10,6 +10,8 @@ from a charger, picking at a non-stock location) halt execution.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from .plan import ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
@@ -44,10 +46,19 @@ class WorldState:
     scanned: set[Cell] = field(default_factory=set)
     discovered: set[Cell] = field(default_factory=set)
     elapsed: dict[str, float] = field(default_factory=dict)
+    placed_total: int = 0  # running sum of placed_at
 
-    @property
-    def placed_total(self) -> int:
-        return sum(self.placed_at.values())
+    def copy(self) -> WorldState:
+        """An independent snapshot; later steps on either leave the other alone."""
+        return WorldState(
+            robots={r: RobotState(rs.location, rs.battery, rs.cargo) for r, rs in self.robots.items()},
+            stock=dict(self.stock),
+            placed_at=dict(self.placed_at),
+            scanned=set(self.scanned),
+            discovered=set(self.discovered),
+            elapsed=dict(self.elapsed),
+            placed_total=self.placed_total,
+        )
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ class Trace:
         return len(self.entries)
 
 
-def _initial_state(s: Scenario) -> WorldState:
+def initial_state(s: Scenario) -> WorldState:
     return WorldState(
         robots={r.id: RobotState(r.start_location, r.battery_init, r.cargo_init) for r in s.robots},
         stock=s.stock(),
@@ -90,7 +101,6 @@ def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> Tra
     if robot_id not in world.robots:
         raise ExecError(robot_id, step.step, "bad_action", f"unknown robot {robot_id!r}")
     rs = world.robots[robot_id]
-    spec = s.robot(robot_id)
     cost = s.cost
     kind = step.action.kind
     du = 0.0
@@ -135,7 +145,7 @@ def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> Tra
     elif kind is ActionKind.PICK:
         if rs.location not in world.stock:
             raise ExecError(robot_id, step.step, "bad_pick", f"no stockpile at {rs.location}")
-        moved = min(3, spec.payload_capacity - rs.cargo, world.stock[rs.location])
+        moved = min(3, s.robot(robot_id).payload_capacity - rs.cargo, world.stock[rs.location])
         moved = max(0, moved)
         rs.cargo += moved
         world.stock[rs.location] -= moved
@@ -146,13 +156,15 @@ def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> Tra
         rs.cargo -= moved
         if moved > 0:
             world.placed_at[rs.location] = world.placed_at.get(rs.location, 0) + moved
+            world.placed_total += moved
         placed_here = moved
         tu = cost.pick_build_tu_per_3mu if moved > 0 else 0.0
     elif kind is ActionKind.CHARGE:
         if rs.location not in s.site.chargers:
             raise ExecError(robot_id, step.step, "bad_charge", f"no charging station at {rs.location}")
-        recharged = spec.battery_max - rs.battery
-        rs.battery = spec.battery_max
+        battery_max = s.robot(robot_id).battery_max
+        recharged = battery_max - rs.battery
+        rs.battery = battery_max
         tu = cost.recharge_tu
     elif kind is ActionKind.SCAN:
         if s.site.is_grid():
@@ -182,35 +194,66 @@ def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> Tra
     )
 
 
+def bind(s: Scenario, labels: Iterable[str | None]) -> dict[str | None, str]:
+    """Bind each plan label to the robot id it drives.
+
+    Unlabelled steps belong to the scenario's sole robot; raises
+    ValueError when there is more than one.
+    """
+    return {label: s.sole_robot().id if label is None else label for label in labels}
+
+
+def run(
+    s: Scenario, world: WorldState, steps: Iterable[PlanStep], bound: dict[str | None, str]
+) -> Iterator[TraceEntry]:
+    """Apply ``steps`` to ``world`` in place, yielding one entry per step.
+
+    The steps of each bound robot keep their line order; robots take turns
+    by (elapsed time so far, robot id), so shared stockpiles decrement
+    consistently.  When every label binds to one robot, execution order is
+    line order and ``steps`` is read lazily.  Raises ExecError at the first
+    impossible transition; the caller may stop early by not asking for more.
+    """
+    robots = set(bound.values())
+    if len(robots) == 1:
+        [robot] = robots
+        for step in steps:
+            yield _apply(s, world, step, robot)
+        return
+    queues: dict[str, deque[PlanStep]] = {}
+    for step in steps:
+        queues.setdefault(bound[step.robot], deque()).append(step)
+    elapsed = world.elapsed
+    while queues:
+        robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
+        queue = queues[robot]
+        step = queue.popleft()
+        if not queue:
+            del queues[robot]
+        yield _apply(s, world, step, robot)
+
+
 def execute(s: Scenario, plan: Plan) -> Trace:
     """Simulate ``plan`` against ``s``; deterministic.
 
-    Multi-robot plans are replayed in per-robot elapsed-time order so that
-    shared stockpiles decrement consistently.  Each plan label is bound to
-    a robot id once; unlabelled steps belong to the scenario's sole robot.
-    On an impossible transition the partial Trace is returned with
-    ``error`` set.
+    Each plan label is bound to a robot id once and the steps run in
+    ``run``'s order.  On an impossible transition the partial Trace is
+    returned with ``error`` set.
     """
-    world = _initial_state(s)
+    world = initial_state(s)
     entries: list[TraceEntry] = []
     try:
-        bound = {label: s.sole_robot().id if label is None else label for label in plan.robots}
+        bound = bind(s, plan.robots)
     except ValueError as e:
         first = plan.steps[0].step if plan.steps else 0
         err = ExecError(None, first, "bad_action", str(e))
         return Trace(entries=(), final=world, error=err)
-    # Merge the per-robot step streams by (elapsed time so far, robot id).
-    streams = {robot: list(plan.steps_for(robot)) for robot in plan.robots}
-    error: ExecError | None = None
-    while any(streams.values()) and error is None:
-        ready = [r for r, steps in streams.items() if steps]
-        robot = min(ready, key=lambda r: (world.elapsed.get(bound[r], 0.0), str(r)))
-        step = streams[robot].pop(0)
-        try:
-            entries.append(_apply(s, world, step, bound[robot]))
-        except ExecError as e:
-            error = e
-    return Trace(entries=tuple(entries), final=world, error=error)
+    try:
+        for entry in run(s, world, plan.steps, bound):
+            entries.append(entry)
+    except ExecError as e:
+        return Trace(entries=tuple(entries), final=world, error=e)
+    return Trace(entries=tuple(entries), final=world)
 
 
 def makespan(trace: Trace) -> float:

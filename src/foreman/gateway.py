@@ -9,7 +9,6 @@ runnable fully offline.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -128,10 +127,6 @@ def build_supervisor_prompt(ctx: PromptContext, draft: Plan, report: ViolationRe
         parts.append(COUNTEREXAMPLE)
     parts.append("# Emit the corrected schedule now, one step per line:")
     return "\n".join(parts)
-
-
-def prompt_digest(prompt: str) -> str:
-    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ insert actions from the scenario's alphabet and transpose adjacent steps;
 the search never deletes (observed repairs only insert, substitute and
 reorder).  After every structural edit the state columns are recomputed by
 the executor, never edited textually.
+
+The search replays its draft once and keeps the world state after every
+step prefix.  A candidate shares the draft's steps up to its first edit, so
+it is screened by running only its edited suffix from that snapshot, and
+dropped at the first execution error or battery underflow.  Only the
+candidates that pass the screen are rebuilt and fully validated.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .executor import Trace, execute
+from .executor import ExecError, Trace, bind, execute, initial_state, run
 from .plan import Action, ActionKind, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
@@ -363,6 +369,71 @@ def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
     return plan
 
 
+class _Screen:
+    """The draft replayed once, to reject search candidates cheaply.
+
+    A candidate equals the draft before ``d``, the first draft index its
+    edits touch.  When every label binds to one robot, steps run in line
+    order, so the candidate's state after that prefix is the draft's
+    snapshot ``d``: the candidate fails if the draft already fails before
+    ``d``, and otherwise only ``edited[d:]`` runs, from a copy of the
+    snapshot, up to its first ExecError or (Battery checked) negative
+    battery.  Labels bound to two or more robots run from ``d = 0``.
+    ``rejects`` is true exactly when the candidate's full trace has an
+    error, or a negative battery while Battery is checked.
+    """
+
+    def __init__(self, s: Scenario, draft: Plan, battery_checked: bool):
+        self.s = s
+        self.battery_checked = battery_checked
+        self.templates = plan_templates(draft)
+        try:
+            # search inserts into an empty draft are unlabelled
+            self.bound = bind(s, draft.robots or (None,))
+        except ValueError:
+            # every candidate keeps the unbindable label, so none executes
+            self.bound = None
+            self.trace = execute(s, draft)
+            return
+        self.one_robot = len(set(self.bound.values())) == 1
+        world = initial_state(s)
+        self.snapshots = [world.copy()]  # state after the first i draft steps
+        entries = []
+        error = None
+        try:
+            for entry in run(s, world, draft.steps, self.bound):
+                entries.append(entry)
+                if self.one_robot:
+                    self.snapshots.append(world.copy())
+        except ExecError as e:
+            error = e
+        self.trace = Trace(tuple(entries), world, error)  # == execute(s, draft)
+        # draft indices of the first failing step and the first underflow,
+        # read only when steps run in line order
+        never = len(draft) + 1
+        self.error_at = len(entries) if error else never
+        underflows = [i for i, e in enumerate(entries) if e.battery < 0]
+        self.underflow_at = underflows[0] if underflows and battery_checked else never
+
+    def rejects(self, subs, inserts, swaps) -> bool:
+        if self.bound is None:
+            return True
+        d = 0
+        if self.one_robot:
+            d = min([p - 1 for p, _ in subs] + [g for g, _ in inserts] + [p - 1 for p in swaps])
+            if self.error_at < d or self.underflow_at < d:
+                return True
+        edited = _apply_edits(self.templates, subs, inserts, swaps)
+        suffix = (PlanStep(0, t.robot, "?", t.action, 0, 0, 0.0, t.coalition) for t in edited[d:])
+        try:
+            for entry in run(self.s, self.snapshots[d].copy(), suffix, self.bound):
+                if self.battery_checked and entry.battery < 0:
+                    return True
+        except ExecError:
+            return True
+        return False
+
+
 def minimal_edit_repair(
     s: Scenario,
     draft: Plan,
@@ -375,15 +446,22 @@ def minimal_edit_repair(
     Enumerates scripts by increasing cost and, within a cost level, in
     deterministic tie-break order (fewest insertions, earliest highest
     touched step, lexicographic actions); the first feasible candidate is
-    therefore the canonical argmin.  ``style='conservative'`` additionally
-    appends a terminal CHARGE (at a charger) or IDLE when the repaired
-    plan ends below 50% battery.
+    therefore the canonical argmin.  ``style='conservative'``
+    additionally appends a terminal CHARGE (at a charger) or IDLE when the
+    repaired plan ends below 50% battery.
+
+    Before ``reconcile_plan`` and ``validate``, ``_Screen`` drops the
+    candidates that fail to execute, or underflow while Battery is checked,
+    by running only their steps from the first edit on, from a snapshot of
+    the draft's one replay.  It drops exactly those, so the result does not
+    change.
     """
-    base_report = validate(s, draft, checks)
+    screen = _Screen(s, draft, ViolationClass.Battery in checks)
+    base_report = validate(s, draft, checks, trace=screen.trace)
     if base_report.feasible:
         return RepairResult(True, draft, EMPTY_SCRIPT, 1, base_report)
 
-    templates = plan_templates(draft)
+    templates = screen.templates
     alphabet = s.action_alphabet()
     found: tuple[Plan, list[EditOp], ViolationReport] | None = None
 
@@ -392,16 +470,11 @@ def minimal_edit_repair(
             _enumerate_scripts(len(templates), alphabet, templates, cost),
             key=lambda c: _candidate_key(*c),
         )
-        battery_checked = ViolationClass.Battery in checks
         for subs, inserts, swaps in candidates:
-            edited = _apply_edits(templates, subs, inserts, swaps)
-            plan, trace = reconcile_plan(s, edited)
-            if trace.error is not None:
+            # almost every candidate fails to execute or underflows
+            if screen.rejects(subs, inserts, swaps):
                 continue
-            # cheap reject before the full check battery: underflow is by far
-            # the most common failure among candidates
-            if battery_checked and any(e.battery < 0 for e in trace.entries):
-                continue
+            plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
             report = validate(s, plan, checks, trace=trace)
             if report.feasible:
                 ops = [

@@ -16,6 +16,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 from .plan import Action, ActionKind, GRID_MOVES
@@ -274,11 +275,12 @@ class Scenario:
     resources: tuple[tuple[str, int], ...]  # (location, available MU)
     safety_rules: tuple[str, ...] = ()
 
+    @cached_property
+    def _robots_by_id(self) -> dict[str, RobotSpec]:
+        return {r.id: r for r in self.robots}
+
     def robot(self, robot_id: str) -> RobotSpec:
-        for r in self.robots:
-            if r.id == robot_id:
-                return r
-        raise KeyError(robot_id)
+        return self._robots_by_id[robot_id]
 
     def sole_robot(self) -> RobotSpec:
         if len(self.robots) != 1:

@@ -1,6 +1,8 @@
+import json
+
 from foreman.executor import coverage_complete, execute, makespan
 from foreman.plan import Plan, parse_plan
-from foreman.scenario import load_scenario_dict
+from foreman.scenario import load_scenario_dict, serialize_scenario
 
 
 def test_figure_trace_prefix_through_step_4(wall, wall_draft):
@@ -207,3 +209,35 @@ def test_multi_robot_elapsed_and_makespan(wall):
     )
     trace = execute(two, parse_plan(doc_text))
     assert makespan(trace) == 2.0  # max over robots, not the sum
+
+
+def test_labels_bound_to_one_robot_run_in_line_order(wall):
+    # r1: and unlabelled steps drive the same robot, so the plan runs as
+    # written: pick at S, then carry the bricks to B and build
+    plan = parse_plan(
+        "r1: STEP 1, [S], MOVE_S, [0], 0, [75]\n"
+        "r1: STEP 2, [S], PICK, [3], 0, [75]\n"
+        "STEP 1, [B], MOVE_B, [3], 0, [50]\n"
+        "STEP 2, [B], BUILD, [0], 3, [50]\n"
+    )
+    trace = execute(wall, plan)
+    assert trace.error is None
+    assert [e.step for e in trace.entries] == list(plan.steps)
+    assert [e.placed_here for e in trace.entries] == [0, 0, 0, 3]
+    assert trace.final.placed_total == 3
+
+
+def test_two_robots_take_turns_by_elapsed_then_id(wall):
+    # equal elapsed time breaks by robot id, whatever the line order
+    doc = json.loads(serialize_scenario(wall))
+    doc["robots"].append(dict(doc["robots"][0], id="r2"))
+    two = load_scenario_dict(doc, name="two")
+    plan = parse_plan(
+        "r2: STEP 1, [S], MOVE_S, [0], 0, [75]\n"
+        "r2: STEP 2, [S], PICK, [3], 0, [75]\n"
+        "r1: STEP 1, [S], MOVE_S, [0], 0, [75]\n"
+        "r1: STEP 2, [S], PICK, [3], 0, [75]\n"
+    )
+    trace = execute(two, plan)
+    assert [(e.robot, e.step.step) for e in trace.entries] == [("r1", 1), ("r2", 1), ("r1", 2), ("r2", 2)]
+    assert trace.final.stock == {"S": 3}

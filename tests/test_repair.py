@@ -10,6 +10,9 @@ from foreman.fcfs import fcfs_schedule
 from foreman.plan import Action, ActionKind, Plan, parse_plan
 from foreman.repair import (
     EditKind,
+    _apply_edits,
+    _enumerate_scripts,
+    _Screen,
     SearchSupervisor,
     StepTemplate,
     SupervisorError,
@@ -314,3 +317,104 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
     t0 = time.monotonic()
     minimal_edit_repair(grid, grid_draft, budget=4)
     assert time.monotonic() - t0 < 5.0
+
+
+# ---------------------------------------------------------------------------
+# Multi-robot search and the candidate screen
+# ---------------------------------------------------------------------------
+
+# r1 builds trips 1 and 2; r2 runs trip 3 in between on its own battery
+_TWO_ROBOT_DRAFT = """\
+r1: STEP 1, [S], MOVE_S, [0], 0, [75]
+r1: STEP 2, [S], PICK, [3], 0, [75]
+r1: STEP 3, [B], MOVE_B, [3], 0, [50]
+r1: STEP 4, [B], BUILD, [0], 3, [50]
+r2: STEP 1, [S], MOVE_S, [0], 0, [0]
+r2: STEP 2, [S], PICK, [3], 0, [0]
+r2: STEP 3, [B], MOVE_B, [3], 0, [-25]
+r2: STEP 4, [B], BUILD, [0], 6, [-25]
+r1: STEP 5, [S], MOVE_S, [0], 6, [25]
+r1: STEP 6, [S], PICK, [3], 6, [25]
+r1: STEP 7, [B], MOVE_B, [3], 6, [0]
+r1: STEP 8, [B], BUILD, [0], 9, [0]
+"""
+
+
+def _two_robot_wall(wall, r2_battery, r2_battery_max=100):
+    doc = json.loads(serialize_scenario(wall))
+    r2 = dict(doc["robots"][0], id="r2", battery_init=r2_battery, battery_max=r2_battery_max)
+    doc["robots"].append(r2)
+    return load_scenario_dict(doc, name="two")
+
+
+def _rows(plan):
+    return [(p.robot, p.step, p.location, str(p.action), p.cargo, p.placed, p.battery) for p in plan.steps]
+
+
+def test_search_repairs_a_two_robot_plan(wall):
+    s = _two_robot_wall(wall, 25)
+    draft = parse_plan(_TWO_ROBOT_DRAFT)
+    result = minimal_edit_repair(s, draft, budget=2)
+    assert result.feasible
+    # r2 charges at the dock before its trip; robots take turns by elapsed time
+    assert result.script.render() == "S5: CHARGE (+)"
+    assert _rows(result.plan) == [
+        ("r1", 1, "S", "MOVE_S", 0, 0, 75.0),
+        ("r1", 2, "S", "PICK", 3, 0, 75.0),
+        ("r1", 3, "B", "MOVE_B", 3, 0, 50.0),
+        ("r1", 4, "B", "BUILD", 0, 3, 50.0),
+        ("r2", 1, "C", "CHARGE", 0, 0, 100.0),
+        ("r2", 2, "S", "MOVE_S", 0, 0, 75.0),
+        ("r2", 3, "S", "PICK", 3, 0, 75.0),
+        ("r2", 4, "B", "MOVE_B", 3, 3, 50.0),
+        ("r2", 5, "B", "BUILD", 0, 6, 50.0),
+        ("r1", 5, "S", "MOVE_S", 0, 3, 25.0),
+        ("r1", 6, "S", "PICK", 3, 6, 25.0),
+        ("r1", 7, "B", "MOVE_B", 3, 6, 0.0),
+        ("r1", 8, "B", "BUILD", 0, 9, 0.0),
+    ]
+    assert apply_script(s, draft, result.script) == result.plan
+
+
+def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
+    # r2's 10% battery never affords a move, and taking its trip over
+    # costs more than two edits
+    s = _two_robot_wall(wall, 10, r2_battery_max=10)
+    result = minimal_edit_repair(s, parse_plan(_TWO_ROBOT_DRAFT), budget=2)
+    assert not result.feasible
+    assert result.script is None and result.plan is None
+
+
+def _screen_cases(wall, grid, wall_draft, grid_draft):
+    classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
+    cases = [(wall, wall_draft), (grid, grid_draft)]
+    cases += [(classes[k], fcfs_schedule(classes[k])[1]) for k in [(3, 100.0), (3, 50.0)]]
+    cases.append((_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT)))
+    # a CHARGE at B, which has no charger, halts the draft at step 5
+    halting = plan_templates(wall_draft)[:9]
+    halting[4] = StepTemplate(None, Action(ActionKind.CHARGE))
+    plan, trace = reconcile_plan(wall, halting)
+    assert trace.error is not None and len(trace.entries) == 4
+    cases.append((wall, plan))
+    return cases
+
+
+def test_screen_rejects_exactly_what_a_full_replay_rejects(wall, grid, wall_draft, grid_draft):
+    seen = {True: 0, False: 0}
+    for s, draft in _screen_cases(wall, grid, wall_draft, grid_draft):
+        templates = plan_templates(draft)
+        alphabet = s.action_alphabet()
+        screens = {checked: _Screen(s, draft, checked) for checked in (True, False)}
+        replay = execute(s, draft)
+        for screen in screens.values():
+            assert (screen.trace.entries, screen.trace.final) == (replay.entries, replay.final)
+            assert str(screen.trace.error) == str(replay.error)
+        for cost in (1, 2):
+            for subs, inserts, swaps in _enumerate_scripts(len(templates), alphabet, templates, cost):
+                _, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
+                underflow = any(e.battery < 0 for e in trace.entries)
+                for checked, screen in screens.items():
+                    fails = trace.error is not None or (checked and underflow)
+                    assert screen.rejects(subs, inserts, swaps) == fails, (s.name, subs, inserts, swaps)
+                    seen[fails] += 1
+    assert seen[True] and seen[False]
