@@ -211,25 +211,32 @@ def run(
     The steps of each bound robot keep their line order; robots take turns
     by (elapsed time so far, robot id), so shared stockpiles decrement
     consistently.  When every label binds to one robot, execution order is
-    line order and ``steps`` is read lazily.  Raises ExecError at the first
-    impossible transition; the caller may stop early by not asking for more.
+    line order.  ``steps`` is read only as far as the next turn needs, so a
+    caller that stops early never reads the rest.  Raises ExecError at the
+    first impossible transition.
     """
-    robots = set(bound.values())
-    if len(robots) == 1:
-        [robot] = robots
-        for step in steps:
-            yield _apply(s, world, step, robot)
-        return
-    queues: dict[str, deque[PlanStep]] = {}
-    for step in steps:
-        queues.setdefault(bound[step.robot], deque()).append(step)
+    # the robots that may still have steps, each with the steps read ahead
+    queues: dict[str, deque[PlanStep]] = {r: deque() for r in bound.values()}
+    steps = iter(steps)
     elapsed = world.elapsed
     while queues:
-        robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
+        if len(queues) == 1:
+            [robot] = queues
+        else:
+            robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
         queue = queues[robot]
-        step = queue.popleft()
-        if not queue:
-            del queues[robot]
+        if queue:
+            step = queue.popleft()
+        else:
+            for step in steps:  # read up to this robot's next step
+                owner = bound[step.robot]
+                if owner == robot:
+                    break
+                queues[owner].append(step)
+            else:  # all read: robots with nothing queued are done
+                for r in [r for r, q in queues.items() if not q]:
+                    del queues[r]
+                continue
         yield _apply(s, world, step, robot)
 
 

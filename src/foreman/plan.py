@@ -106,9 +106,6 @@ class Plan:
     def __len__(self) -> int:
         return len(self.steps)
 
-    def steps_for(self, robot: str | None) -> tuple[PlanStep, ...]:
-        return tuple(s for s in self.steps if s.robot == robot)
-
 
 class SchemaError(ValueError):
     """Raised when plan text does not match the step grammar."""
@@ -242,22 +239,21 @@ def _fmt_num(value: float) -> str:
 
 
 def serialize_plan(plan: Plan) -> str:
-    """Emit canonical plan text: one line per step, grouped by robot.
+    """Emit canonical plan text: one line per step, in line order.
 
     Round-trips: parse_plan(serialize_plan(p)) == p for any valid Plan.
     """
     lines = []
-    for robot in plan.robots:
-        for s in plan.steps_for(robot):
-            prefix = ""
-            if s.coalition:
-                prefix = "+".join(s.coalition) + ": "
-            elif robot is not None:
-                prefix = f"{robot}: "
-            lines.append(
-                f"{prefix}STEP {s.step}, [{s.location}], {s.action}, "
-                f"[{s.cargo}], {s.placed}, [{_fmt_num(s.battery)}]"
-            )
+    for s in plan.steps:
+        prefix = ""
+        if s.coalition:
+            prefix = "+".join(s.coalition) + ": "
+        elif s.robot is not None:
+            prefix = f"{s.robot}: "
+        lines.append(
+            f"{prefix}STEP {s.step}, [{s.location}], {s.action}, "
+            f"[{s.cargo}], {s.placed}, [{_fmt_num(s.battery)}]"
+        )
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,7 +1,7 @@
 import json
 
 from foreman.executor import coverage_complete, execute, makespan
-from foreman.plan import Plan, parse_plan
+from foreman.plan import Plan, parse_plan, serialize_plan
 from foreman.scenario import load_scenario_dict, serialize_scenario
 
 
@@ -224,6 +224,21 @@ def test_labels_bound_to_one_robot_run_in_line_order(wall):
     assert trace.error is None
     assert [e.step for e in trace.entries] == list(plan.steps)
     assert [e.placed_here for e in trace.entries] == [0, 0, 0, 3]
+    assert trace.final.placed_total == 3
+
+
+def test_interleaved_one_robot_plan_reads_back_with_the_same_trace(wall):
+    # the written plan keeps its line order, so it runs as validated
+    plan = parse_plan(
+        "STEP 1, [S], MOVE_S, [0], 0, [75]\n"
+        "r1: STEP 1, [S], PICK, [3], 0, [75]\n"
+        "STEP 2, [B], MOVE_B, [3], 0, [50]\n"
+        "r1: STEP 2, [B], BUILD, [0], 3, [50]\n"
+    )
+    again = parse_plan(serialize_plan(plan))
+    assert again == plan
+    trace = execute(wall, again)
+    assert trace.error is None
     assert trace.final.placed_total == 3
 
 

@@ -102,8 +102,21 @@ def test_multi_robot_prefix_and_grouping():
     )
     plan = parse_plan(text)
     assert plan.robots == ("r1", "r2")
-    assert len(plan.steps_for("r1")) == 2
+    assert [st.robot for st in plan.steps] == ["r1", "r1", "r2"]
     assert serialize_plan(plan) == text
+
+
+def test_interleaved_labels_serialize_in_line_order():
+    text = (
+        "r1: STEP 1, [S], PICK, [3], 0, [100]\n"
+        "r2: STEP 1, [C], IDLE, [0], 0, [100]\n"
+        "r1+r2: STEP 2, [B], CO_CARRY, [3], 0, [75]\n"
+        "STEP 1, [B], BUILD, [0], 3, [75]\n"
+        "r2: STEP 2, [C], IDLE, [0], 0, [100]\n"
+    )
+    plan = parse_plan(text)
+    assert serialize_plan(plan) == text
+    assert parse_plan(serialize_plan(plan)) == plan
 
 
 def test_coalition_prefix():
