@@ -229,10 +229,11 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
     final = result.plan if result.feasible and result.plan is not None else draft
     scores = similarity(tokenize_plan(final), draft_tokens) if draft_tokens else None
     fr = 1.0 if result.feasible else 0.0
-    final_report = validate(s, final, ALL_CHECKS)
+    trace = execute(s, final)
+    final_report = validate(s, final, ALL_CHECKS, trace=trace)
     battery = len(final_report.by_class(ViolationClass.Battery))
-    ms_final = makespan(execute(s, final))
-    ms_draft = makespan(execute(s, draft))
+    ms_final = makespan(trace)
+    ms_draft = ms_final if final is draft else makespan(execute(s, draft))
     return EvalReport(
         scores=scores,
         fr=fr,

@@ -8,21 +8,26 @@ the search never deletes (observed repairs only insert, substitute and
 reorder).  After every structural edit the state columns are recomputed by
 the executor, never edited textually.
 
-The search replays its draft once and keeps the world state after every
-step prefix.  A candidate shares the draft's steps up to its first edit, so
-it is screened by running only its edited suffix from that snapshot, and
-dropped at the first execution error or battery underflow.  Only the
-candidates that pass the screen are rebuilt and fully validated.
+The search screens every candidate before rebuilding it.  It replays its
+draft once and keeps the world state after every step prefix; it also runs
+each single-edit variant of the draft that a candidate starts with, lazily,
+from the draft's snapshot at that edit.  A candidate with one edit shares
+the draft's steps up to that edit, and a candidate with more shares its
+first edit's variant up to its second edit, so only the rest runs, from the
+matching snapshot, and the candidate is dropped at its first execution
+error or battery underflow.  A level is screened one insert count at a
+time, and only the survivors are sorted, rebuilt and fully validated.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 
-from .executor import ExecError, Trace, bind, execute, initial_state, run
+from .executor import ExecError, Trace, TraceEntry, WorldState, bind, execute, initial_state, run
 from .plan import Action, ActionKind, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
@@ -303,8 +308,15 @@ def _candidate_key(subs, inserts, transposes) -> tuple:
     return (len(inserts), max(touched) if touched else 0, lex)
 
 
-def _enumerate_scripts(n_steps: int, alphabet: list[Action], templates: list[StepTemplate], cost: int):
-    """All candidate op-sets of exactly ``cost`` unit edits, original-index space."""
+def _enumerate_scripts(
+    n_steps: int,
+    alphabet: list[Action],
+    templates: list[StepTemplate],
+    cost: int,
+    n_ins: int | None = None,
+):
+    """All candidate op-sets of exactly ``cost`` unit edits, original-index
+    space; only those with ``n_ins`` inserts when that is given."""
     sub_choices = []
     for pos in range(1, n_steps + 1):
         current = templates[pos - 1].action
@@ -321,7 +333,9 @@ def _enumerate_scripts(n_steps: int, alphabet: list[Action], templates: list[Ste
 
     for n_subs in range(cost + 1):
         for n_swaps in range(cost - n_subs + 1):
-            n_ins = cost - n_subs - n_swaps
+            k = cost - n_subs - n_swaps
+            if n_ins is not None and k != n_ins:
+                continue
             for subs in itertools.combinations(sub_choices, n_subs):
                 positions = [p for p, _ in subs]
                 if len(set(positions)) != len(positions):
@@ -337,7 +351,7 @@ def _enumerate_scripts(n_steps: int, alphabet: list[Action], templates: list[Ste
                         touched |= {p, p + 1}
                     if not ok:
                         continue
-                    for inserts in itertools.combinations_with_replacement(ins_choices, n_ins):
+                    for inserts in itertools.combinations_with_replacement(ins_choices, k):
                         # a gap's inserts come out in alphabet order; reversed,
                         # they keep the repaired plans the tests pin
                         yield subs, inserts[::-1], swaps
@@ -369,16 +383,60 @@ def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
     return plan
 
 
-class _Screen:
-    """The draft replayed once, to reject search candidates cheaply.
+def _skeleton(templates: Iterable[StepTemplate]) -> Iterator[PlanStep]:
+    """Unnumbered steps for the simulator; only robot and action matter."""
+    return (PlanStep(0, t.robot, "?", t.action, 0, 0, 0.0, t.coalition) for t in templates)
 
-    A candidate equals the draft before ``d``, the first draft index its
-    edits touch.  When every label binds to one robot, steps run in line
-    order, so the candidate's state after that prefix is the draft's
-    snapshot ``d``: the candidate fails if the draft already fails before
-    ``d``, and otherwise only ``edited[d:]`` runs, from a copy of the
-    snapshot, up to its first ExecError or (Battery checked) negative
-    battery.  Labels bound to two or more robots run from ``d = 0``.
+
+class _Run:
+    """A base plan run in line order from ``start``, up to its first failure.
+
+    A base is the draft or a single-edit variant of it; ``entries`` applies
+    its steps from ``start`` on to ``world``.  ``snaps[k]`` is the world
+    after the base's first ``start + k`` steps, kept for every prefix up to
+    the first failing step.  ``fail_at`` is that step's index
+    (an ExecError, or a negative battery while Battery is checked), or
+    infinity when none fails.
+    """
+
+    def __init__(
+        self, world: WorldState, start: int, entries: Iterable[TraceEntry], battery_checked: bool
+    ):
+        self.start = start
+        self.snaps = [world.copy()]
+        self.error: ExecError | None = None
+        self.fail_at = math.inf
+        try:
+            for entry in entries:
+                if battery_checked and entry.battery < 0:
+                    break
+                self.snaps.append(world.copy())
+            else:
+                return
+        except ExecError as e:
+            # its traceback's frames would hold this run in a reference cycle
+            self.error = e.with_traceback(None)
+        self.fail_at = start + len(self.snaps) - 1
+
+    def state(self, k: int) -> WorldState:
+        """A copy of the world after the base's first ``k`` steps."""
+        return self.snaps[k - self.start].copy()
+
+
+class _Screen:
+    """Rejects search candidates cheaply, from runs of the draft and its variants.
+
+    Each edit touches the draft first at its ``d``: a substitute or
+    transpose at step ``p`` has ``d = p - 1``, an insert at gap ``g`` has
+    ``d = g``.  With its edits sorted by ``d``, a candidate shares its first
+    ``L`` steps with a base.  For one edit the base is the draft and
+    ``L = d``.  For more it is the variant of the first edit and ``L = d2``,
+    the second edit's ``d``, plus one when the first edit inserts a step
+    before ``d2``.  When every label binds to one robot, steps run in line
+    order, so the candidate fails if its base fails before ``L``; otherwise
+    only ``edited[L:]`` runs, from a copy of the base's snapshot ``L``, up
+    to its first ExecError or (Battery checked) negative battery.  Labels
+    bound to two or more robots screen from the draft at ``L = 0``.
     ``rejects`` is true exactly when the candidate's full trace has an
     error, or a negative battery while Battery is checked.
     """
@@ -387,6 +445,7 @@ class _Screen:
         self.s = s
         self.battery_checked = battery_checked
         self.templates = plan_templates(draft)
+        self.variants: dict[tuple, _Run] = {}  # single-edit variants, by edit
         try:
             # search inserts into an empty draft are unlabelled
             self.bound = bind(s, draft.robots or (None,))
@@ -397,41 +456,76 @@ class _Screen:
             return
         self.one_robot = len(set(self.bound.values())) == 1
         world = initial_state(s)
-        self.snapshots = [world.copy()]  # state after the first i draft steps
-        entries = []
-        error = None
-        try:
-            for entry in run(s, world, draft.steps, self.bound):
+        entries: list[TraceEntry] = []
+        steps = run(s, world, draft.steps, self.bound)
+
+        def recorded():
+            for entry in steps:
                 entries.append(entry)
-                if self.one_robot:
-                    self.snapshots.append(world.copy())
+                yield entry
+
+        # snapshots are prefixes of line order, so two robots keep only the first
+        self.draft = _Run(world, 0, recorded() if self.one_robot else (), battery_checked)
+        error = self.draft.error
+        try:
+            for entry in steps:  # the draft's trace goes on past an underflow
+                entries.append(entry)
         except ExecError as e:
-            error = e
+            error = e.with_traceback(None)  # as in _Run: no cycle through this frame
         self.trace = Trace(tuple(entries), world, error)  # == execute(s, draft)
-        # draft indices of the first failing step and the first underflow,
-        # read only when steps run in line order
-        never = len(draft) + 1
-        self.error_at = len(entries) if error else never
-        underflows = [i for i, e in enumerate(entries) if e.battery < 0]
-        self.underflow_at = underflows[0] if underflows and battery_checked else never
+
+    def _variant(self, d: int, edit: tuple) -> _Run:
+        """The run of the draft with one edit, touching it first at ``d``."""
+        variant = self.variants.get(edit)
+        if variant is None:
+            world = self.draft.state(d)
+            steps = _skeleton(_apply_edits(self.templates, *edit)[d:])
+            entries = run(self.s, world, steps, self.bound)
+            variant = self.variants[edit] = _Run(world, d, entries, self.battery_checked)
+        return variant
 
     def rejects(self, subs, inserts, swaps) -> bool:
         if self.bound is None:
             return True
-        d = 0
+        base, shared = self.draft, 0
         if self.one_robot:
-            d = min([p - 1 for p, _ in subs] + [g for g, _ in inserts] + [p - 1 for p in swaps])
-            if self.error_at < d or self.underflow_at < d:
+            # (d, the edit as _apply_edits arguments); at one d, subs come first
+            edits = [(p - 1, (((p, a),), (), ())) for p, a in subs]
+            edits += [(g, ((), ((g, a),), ())) for g, a in inserts]
+            edits += [(p - 1, ((), (), (p,))) for p in swaps]
+            edits.sort(key=lambda e: e[0])
+            shared = edits[0][0]
+            # a draft that fails before the first edit is the base that rejects
+            if len(edits) > 1 and self.draft.fail_at >= shared:
+                (d, first), nxt = edits[0], edits[1][0]
+                base = self._variant(d, first)
+                shared = nxt + (1 if first[1] and d < nxt else 0)
+            if base.fail_at < shared:
                 return True
         edited = _apply_edits(self.templates, subs, inserts, swaps)
-        suffix = (PlanStep(0, t.robot, "?", t.action, 0, 0, 0.0, t.coalition) for t in edited[d:])
         try:
-            for entry in run(self.s, self.snapshots[d].copy(), suffix, self.bound):
+            for entry in run(self.s, base.state(shared), _skeleton(edited[shared:]), self.bound):
                 if self.battery_checked and entry.battery < 0:
                     return True
         except ExecError:
             return True
         return False
+
+
+def _survivors(screen: _Screen, alphabet: list[Action], cost: int) -> Iterator[tuple]:
+    """The candidates of one cost level that pass the screen, in search order.
+
+    ``_candidate_key`` ranks insert count first, so each insert count is
+    screened as it is enumerated and only its survivors are sorted: the
+    order equals the whole level's sort with the rejected ones left out,
+    and no level is held in memory.
+    """
+    templates = screen.templates
+    for n_ins in range(cost + 1):
+        scripts = _enumerate_scripts(len(templates), alphabet, templates, cost, n_ins)
+        yield from sorted(
+            (c for c in scripts if not screen.rejects(*c)), key=lambda c: _candidate_key(*c)
+        )
 
 
 def minimal_edit_repair(
@@ -452,9 +546,11 @@ def minimal_edit_repair(
 
     Before ``reconcile_plan`` and ``validate``, ``_Screen`` drops the
     candidates that fail to execute, or underflow while Battery is checked,
-    by running only their steps from the first edit on, from a snapshot of
-    the draft's one replay.  It drops exactly those, so the result does not
-    change.
+    by running only their steps from the second edit on, from a snapshot of
+    their first edit's variant (from the first edit on, from the draft's,
+    for a single edit).  It drops exactly those, so the result does not
+    change.  Each level is screened one insert count at a time, and only
+    that count's survivors are sorted into tie-break order.
     """
     screen = _Screen(s, draft, ViolationClass.Battery in checks)
     base_report = validate(s, draft, checks, trace=screen.trace)
@@ -466,14 +562,7 @@ def minimal_edit_repair(
     found: tuple[Plan, list[EditOp], ViolationReport] | None = None
 
     for cost in range(1, budget + 1):
-        candidates = sorted(
-            _enumerate_scripts(len(templates), alphabet, templates, cost),
-            key=lambda c: _candidate_key(*c),
-        )
-        for subs, inserts, swaps in candidates:
-            # almost every candidate fails to execute or underflows
-            if screen.rejects(subs, inserts, swaps):
-                continue
+        for subs, inserts, swaps in _survivors(screen, alphabet, cost):
             plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
             report = validate(s, plan, checks, trace=trace)
             if report.feasible:

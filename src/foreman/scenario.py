@@ -100,11 +100,17 @@ class SiteMap:
     def in_grid(self, cell: Cell) -> bool:
         return 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
 
-    def edge_weight(self, a: str, b: str) -> float | None:
+    @cached_property
+    def _edge_weights(self) -> dict[tuple[str, str], float]:
+        """Both directions of each edge; a repeated pair keeps its first weight."""
+        weights: dict[tuple[str, str], float] = {}
         for u, v, w in self.edges:
-            if {u, v} == {a, b}:
-                return w
-        return None
+            weights.setdefault((u, v), w)
+            weights.setdefault((v, u), w)
+        return weights
+
+    def edge_weight(self, a: str, b: str) -> float | None:
+        return self._edge_weights.get((a, b))
 
     def _steps(self, loc: str) -> list[tuple[str, float]]:
         """Locations one hop from ``loc`` with their DU, in tie-break order."""

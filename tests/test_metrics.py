@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from foreman import metrics, validator
+from foreman.executor import execute
 from foreman.metrics import (
     EmptyInput,
     EmptyReference,
@@ -188,6 +190,25 @@ def test_eval_run_on_infeasible_loop_has_empty_edit_profile(wall, wall_draft):
     assert report.fr == 0.0
     assert report.edits == EditProfile()
     assert report.makespan_delta == 0.0
+
+
+def test_eval_run_executes_each_plan_once(monkeypatch, wall, wall_draft, wall_gemma):
+    executed = []
+
+    def counting_execute(s, plan):
+        executed.append(plan)
+        return execute(s, plan)
+
+    monkeypatch.setattr(metrics, "execute", counting_execute)
+    monkeypatch.setattr(validator, "execute", counting_execute)
+    repaired = repair_loop(wall, wall_draft, SearchSupervisor("minimal", 4))
+    as_drafted = repair_loop(wall, wall_gemma, SearchSupervisor("minimal", 4))
+    executed.clear()
+    eval_run(wall, wall_draft, repaired)
+    assert executed == [repaired.plan, wall_draft]
+    executed.clear()
+    eval_run(wall, wall_gemma, as_drafted)  # the final plan is the draft itself
+    assert executed == [wall_gemma]
 
 
 def test_eval_run_on_repair(wall, wall_draft):

@@ -1,6 +1,8 @@
+import gc
 import json
 import time
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from foreman import repair
@@ -11,8 +13,10 @@ from foreman.plan import Action, ActionKind, Plan, parse_plan
 from foreman.repair import (
     EditKind,
     _apply_edits,
+    _candidate_key,
     _enumerate_scripts,
     _Screen,
+    _survivors,
     SearchSupervisor,
     StepTemplate,
     SupervisorError,
@@ -69,9 +73,8 @@ def test_already_feasible_plan_is_fixed_point(wall, wall_gemma):
     assert looped.script.cost == 0
 
 
-def test_stranded_robot_is_infeasible_within_budget(wall):
-    # 10% battery cannot afford any move (25%/DU) and the dock is a move
-    # away: exhaustive search over small scripts proves infeasibility
+def _stranded(wall):
+    """A robot on 10% battery and the 2-step start of the wall draft."""
     doc = json.loads(serialize_scenario(wall))
     doc["robots"][0]["battery_init"] = 10
     doc["robots"][0]["battery_max"] = 10
@@ -79,6 +82,13 @@ def test_stranded_robot_is_infeasible_within_budget(wall):
     prefix = Plan(parse_plan(
         "STEP 1, [S], MOVE_S, [0], 0, [75]\nSTEP 2, [S], PICK, [3], 0, [75]\n"
     ).steps)
+    return weak, prefix
+
+
+def test_stranded_robot_is_infeasible_within_budget(wall):
+    # 10% battery cannot afford any move (25%/DU) and the dock is a move
+    # away: exhaustive search over small scripts proves infeasibility
+    weak, prefix = _stranded(wall)
     result = minimal_edit_repair(weak, prefix, budget=3)
     assert not result.feasible
     looped = repair_loop(weak, prefix, SearchSupervisor("minimal", 3), max_iters=3)
@@ -386,6 +396,7 @@ def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
 
 
 def _screen_cases(wall, grid, wall_draft, grid_draft):
+    """(scenario, draft, costs) whose candidates the screen is checked on."""
     classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
     cases = [(wall, wall_draft), (grid, grid_draft)]
     cases += [(classes[k], fcfs_schedule(classes[k])[1]) for k in [(3, 100.0), (3, 50.0)]]
@@ -396,12 +407,16 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     plan, trace = reconcile_plan(wall, halting)
     assert trace.error is not None and len(trace.entries) == 4
     cases.append((wall, plan))
+    cases = [(s, draft, (1, 2)) for s, draft in cases]
+    # short drafts whose three-edit candidates screen from their first edit's variant
+    cases.append((*_stranded(wall), (1, 2, 3)))
+    cases.append((wall, Plan(wall_draft.steps[:5]), (3,)))
     return cases
 
 
 def test_screen_rejects_exactly_what_a_full_replay_rejects(wall, grid, wall_draft, grid_draft):
     seen = {True: 0, False: 0}
-    for s, draft in _screen_cases(wall, grid, wall_draft, grid_draft):
+    for s, draft, costs in _screen_cases(wall, grid, wall_draft, grid_draft):
         templates = plan_templates(draft)
         alphabet = s.action_alphabet()
         screens = {checked: _Screen(s, draft, checked) for checked in (True, False)}
@@ -409,7 +424,7 @@ def test_screen_rejects_exactly_what_a_full_replay_rejects(wall, grid, wall_draf
         for screen in screens.values():
             assert (screen.trace.entries, screen.trace.final) == (replay.entries, replay.final)
             assert str(screen.trace.error) == str(replay.error)
-        for cost in (1, 2):
+        for cost in costs:
             for subs, inserts, swaps in _enumerate_scripts(len(templates), alphabet, templates, cost):
                 _, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
                 underflow = any(e.battery < 0 for e in trace.entries)
@@ -418,3 +433,66 @@ def test_screen_rejects_exactly_what_a_full_replay_rejects(wall, grid, wall_draf
                     assert screen.rejects(subs, inserts, swaps) == fails, (s.name, subs, inserts, swaps)
                     seen[fails] += 1
     assert seen[True] and seen[False]
+
+
+def test_screen_runs_are_freed_without_the_cycle_collector(wall, wall_draft):
+    # a run that keeps an ExecError with its traceback would sit in a
+    # reference cycle, with all its snapshots, until the collector runs
+    gc.collect()
+    gc.disable()
+    try:
+        assert minimal_edit_repair(wall, wall_draft, budget=2).feasible
+        left = sum(isinstance(o, (repair._Run, repair._Screen)) for o in gc.get_objects())
+    finally:
+        gc.enable()
+    assert left == 0
+
+
+def test_search_visits_the_sorted_level_without_its_rejected_candidates(wall, wall_draft):
+    # each insert count is screened and sorted on its own; the visit order
+    # must still be the whole level's tie-break order
+    classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
+    s3 = classes[(3, 100.0)]
+    for s, draft in [(wall, wall_draft), (s3, fcfs_schedule(s3)[1])]:
+        templates = plan_templates(draft)
+        alphabet = s.action_alphabet()
+        screen = _Screen(s, draft, True)
+        visited = 0
+        for cost in (1, 2):
+            level = _enumerate_scripts(len(templates), alphabet, templates, cost)
+            expected = [c for c in sorted(level, key=lambda c: _candidate_key(*c)) if not screen.rejects(*c)]
+            assert list(_survivors(screen, alphabet, cost)) == expected
+            visited += len(expected)
+        assert visited
+
+
+# draft -> (script, rows of the repaired plan); each draft needs three edits,
+# one of each kind
+_COST_3 = {
+    "IDLE BUILD MOVE_B": (
+        "S1: MOVE_S (+); S1: IDLE->PICK; S2<->S3",
+        [("S", "MOVE_S", 0, 0, 75.0), ("S", "PICK", 3, 0, 75.0), ("B", "MOVE_B", 3, 0, 50.0),
+         ("B", "BUILD", 0, 3, 50.0)],
+    ),
+    "MOVE_B MOVE_S CHARGE IDLE": (
+        "S1<->S2; S2: PICK (+); S3: CHARGE->BUILD",
+        [("S", "MOVE_S", 0, 0, 75.0), ("S", "PICK", 3, 0, 75.0), ("B", "MOVE_B", 3, 0, 50.0),
+         ("B", "BUILD", 0, 3, 50.0), ("B", "IDLE", 0, 3, 50.0)],
+    ),
+}
+
+
+@pytest.mark.parametrize("actions", sorted(_COST_3))
+def test_search_finds_a_three_edit_repair(wall, actions):
+    # the wall's first trip alone: 3 bricks from S to B
+    doc = json.loads(serialize_scenario(wall))
+    doc["tasks"], doc["dag"] = doc["tasks"][:1], []
+    s = load_scenario_dict(doc, name="one_trip")
+    draft, _ = reconcile_plan(s, [StepTemplate(None, Action(ActionKind[a])) for a in actions.split()])
+    assert not minimal_edit_repair(s, draft, budget=2).feasible
+    result = minimal_edit_repair(s, draft, budget=3)
+    assert result.feasible
+    script, rows = _COST_3[actions]
+    assert result.script.render() == script
+    assert [(p.location, str(p.action), p.cargo, p.placed, p.battery) for p in result.plan.steps] == rows
+    assert apply_script(s, draft, result.script) == result.plan

@@ -251,6 +251,18 @@ def test_route_tie_order():
     assert grid.route("(1,1)", "(1,1)") == []
 
 
+def test_repeated_edge_keeps_its_first_weight_both_ways():
+    site = SiteMap(
+        kind="named_graph",
+        nodes=("A", "B", "C"),
+        edges=(("A", "B", 2.0), ("B", "A", 5.0), ("A", "B", 7.0), ("B", "C", 1.0)),
+    )
+    assert site.edge_weight("A", "B") == site.edge_weight("B", "A") == 2.0
+    assert site.edge_weight("C", "B") == 1.0
+    assert site.edge_weight("A", "C") is None
+    assert site.edge_weight("A", "A") is None
+
+
 # Multiples of 1/8 add up exactly, so every path length is exact in binary
 # and route lengths can be compared with ==.
 _WEIGHTS = st.integers(1, 40).map(lambda k: k / 8)
