@@ -134,7 +134,11 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
     else:
         click.echo(f"error: unknown supervisor {supervisor_spec!r}", err=True)
         sys.exit(1)
-    result = repair_loop(s, plan, supervisor, max_iters, wanted)
+    try:
+        result = repair_loop(s, plan, supervisor, max_iters, wanted)
+    except ValueError as e:  # max_iters out of range
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
     payload = result.to_dict()
     if result.feasible and result.plan is not None:
         payload["plan"] = serialize_plan(result.plan)

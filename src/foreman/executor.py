@@ -100,6 +100,9 @@ def initial_state(s: Scenario) -> WorldState:
 def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> TraceEntry:
     if robot_id not in world.robots:
         raise ExecError(robot_id, step.step, "bad_action", f"unknown robot {robot_id!r}")
+    for member in step.coalition:
+        if member not in world.robots:
+            raise ExecError(robot_id, step.step, "bad_action", f"unknown robot {member!r}")
     rs = world.robots[robot_id]
     cost = s.cost
     kind = step.action.kind

@@ -150,3 +150,22 @@ def test_experiment_cli_end_to_end(runner, fix_dir, tmp_path):
 def test_experiment_nonexistent_scenario(runner, tmp_path):
     res = runner.invoke(main, ["experiment", "missing.scn.json", "--out-dir", str(tmp_path)])
     assert res.exit_code == 1
+
+
+def test_coalition_member_outside_the_roster_is_no_traceback(runner, fix_dir, tmp_path):
+    path = tmp_path / "coalition.plan"
+    path.write_text("r1+r9: STEP 1, [S], MOVE_S, [0], 0, [75]\n", encoding="utf-8")
+    wall = _paths(fix_dir)["wall"]
+    res = runner.invoke(main, ["validate", wall, str(path)])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert json.loads(res.output)["violations"][0]["detail"] == "unexecutable: unknown robot 'r9'"
+    res = runner.invoke(main, ["repair", wall, str(path), "--budget", "1"])
+    assert res.exit_code == 0 and res.exception is None
+    assert json.loads(res.output)["outcome"] == "infeasible"
+
+
+def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
+    p = _paths(fix_dir)
+    res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--max-iters", "0"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
+    assert res.output == "error: max_iters must be >= 1\n"

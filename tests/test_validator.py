@@ -240,3 +240,108 @@ def test_parse_check_names():
 
     with pytest.raises(ValueError):
         parse_check_names("bogus")
+
+
+def _report_dict(checks, completed, psi, rows):
+    return {
+        "feasible": completed and psi == 0,
+        "psi": psi,
+        "checks_run": sorted(c.value for c in checks),
+        "checks_completed": completed,
+        "violations": [
+            {"class": cls, "step": step, "detail": detail, "hint": hint}
+            for cls, step, detail, hint in rows
+        ],
+    }
+
+
+def test_whole_reports_are_pinned(grid, grid_draft):
+    """Every violation text, in report order, under all checks and a subset."""
+    import json
+
+    from foreman.scenario import load_scenario_dict, serialize_scenario
+
+    task = lambda id, kind, loc, demand=0: {  # noqa: E731
+        "id": id, "type": kind, "required_skills": [kind], "location": loc, "demand": demand, "duration": 1,
+    }
+    s = load_scenario_dict(
+        {
+            "instruction": "x",
+            "site": {
+                "kind": "named_graph",
+                "nodes": ["S", "B", "C", "D", "X"],
+                "edges": [["S", "B", 1], ["B", "C", 1], ["C", "S", 1], ["C", "D", 1], ["D", "X", 1]],
+                "no_go": ["X"],
+                "chargers": ["C"],
+            },
+            "robots": [
+                {"id": "r1", "skills": ["MOVE_S", "MOVE_B", "MOVE_C", "PICK", "BUILD", "CHARGE"],
+                 "payload_capacity": 3, "battery_init": 100, "start_location": "C"},
+                {"id": "r2", "skills": ["NAVIGATE", "INSPECT", "SCAN"],
+                 "payload_capacity": 0, "battery_init": 60, "start_location": "C"},
+            ],
+            "tasks": [
+                task("build_1", "BUILD", "B", 3), task("build_2", "BUILD", "B", 3),
+                task("inspect_d", "INSPECT", "D"), task("reach_x", "NAVIGATE", "X"), task("scan_s", "SCAN", "S"),
+            ],
+            "dag": [["build_1", "build_2"], ["inspect_d", "reach_x"]],
+            "cost": {"battery_per_du": 25, "tu_per_du": 1, "pick_build_tu_per_3mu": 1, "recharge_tu": 1},
+            "resources": {"S": 12},
+        },
+        name="two_robots",
+    )
+    K = ActionKind
+    trip = lambda to: [K.MOVE_S, K.PICK, to, K.BUILD]  # noqa: E731
+    templates = [StepTemplate("r1", Action(k)) for k in trip(K.MOVE_B) + trip(K.MOVE_C) + [K.CHARGE]]
+    templates.append(StepTemplate("r1", Action(K.INSPECT), ("r1", "r2")))  # r2 brings the skill
+    templates += [StepTemplate("r1", Action(k)) for k in trip(K.MOVE_B) * 2]
+    templates += [
+        StepTemplate("r2", a)
+        for a in (Action(K.NAVIGATE, "D"), Action(K.NAVIGATE, "X"), Action(K.BUILD),
+                  Action(K.NAVIGATE, "D"), Action(K.INSPECT))
+    ]
+    plan, _ = reconcile_plan(s, templates)
+    precedence = [
+        ("precedence", None, "task scan_s (SCAN at S) never completes", "insert_after SCAN @ step 18"),
+        ("precedence", 2, "task reach_x completes before its prerequisite inspect_d", "swap_adjacent @ step 2"),
+    ]
+    capacity = [
+        ("capacity", 8, "BUILD places 3 MU at C, which has no build task", "substitute IDLE @ step 8"),
+        ("capacity", 18, "placed 9 MU at B exceeds demand 6", "substitute IDLE @ step 18"),
+    ]
+    safety = [
+        ("safety", 2, "step enters no-go zone X", "substitute IDLE @ step 2"),
+        ("safety", 3, "step enters no-go zone X", "substitute IDLE @ step 3"),
+    ]
+    everything = precedence + [
+        ("capability", 3, "r2 lacks skill BUILD", "reassign_robot @ step 3"),
+    ] + capacity + [
+        ("battery", 4, "battery at -15% after NAVIGATE D", "insert_before CHARGE @ step 4"),
+        ("battery", 5, "battery at -15% after INSPECT", "insert_before CHARGE @ step 5"),
+    ] + safety
+    assert validate(s, plan).to_dict() == _report_dict(ALL_CHECKS, True, 5, everything)
+    subset = {VC.Capacity, VC.Safety, VC.Precedence}
+    assert validate(s, plan, subset).to_dict() == _report_dict(subset, True, 3, precedence + capacity + safety)
+
+    bad_charge, _ = reconcile_plan(s, [StepTemplate("r1", Action(K.MOVE_S)), StepTemplate("r1", Action(K.CHARGE))])
+    unexecutable = [("battery", 2, "unexecutable: no charging station at S", "substitute IDLE @ step 2")]
+    for checks in (ALL_CHECKS, subset):
+        assert validate(s, bad_charge, checks).to_dict() == _report_dict(checks, False, 1, unexecutable)
+
+    doc = json.loads(serialize_scenario(grid))
+    doc["site"]["no_go"] = [[0, 1]]
+    risky = load_scenario_dict(doc, name="risky")
+    grid_rows = [
+        ("safety", 2, "step enters no-go zone (0,1)", "substitute IDLE @ step 2"),
+        ("safety", 3, "step enters no-go zone (0,1)", "substitute IDLE @ step 3"),
+        ("coverage", None, "cells never discovered: (2,0)", "insert_after SCAN @ step 7"),
+    ]
+    assert validate(risky, grid_draft).to_dict() == _report_dict(ALL_CHECKS, True, 1, grid_rows)
+    assert validate(risky, grid_draft, subset).to_dict() == _report_dict(subset, True, 1, grid_rows[:2])
+
+
+def test_coalition_member_outside_the_roster_is_unexecutable(wall):
+    text = "r1+r9: STEP 1, [S], MOVE_S, [0], 0, [75]\n"
+    unexecutable = [("schema", 1, "unexecutable: unknown robot 'r9'", "substitute IDLE @ step 1")]
+    for checks in (ALL_CHECKS, {VC.Capability}, set()):
+        assert validate_text(wall, text, checks).to_dict() == _report_dict(checks, False, 1, unexecutable)
