@@ -1,10 +1,17 @@
 """Typed constraint checking over executed plans.
 
-``validate`` replays a plan through the executor and runs the enabled
-check classes against the ground-truth trajectory, never against the
-plan's claimed state columns.  Each violation carries an actionable fix
-hint; the invalidity score counts violated *classes*, not individual
-violations.
+``validate`` replays a plan through the executor and checks the
+ground-truth trajectory, never the plan's claimed state columns.  Every
+check class runs in one walk over the trace, which also records task
+completions; the report keeps the enabled classes.  Each violation
+carries an actionable fix hint; the invalidity score counts violated
+*classes*, not individual violations.
+
+Plans carry no task ids, so completions are matched by task type and
+location: the k-th productive BUILD at a wall location completes the
+k-th build task there once its cumulative demand is met; navigation
+tasks complete on first arrival; SCAN/INSPECT/MARK_LAYOUT tasks on the
+first matching action at their location.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from enum import Enum
 
 from .executor import Trace, coverage_complete, execute
 from .plan import ActionKind, Plan, SchemaError, parse_plan
-from .scenario import Scenario, cell_id
+from .scenario import Scenario, TaskSpec, cell_id
 
 
 class ViolationClass(Enum):
@@ -114,218 +121,18 @@ def _make_report(
     )
 
 
-# ---------------------------------------------------------------------------
-# Task completion events
-# ---------------------------------------------------------------------------
+# The order of the check classes in a report.
+_REPORT_ORDER = (
+    ViolationClass.Precedence,
+    ViolationClass.Capability,
+    ViolationClass.Capacity,
+    ViolationClass.Battery,
+    ViolationClass.Safety,
+    ViolationClass.Coverage,
+)
 
-
-@dataclass(frozen=True)
-class CompletionEvent:
-    task_id: str
-    order: int  # global position in the trace
-    step: int
-
-
-def completion_events(s: Scenario, trace: Trace) -> tuple[list[CompletionEvent], list[str]]:
-    """Derive task completions from the trace.
-
-    Plans carry no task ids, so completions are matched by task type and
-    location: the k-th productive BUILD at a wall location completes the
-    k-th build task there once its cumulative demand is met; navigation
-    tasks complete on first arrival; SCAN/INSPECT/MARK_LAYOUT tasks on the
-    first matching action at their location.  Returns (events, incomplete).
-    """
-    events: list[CompletionEvent] = []
-    done: set[str] = set()
-    build_tasks: dict[str, list] = {}
-    order = [t.id for t in s.tasks]
-    for t in s.tasks:
-        if t.type is ActionKind.BUILD:
-            build_tasks.setdefault(t.location, []).append(t)
-    placed_cum: dict[str, int] = {}
-
-    for i, e in enumerate(trace.entries):
-        kind = e.step.action.kind
-        if kind is ActionKind.BUILD and e.placed_here > 0:
-            loc = e.location
-            placed_cum[loc] = placed_cum.get(loc, 0) + e.placed_here
-            threshold = 0
-            for t in build_tasks.get(loc, []):
-                threshold += t.demand
-                if t.id not in done and placed_cum[loc] >= threshold:
-                    done.add(t.id)
-                    events.append(CompletionEvent(t.id, i, e.step.step))
-        elif kind in (ActionKind.SCAN, ActionKind.INSPECT, ActionKind.MARK_LAYOUT):
-            for t in s.tasks:
-                if t.id not in done and t.type is kind and t.location == e.location:
-                    done.add(t.id)
-                    events.append(CompletionEvent(t.id, i, e.step.step))
-                    break
-        if kind is not ActionKind.BUILD:
-            # navigation-style tasks complete on arrival
-            for t in s.tasks:
-                if t.id not in done and t.type is ActionKind.NAVIGATE and t.location == e.location:
-                    done.add(t.id)
-                    events.append(CompletionEvent(t.id, i, e.step.step))
-
-    incomplete = [t for t in order if t not in done]
-    return events, incomplete
-
-
-# ---------------------------------------------------------------------------
-# Individual checks
-# ---------------------------------------------------------------------------
-
-
-def _check_precedence(s: Scenario, trace: Trace) -> list[Violation]:
-    out = []
-    events, incomplete = completion_events(s, trace)
-    last_step = trace.entries[-1].step.step if trace.entries else 0
-    for task_id in incomplete:
-        task = next(t for t in s.tasks if t.id == task_id)
-        out.append(
-            Violation(
-                ViolationClass.Precedence,
-                None,
-                f"task {task_id} ({task.type.value} at {task.location}) never completes",
-                FixHint(HintKind.InsertAfter, last_step, task.type),
-            )
-        )
-    pos = {e.task_id: e.order for e in events}
-    for a, b in sorted(s.dag.edges):
-        if a in pos and b in pos and pos[a] > pos[b]:
-            step_b = next(e.step for e in events if e.task_id == b)
-            out.append(
-                Violation(
-                    ViolationClass.Precedence,
-                    step_b,
-                    f"task {b} completes before its prerequisite {a}",
-                    FixHint(HintKind.SwapAdjacent, step_b),
-                )
-            )
-    return out
-
-
-def _check_capability(s: Scenario, trace: Trace) -> list[Violation]:
-    out = []
-    for e in trace.entries:
-        kind = e.step.action.kind
-        if kind is ActionKind.IDLE:
-            continue
-        if e.step.coalition:
-            skills = frozenset().union(*(s.robot(r).skills for r in e.step.coalition))
-        else:
-            skills = s.robot(e.robot).skills
-        if kind not in skills:
-            out.append(
-                Violation(
-                    ViolationClass.Capability,
-                    e.step.step,
-                    f"{e.robot} lacks skill {kind.value}",
-                    FixHint(HintKind.ReassignRobot, e.step.step),
-                )
-            )
-    return out
-
-
-def _check_capacity(s: Scenario, trace: Trace) -> list[Violation]:
-    out = []
-    demand_at: dict[str, int] = {}
-    for t in s.tasks:
-        if t.type is ActionKind.BUILD:
-            demand_at[t.location] = demand_at.get(t.location, 0) + t.demand
-    placed_cum: dict[str, int] = {}
-    for e in trace.entries:
-        cap = s.robot(e.robot).payload_capacity
-        if e.cargo > cap:
-            out.append(
-                Violation(
-                    ViolationClass.Capacity,
-                    e.step.step,
-                    f"cargo {e.cargo} MU exceeds capacity {cap}",
-                    FixHint(HintKind.Substitute, e.step.step, ActionKind.IDLE),
-                )
-            )
-        if e.placed_here > 0:
-            loc = e.location
-            placed_cum[loc] = placed_cum.get(loc, 0) + e.placed_here
-            if loc not in demand_at:
-                out.append(
-                    Violation(
-                        ViolationClass.Capacity,
-                        e.step.step,
-                        f"BUILD places {e.placed_here} MU at {loc}, which has no build task",
-                        FixHint(HintKind.Substitute, e.step.step, ActionKind.IDLE),
-                    )
-                )
-            elif placed_cum[loc] > demand_at[loc]:
-                out.append(
-                    Violation(
-                        ViolationClass.Capacity,
-                        e.step.step,
-                        f"placed {placed_cum[loc]} MU at {loc} exceeds demand {demand_at[loc]}",
-                        FixHint(HintKind.Substitute, e.step.step, ActionKind.IDLE),
-                    )
-                )
-    return out
-
-
-def _check_battery(s: Scenario, trace: Trace) -> list[Violation]:
-    out = []
-    for e in trace.entries:
-        if e.battery < 0:
-            out.append(
-                Violation(
-                    ViolationClass.Battery,
-                    e.step.step,
-                    f"battery at {_fmt(e.battery)}% after {e.step.action}",
-                    FixHint(HintKind.InsertBefore, e.step.step, ActionKind.CHARGE),
-                )
-            )
-        if e.step.action.kind is ActionKind.CHARGE and e.location not in s.site.chargers:
-            out.append(
-                Violation(
-                    ViolationClass.Battery,
-                    e.step.step,
-                    f"CHARGE at {e.location}, which has no charging station",
-                    FixHint(HintKind.Substitute, e.step.step, ActionKind.IDLE),
-                )
-            )
-    return out
-
-
-def _check_safety(s: Scenario, trace: Trace) -> list[Violation]:
-    out = []
-    for e in trace.entries:
-        if e.location in s.site.no_go:
-            out.append(
-                Violation(
-                    ViolationClass.Safety,
-                    e.step.step,
-                    f"step enters no-go zone {e.location}",
-                    FixHint(HintKind.Substitute, e.step.step, ActionKind.IDLE),
-                )
-            )
-    return out
-
-
-def _check_coverage(s: Scenario, trace: Trace) -> list[Violation]:
-    if not s.site.is_grid():
-        return []
-    complete, missing = coverage_complete(s, trace)
-    if complete:
-        return []
-    last_step = trace.entries[-1].step.step if trace.entries else 0
-    cells = ", ".join(cell_id(c) for c in sorted(missing))
-    return [
-        Violation(
-            ViolationClass.Coverage,
-            None,
-            f"cells never discovered: {cells}",
-            FixHint(HintKind.InsertAfter, last_step, ActionKind.SCAN),
-        )
-    ]
-
+# Task types completed by the first such action at their location.
+_DONE_AT_SITE = frozenset({ActionKind.SCAN, ActionKind.INSPECT, ActionKind.MARK_LAYOUT})
 
 # A misplaced CHARGE is the battery constraint itself; an impossible move
 # or pick is a command that doesn't conform to the API for this site.
@@ -336,15 +143,91 @@ _EXEC_ERROR_CLASS = {
     "bad_action": ViolationClass.Schema,
 }
 
-# In report order: validate runs the enabled checks in this order.
-_CHECKS = {
-    ViolationClass.Precedence: _check_precedence,
-    ViolationClass.Capability: _check_capability,
-    ViolationClass.Capacity: _check_capacity,
-    ViolationClass.Battery: _check_battery,
-    ViolationClass.Safety: _check_safety,
-    ViolationClass.Coverage: _check_coverage,
-}
+
+# ---------------------------------------------------------------------------
+# The checks: one walk over the trace
+# ---------------------------------------------------------------------------
+
+
+def _walk(s: Scenario, trace: Trace) -> dict[ViolationClass, list[Violation]]:
+    """Every check class's violations over a complete ``trace``, in one walk."""
+    VC = ViolationClass
+    found: dict[ViolationClass, list[Violation]] = {cls: [] for cls in _REPORT_ORDER}
+
+    def add(cls: ViolationClass, step: int | None, detail: str, hint: FixHint) -> None:
+        found[cls].append(Violation(cls, step, detail, hint))
+
+    tasks_at: dict[tuple[ActionKind, str], list[TaskSpec]] = {}
+    for t in s.tasks:
+        tasks_at.setdefault((t.type, t.location), []).append(t)
+    demand_at = {
+        loc: sum(t.demand for t in ts) for (kind, loc), ts in tasks_at.items() if kind is ActionKind.BUILD
+    }
+    robots = {r.id: r for r in s.robots}
+    placed_at: dict[str, int] = {}
+    done: dict[str, tuple[int, int]] = {}  # task id -> (trace index, step number)
+
+    for i, e in enumerate(trace.entries):
+        step, kind, loc = e.step.step, e.step.action.kind, e.location
+        if kind is not ActionKind.IDLE:
+            if e.step.coalition:
+                skills = frozenset().union(*(robots[r].skills for r in e.step.coalition))
+            else:
+                skills = robots[e.robot].skills
+            if kind not in skills:
+                add(VC.Capability, step, f"{e.robot} lacks skill {kind.value}",
+                    FixHint(HintKind.ReassignRobot, step))
+        cap = robots[e.robot].payload_capacity
+        if e.cargo > cap:
+            add(VC.Capacity, step, f"cargo {e.cargo} MU exceeds capacity {cap}",
+                FixHint(HintKind.Substitute, step, ActionKind.IDLE))
+        if e.placed_here > 0:
+            placed = placed_at[loc] = placed_at.get(loc, 0) + e.placed_here
+            threshold = 0
+            for t in tasks_at.get((ActionKind.BUILD, loc), ()):
+                threshold += t.demand
+                if t.id not in done and placed >= threshold:
+                    done[t.id] = (i, step)
+            if loc not in demand_at:
+                add(VC.Capacity, step, f"BUILD places {e.placed_here} MU at {loc}, which has no build task",
+                    FixHint(HintKind.Substitute, step, ActionKind.IDLE))
+            elif placed > demand_at[loc]:
+                add(VC.Capacity, step, f"placed {placed} MU at {loc} exceeds demand {demand_at[loc]}",
+                    FixHint(HintKind.Substitute, step, ActionKind.IDLE))
+        elif kind in _DONE_AT_SITE:
+            for t in tasks_at.get((kind, loc), ()):
+                if t.id not in done:
+                    done[t.id] = (i, step)
+                    break
+        if kind is not ActionKind.BUILD:
+            for t in tasks_at.get((ActionKind.NAVIGATE, loc), ()):
+                done.setdefault(t.id, (i, step))
+        if e.battery < 0:
+            add(VC.Battery, step, f"battery at {_fmt(e.battery)}% after {e.step.action}",
+                FixHint(HintKind.InsertBefore, step, ActionKind.CHARGE))
+        if kind is ActionKind.CHARGE and loc not in s.site.chargers:
+            add(VC.Battery, step, f"CHARGE at {loc}, which has no charging station",
+                FixHint(HintKind.Substitute, step, ActionKind.IDLE))
+        if loc in s.site.no_go:
+            add(VC.Safety, step, f"step enters no-go zone {loc}",
+                FixHint(HintKind.Substitute, step, ActionKind.IDLE))
+
+    last_step = trace.entries[-1].step.step if trace.entries else 0
+    for t in s.tasks:
+        if t.id not in done:
+            add(VC.Precedence, None, f"task {t.id} ({t.type.value} at {t.location}) never completes",
+                FixHint(HintKind.InsertAfter, last_step, t.type))
+    for a, b in sorted(s.dag.edges):
+        if a in done and b in done and done[a][0] > done[b][0]:
+            step_b = done[b][1]
+            add(VC.Precedence, step_b, f"task {b} completes before its prerequisite {a}",
+                FixHint(HintKind.SwapAdjacent, step_b))
+    complete, missing = coverage_complete(s, trace)
+    if not complete:
+        cells = ", ".join(cell_id(c) for c in sorted(missing))
+        add(VC.Coverage, None, f"cells never discovered: {cells}",
+            FixHint(HintKind.InsertAfter, last_step, ActionKind.SCAN))
+    return found
 
 
 def _fmt(x: float) -> str:
@@ -384,9 +267,7 @@ def validate(
             )
         )
     else:
-        for cls, check in _CHECKS.items():
-            if cls in checks:
-                violations.extend(check(s, trace))
+        violations = [v for cls, vs in _walk(s, trace).items() if cls in checks for v in vs]
     return _make_report(violations, checks, trace.error is None)
 
 
