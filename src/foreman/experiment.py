@@ -107,8 +107,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     profiles = load_profiles(cfg.profiles_path or fixtures_dir() / "llm_profiles.json")
 
     draft = _fetch_draft(s, cfg, gateway, profiles)
-    draft_report = validate(s, draft, cfg.checks)
-    draft_ms = makespan(execute(s, draft))
+    draft_trace = execute(s, draft)
+    draft_report = validate(s, draft, cfg.checks, trace=draft_trace)
+    draft_ms = makespan(draft_trace)
 
     arms: list[ArmResult] = []
     arms.append(
@@ -143,13 +144,14 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     except Exception as e:  # an unschedulable baseline is a result, not a crash
         arms.append(ArmResult(name="fcfs", feasible=False, psi=-1, makespan_tu=0.0, t_rep=0, error=str(e)))
     else:
-        fcfs_report = validate(s, fcfs_plan, cfg.checks)
+        fcfs_trace = execute(s, fcfs_plan)
+        fcfs_report = validate(s, fcfs_plan, cfg.checks, trace=fcfs_trace)
         arms.append(
             ArmResult(
                 name="fcfs",
                 feasible=fcfs_report.feasible,
                 psi=fcfs_report.psi,
-                makespan_tu=makespan(execute(s, fcfs_plan)),
+                makespan_tu=makespan(fcfs_trace),
                 t_rep=0,
             )
         )

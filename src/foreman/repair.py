@@ -559,7 +559,7 @@ def minimal_edit_repair(
 
     templates = screen.templates
     alphabet = s.action_alphabet()
-    found: tuple[Plan, list[EditOp], ViolationReport] | None = None
+    found: tuple[Plan, Trace, list[EditOp], ViolationReport] | None = None
 
     for cost in range(1, budget + 1):
         for subs, inserts, swaps in _survivors(screen, alphabet, cost):
@@ -573,7 +573,7 @@ def minimal_edit_repair(
                 ops += [EditOp(EditKind.Transpose, p) for p in swaps]
                 # stable: inserts at one position stay in plan order
                 ops.sort(key=lambda op: (op.position, op.kind.value))
-                found = (plan, ops, report)
+                found = (plan, trace, ops, report)
                 break
         if found:
             break
@@ -581,9 +581,9 @@ def minimal_edit_repair(
     if found is None:
         return RepairResult(False, None, None, 1, base_report)
 
-    plan, ops, report = found
+    plan, trace, ops, report = found
     if style == "conservative":
-        final_battery = min(rs.battery for rs in execute(s, plan).final.robots.values())
+        final_battery = min(rs.battery for rs in trace.final.robots.values())
         if final_battery < 50.0:
             last = plan.steps[-1]
             tail_kind = (

@@ -211,6 +211,23 @@ def test_eval_run_executes_each_plan_once(monkeypatch, wall, wall_draft, wall_ge
     assert executed == [wall_gemma]
 
 
+def test_run_experiment_executes_the_draft_and_the_fcfs_plan_once(monkeypatch, fix_dir, tmp_path):
+    from foreman import experiment
+
+    executed = []
+
+    def counting_execute(s, plan):
+        executed.append(plan)
+        return execute(s, plan)
+
+    monkeypatch.setattr(experiment, "execute", counting_execute)
+    monkeypatch.setattr(validator, "execute", counting_execute)
+    cfg = experiment.ExperimentConfig(fix_dir / "wall_assembly.scn.json", supervisors=(), out_dir=tmp_path)
+    summary = experiment.run_experiment(cfg)
+    assert len(executed) == 2  # the draft, then the FCFS plan
+    assert summary["draft"]["makespan_tu"] == 18.0 and summary["arms"]["fcfs"]["makespan_tu"] == 12.0
+
+
 def test_eval_run_on_repair(wall, wall_draft):
     result = repair_loop(wall, wall_draft, SearchSupervisor("minimal", 4))
     report = eval_run(wall, wall_draft, result)

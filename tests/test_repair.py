@@ -121,6 +121,19 @@ def test_conservative_appends_idle_on_low_end_battery(grid, grid_draft):
     assert apply_script(grid, grid_draft, conservative.script) == conservative.plan
 
 
+def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draft):
+    minimal = minimal_edit_repair(grid, grid_draft, budget=4, style="minimal")
+    executed = []
+
+    def counting_execute(s, plan):
+        executed.append(plan)
+        return execute(s, plan)
+
+    monkeypatch.setattr(repair, "execute", counting_execute)
+    minimal_edit_repair(grid, grid_draft, budget=4, style="conservative")
+    assert minimal.plan not in executed
+
+
 def test_repair_feasibility_postcondition(wall, grid, wall_draft, grid_draft):
     for s, draft in [(wall, wall_draft), (grid, grid_draft)]:
         result = minimal_edit_repair(s, draft, budget=4)
