@@ -168,18 +168,17 @@ def _walk(s: Scenario, trace: Trace) -> dict[ViolationClass, list[Violation]]:
     done: dict[str, tuple[int, int]] = {}  # task id -> (trace index, step number)
 
     for i, e in enumerate(trace.entries):
-        step, kind, loc = e.step.step, e.step.action.kind, e.location
+        step, kind, loc, robot = e.step.step, e.step.action.kind, e.location, robots[e.robot]
         if kind is not ActionKind.IDLE:
             if e.step.coalition:
                 skills = frozenset().union(*(robots[r].skills for r in e.step.coalition))
             else:
-                skills = robots[e.robot].skills
+                skills = robot.skills
             if kind not in skills:
                 add(VC.Capability, step, f"{e.robot} lacks skill {kind.value}",
                     FixHint(HintKind.ReassignRobot, step))
-        cap = robots[e.robot].payload_capacity
-        if e.cargo > cap:
-            add(VC.Capacity, step, f"cargo {e.cargo} MU exceeds capacity {cap}",
+        if e.cargo > robot.payload_capacity:
+            add(VC.Capacity, step, f"cargo {e.cargo} MU exceeds capacity {robot.payload_capacity}",
                 FixHint(HintKind.Substitute, step, ActionKind.IDLE))
         if e.placed_here > 0:
             placed = placed_at[loc] = placed_at.get(loc, 0) + e.placed_here
