@@ -261,9 +261,9 @@ def test_whole_reports_are_pinned(grid, grid_draft):
 
     from foreman.scenario import load_scenario_dict, serialize_scenario
 
-    task = lambda id, kind, loc, demand=0: {  # noqa: E731
-        "id": id, "type": kind, "required_skills": [kind], "location": loc, "demand": demand, "duration": 1,
-    }
+    def task(id, kind, loc, demand=0):
+        return {"id": id, "type": kind, "required_skills": [kind], "location": loc, "demand": demand, "duration": 1}
+
     s = load_scenario_dict(
         {
             "instruction": "x",
@@ -291,7 +291,10 @@ def test_whole_reports_are_pinned(grid, grid_draft):
         name="two_robots",
     )
     K = ActionKind
-    trip = lambda to: [K.MOVE_S, K.PICK, to, K.BUILD]  # noqa: E731
+
+    def trip(to):
+        return [K.MOVE_S, K.PICK, to, K.BUILD]
+
     templates = [StepTemplate("r1", Action(k)) for k in trip(K.MOVE_B) + trip(K.MOVE_C) + [K.CHARGE]]
     templates.append(StepTemplate("r1", Action(K.INSPECT), ("r1", "r2")))  # r2 brings the skill
     templates += [StepTemplate("r1", Action(k)) for k in trip(K.MOVE_B) * 2]
