@@ -97,7 +97,9 @@ def initial_state(s: Scenario) -> WorldState:
     )
 
 
-def _apply(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> TraceEntry:
+def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) -> TraceEntry:
+    """Apply one step by ``robot_id`` to ``world`` in place; raises ExecError
+    on an impossible transition."""
     if robot_id not in world.robots:
         raise ExecError(robot_id, step.step, "bad_action", f"unknown robot {robot_id!r}")
     for member in step.coalition:
@@ -240,7 +242,7 @@ def run(
                 for r in [r for r, q in queues.items() if not q]:
                     del queues[r]
                 continue
-        yield _apply(s, world, step, robot)
+        yield apply_step(s, world, step, robot)
 
 
 def execute(s: Scenario, plan: Plan) -> Trace:

@@ -25,7 +25,6 @@ from .executor import execute, makespan
 from .plan import Plan, tokenize_plan
 from .repair import EditProfile, RepairResult
 from .scenario import Scenario
-from .validator import ALL_CHECKS, ViolationClass, validate
 
 
 class EmptyReference(ValueError):
@@ -196,24 +195,10 @@ def similarity(candidate: Tokens, reference: Tokens, smoothing: str | None = Non
 class EvalReport:
     scores: SimilarityScores | None
     fr: float
-    fpr: float
     edits: EditProfile
-    battery_violations: int
     makespan_tu: float
     makespan_delta: float
     t_rep: int
-
-    def to_dict(self) -> dict:
-        return {
-            "scores": self.scores.to_dict() if self.scores else None,
-            "fr": self.fr,
-            "fpr": self.fpr,
-            "edits": self.edits.to_dict(),
-            "battery_violations": self.battery_violations,
-            "makespan_tu": self.makespan_tu,
-            "makespan_delta": self.makespan_delta,
-            "t_rep": self.t_rep,
-        }
 
 
 def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
@@ -222,24 +207,18 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
     Similarity compares the corrected plan (candidate) against the draft
     (reference) over action/location tokens.  The edit profile is the
     run's own draft -> final script (empty when the run found no plan).
-    FR and FPR coincide for a single run: 1.0 iff the final plan validates
-    with zero violations.
+    FR is 1.0 iff the run ended in a plan that validates with zero
+    violations.
     """
     draft_tokens = tokenize_plan(draft)
     final = result.plan if result.feasible and result.plan is not None else draft
     scores = similarity(tokenize_plan(final), draft_tokens) if draft_tokens else None
-    fr = 1.0 if result.feasible else 0.0
-    trace = execute(s, final)
-    final_report = validate(s, final, ALL_CHECKS, trace=trace)
-    battery = len(final_report.by_class(ViolationClass.Battery))
-    ms_final = makespan(trace)
+    ms_final = makespan(execute(s, final))
     ms_draft = ms_final if final is draft else makespan(execute(s, draft))
     return EvalReport(
         scores=scores,
-        fr=fr,
-        fpr=fr,
+        fr=1.0 if result.feasible else 0.0,
         edits=result.script.profile if result.script is not None else EditProfile(),
-        battery_violations=battery,
         makespan_tu=ms_final,
         makespan_delta=ms_final - ms_draft,
         t_rep=result.iterations_used,

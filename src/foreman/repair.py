@@ -1,33 +1,29 @@
 """Bounded validate-and-repair loop with a search-based minimal-edit supervisor.
 
 The search supervisor projects an infeasible draft onto the feasible set
-by breadth-first enumeration of edit scripts in increasing cost, so the
-first feasible plan found is cost-minimal.  Candidate edits substitute or
-insert actions from the scenario's alphabet and transpose adjacent steps;
-the search never deletes (observed repairs only insert, substitute and
-reorder).  After every structural edit the state columns are recomputed by
-the executor, never edited textually.
+by enumerating edit scripts in increasing cost, so the first feasible plan
+found is cost-minimal.  Its edit model is restricted string-to-string
+correction over steps (Lowrance & Wagner, JACM 1975): each draft step takes
+at most one substitute or transpose with the next step, and any number of
+inserts, in any order, may go at any gap.  Payloads come from the
+scenario's action alphabet; the search never deletes (observed repairs only
+insert, substitute and reorder).  After every structural edit the state
+columns are recomputed by the executor, never edited textually.
 
-The search screens every candidate before rebuilding it.  It replays its
-draft once and keeps the world state after every step prefix; it also runs
-each single-edit variant of the draft that a candidate starts with, lazily,
-from the draft's snapshot at that edit.  A candidate with one edit shares
-the draft's steps up to that edit, and a candidate with more shares its
-first edit's variant up to its second edit, so only the rest runs, from the
-matching snapshot, and the candidate is dropped at its first execution
-error or battery underflow.  A level is screened one insert count at a
-time, and only the survivors are sorted, rebuilt and fully validated.
+One depth-first walk per cost and insert count enumerates the candidates.
+It carries the world state through the draft, so the candidates that share
+a prefix share its simulation, and a step that cannot execute, or drains
+the battery while Battery is checked, prunes every candidate that extends
+it.  Only the walk's survivors are sorted, rebuilt and fully validated.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 
-from .executor import ExecError, Trace, TraceEntry, WorldState, bind, execute, initial_state, run
+from .executor import ExecError, Trace, WorldState, apply_step, bind, execute, initial_state, run
 from .plan import Action, ActionKind, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
@@ -294,9 +290,14 @@ def _apply_edits(
     return [t for t in out if t is not None]
 
 
-def _candidate_key(subs, inserts, transposes) -> tuple:
+def _candidate_key(subs, inserts, transposes, rank: dict[Action, int]) -> tuple:
     """Deterministic tie-break: fewer insertions, then the smallest
-    highest-touched step index (earliest fix), then lexicographic ops."""
+    highest-touched step index (earliest fix), then lexicographic ops, then
+    the order of inserts that share a gap, reverse alphabet order first.
+
+    ``inserts`` are in plan order and ``rank`` is each action's index in
+    the alphabet.
+    """
     touched = [p for p, _ in subs] + [g + 1 for g, _ in inserts] + [p + 1 for p in transposes]
     lex = tuple(
         sorted(
@@ -305,56 +306,8 @@ def _candidate_key(subs, inserts, transposes) -> tuple:
             + [("swap", p, "") for p in transposes]
         )
     )
-    return (len(inserts), max(touched) if touched else 0, lex)
-
-
-def _enumerate_scripts(
-    n_steps: int,
-    alphabet: list[Action],
-    templates: list[StepTemplate],
-    cost: int,
-    n_ins: int | None = None,
-):
-    """All candidate op-sets of exactly ``cost`` unit edits, original-index
-    space; only those with ``n_ins`` inserts when that is given."""
-    sub_choices = []
-    for pos in range(1, n_steps + 1):
-        current = templates[pos - 1].action
-        for action in alphabet:
-            if action != current:
-                sub_choices.append((pos, action))
-    ins_choices = [(gap, action) for gap in range(n_steps + 1) for action in alphabet]
-    swap_choices = [
-        pos
-        for pos in range(1, n_steps)
-        if templates[pos - 1].action != templates[pos].action
-        and templates[pos - 1].robot == templates[pos].robot
-    ]
-
-    for n_subs in range(cost + 1):
-        for n_swaps in range(cost - n_subs + 1):
-            k = cost - n_subs - n_swaps
-            if n_ins is not None and k != n_ins:
-                continue
-            for subs in itertools.combinations(sub_choices, n_subs):
-                positions = [p for p, _ in subs]
-                if len(set(positions)) != len(positions):
-                    continue
-                for swaps in itertools.combinations(swap_choices, n_swaps):
-                    # transposes must not overlap each other or substituted steps
-                    touched = set(positions)
-                    ok = True
-                    for p in swaps:
-                        if p in touched or p + 1 in touched:
-                            ok = False
-                            break
-                        touched |= {p, p + 1}
-                    if not ok:
-                        continue
-                    for inserts in itertools.combinations_with_replacement(ins_choices, k):
-                        # a gap's inserts come out in alphabet order; reversed,
-                        # they keep the repaired plans the tests pin
-                        yield subs, inserts[::-1], swaps
+    order = tuple(-rank[a] for _, a in inserts)
+    return (len(inserts), max(touched) if touched else 0, lex, order)
 
 
 def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
@@ -383,149 +336,105 @@ def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
     return plan
 
 
-def _skeleton(templates: Iterable[StepTemplate]) -> Iterator[PlanStep]:
-    """Unnumbered steps for the simulator; only robot and action matter."""
-    return (PlanStep(0, t.robot, "?", t.action, 0, 0, 0.0, t.coalition) for t in templates)
+def _survivors(
+    s: Scenario, draft: Plan, alphabet: list[Action], cost: int, n_ins: int, battery_checked: bool
+) -> list[tuple]:
+    """Every candidate of ``cost`` edits, ``n_ins`` of them inserts, that executes.
 
-
-class _Run:
-    """A base plan run in line order from ``start``, up to its first failure.
-
-    A base is the draft or a single-edit variant of it; ``entries`` applies
-    its steps from ``start`` on to ``world``.  ``snaps[k]`` is the world
-    after the base's first ``start + k`` steps, kept for every prefix up to
-    the first failing step.  ``fail_at`` is that step's index
-    (an ExecError, or a negative battery while Battery is checked), or
-    infinity when none fails.
+    A candidate is ``(subs, inserts, swaps)`` as ``_apply_edits`` takes
+    them, with the inserts in plan order.  One depth-first walk goes through
+    the draft gap by gap.  At each gap it may insert any action, again and
+    again, so every order of same-gap inserts is tried; then it substitutes
+    the next step, transposes it with the one after (inserts may go between
+    the swapped pair) or keeps it.  Each branch runs its new step on its
+    own copy of the world, and a step that raises ExecError, or leaves a
+    negative battery while Battery is checked, drops the branch with every
+    candidate that extends it: exactly the candidates whose full replay
+    fails.  Keeping a step runs it in place, so the recursion is only as
+    deep as the edit count.  Labels bound to two or more robots take turns
+    by elapsed time rather than line order, so there no step runs during
+    the walk and each complete candidate runs whole.  A draft whose labels
+    cannot be bound yields nothing.
     """
+    templates = plan_templates(draft)
+    n = len(templates)
+    try:
+        # search inserts into an empty draft are unlabelled
+        bound = bind(s, draft.robots or (None,))
+    except ValueError:
+        return []
+    one_robot = len(set(bound.values())) == 1
+    robot = next(iter(bound.values()))  # the one robot, when there is one
+    found: list[tuple] = []
 
-    def __init__(
-        self, world: WorldState, start: int, entries: Iterable[TraceEntry], battery_checked: bool
-    ):
-        self.start = start
-        self.snaps = [world.copy()]
-        self.error: ExecError | None = None
-        self.fail_at = math.inf
-        try:
-            for entry in entries:
-                if battery_checked and entry.battery < 0:
-                    break
-                self.snaps.append(world.copy())
-            else:
-                return
-        except ExecError as e:
-            # its traceback's frames would hold this run in a reference cycle
-            self.error = e.with_traceback(None)
-        self.fail_at = start + len(self.snaps) - 1
+    def step(action: Action, label: str | None = None, coalition: tuple[str, ...] = ()) -> PlanStep:
+        return PlanStep(0, label, "?", action, 0, 0, 0.0, coalition)
 
-    def state(self, k: int) -> WorldState:
-        """A copy of the world after the base's first ``k`` steps."""
-        return self.snaps[k - self.start].copy()
-
-
-class _Screen:
-    """Rejects search candidates cheaply, from runs of the draft and its variants.
-
-    Each edit touches the draft first at its ``d``: a substitute or
-    transpose at step ``p`` has ``d = p - 1``, an insert at gap ``g`` has
-    ``d = g``.  With its edits sorted by ``d``, a candidate shares its first
-    ``L`` steps with a base.  For one edit the base is the draft and
-    ``L = d``.  For more it is the variant of the first edit and ``L = d2``,
-    the second edit's ``d``, plus one when the first edit inserts a step
-    before ``d2``.  When every label binds to one robot, steps run in line
-    order, so the candidate fails if its base fails before ``L``; otherwise
-    only ``edited[L:]`` runs, from a copy of the base's snapshot ``L``, up
-    to its first ExecError or (Battery checked) negative battery.  Labels
-    bound to two or more robots screen from the draft at ``L = 0``.
-    ``rejects`` is true exactly when the candidate's full trace has an
-    error, or a negative battery while Battery is checked.
-    """
-
-    def __init__(self, s: Scenario, draft: Plan, battery_checked: bool):
-        self.s = s
-        self.battery_checked = battery_checked
-        self.templates = plan_templates(draft)
-        self.variants: dict[tuple, _Run] = {}  # single-edit variants, by edit
-        try:
-            # search inserts into an empty draft are unlabelled
-            self.bound = bind(s, draft.robots or (None,))
-        except ValueError:
-            # every candidate keeps the unbindable label, so none executes
-            self.bound = None
-            self.trace = execute(s, draft)
-            return
-        self.one_robot = len(set(self.bound.values())) == 1
-        world = initial_state(s)
-        entries: list[TraceEntry] = []
-        steps = run(s, world, draft.steps, self.bound)
-
-        def recorded():
-            for entry in steps:
-                entries.append(entry)
-                yield entry
-
-        # snapshots are prefixes of line order, so two robots keep only the first
-        self.draft = _Run(world, 0, recorded() if self.one_robot else (), battery_checked)
-        error = self.draft.error
-        try:
-            for entry in steps:  # the draft's trace goes on past an underflow
-                entries.append(entry)
-        except ExecError as e:
-            error = e.with_traceback(None)  # as in _Run: no cycle through this frame
-        self.trace = Trace(tuple(entries), world, error)  # == execute(s, draft)
-
-    def _variant(self, d: int, edit: tuple) -> _Run:
-        """The run of the draft with one edit, touching it first at ``d``."""
-        variant = self.variants.get(edit)
-        if variant is None:
-            world = self.draft.state(d)
-            steps = _skeleton(_apply_edits(self.templates, *edit)[d:])
-            entries = run(self.s, world, steps, self.bound)
-            variant = self.variants[edit] = _Run(world, d, entries, self.battery_checked)
-        return variant
-
-    def rejects(self, subs, inserts, swaps) -> bool:
-        if self.bound is None:
+    def ok(world: WorldState, plan_step: PlanStep) -> bool:
+        """Run one step on ``world`` in place; false when it fails."""
+        if not one_robot:
             return True
-        base, shared = self.draft, 0
-        if self.one_robot:
-            # (d, the edit as _apply_edits arguments); at one d, subs come first
-            edits = [(p - 1, (((p, a),), (), ())) for p, a in subs]
-            edits += [(g, ((), ((g, a),), ())) for g, a in inserts]
-            edits += [(p - 1, ((), (), (p,))) for p in swaps]
-            edits.sort(key=lambda e: e[0])
-            shared = edits[0][0]
-            # a draft that fails before the first edit is the base that rejects
-            if len(edits) > 1 and self.draft.fail_at >= shared:
-                (d, first), nxt = edits[0], edits[1][0]
-                base = self._variant(d, first)
-                shared = nxt + (1 if first[1] and d < nxt else 0)
-            if base.fail_at < shared:
-                return True
-        edited = _apply_edits(self.templates, subs, inserts, swaps)
         try:
-            for entry in run(self.s, base.state(shared), _skeleton(edited[shared:]), self.bound):
-                if self.battery_checked and entry.battery < 0:
-                    return True
+            entry = apply_step(s, world, plan_step, robot)
         except ExecError:
-            return True
-        return False
+            return False
+        return not (battery_checked and entry.battery < 0)
 
+    def after(world: WorldState, plan_step: PlanStep) -> WorldState | None:
+        """A copy of ``world`` after one step, or None when the step fails."""
+        branch = world.copy() if one_robot else world
+        return branch if ok(branch, plan_step) else None
 
-def _survivors(screen: _Screen, alphabet: list[Action], cost: int) -> Iterator[tuple]:
-    """The candidates of one cost level that pass the screen, in search order.
+    def executes(candidate: tuple) -> bool:
+        """Whether the whole candidate runs, robots taking turns."""
+        edited = _apply_edits(templates, *candidate)
+        steps = (step(t.action, t.robot, t.coalition) for t in edited)
+        try:
+            return all(e.battery >= 0 or not battery_checked for e in run(s, initial_state(s), steps, bound))
+        except ExecError:
+            return False
 
-    ``_candidate_key`` ranks insert count first, so each insert count is
-    screened as it is enumerated and only its survivors are sorted: the
-    order equals the whole level's sort with the rejected ones left out,
-    and no level is held in memory.
-    """
-    templates = screen.templates
-    for n_ins in range(cost + 1):
-        scripts = _enumerate_scripts(len(templates), alphabet, templates, cost, n_ins)
-        yield from sorted(
-            (c for c in scripts if not screen.rejects(*c)), key=lambda c: _candidate_key(*c)
-        )
+    kept = [step(t.action, t.robot, t.coalition) for t in templates]
+    added = [(a, step(a)) for a in alphabet]
+
+    def walk(g, world, subs, inserts, swaps, pending) -> None:
+        while True:
+            left = cost - n_ins - len(subs) - len(swaps)
+            if left > n - g:
+                return  # too few steps left for the other edits
+            if len(inserts) < n_ins:
+                for a, new in added:
+                    branch = after(world, new)
+                    if branch is not None:
+                        walk(g, branch, subs, inserts + ((g, a),), swaps, pending)
+            if pending is not None:  # the first step of a transposed pair
+                if not ok(world, pending):
+                    return
+                g, pending = g + 1, None
+                continue
+            if g == n:
+                if len(inserts) == n_ins and (one_robot or executes((subs, inserts, swaps))):
+                    found.append((subs, inserts, swaps))
+                return
+            t = templates[g]
+            if left:
+                for a in alphabet:
+                    if a != t.action:
+                        branch = after(world, step(a, t.robot, t.coalition))
+                        if branch is not None:
+                            walk(g + 1, branch, subs + ((g + 1, a),), inserts, swaps, None)
+                u = templates[g + 1] if g + 1 < n else t  # the last step has no partner
+                if u.robot == t.robot and u.action != t.action:
+                    branch = after(world, kept[g + 1])
+                    if branch is not None:
+                        walk(g + 1, branch, subs, inserts, swaps + (g + 1,), kept[g])
+            if not ok(world, kept[g]):
+                return
+            g += 1
+
+    walk(0, initial_state(s), (), (), (), None)
+    del walk  # it refers to itself: free the cycle now, not at the next collection
+    return found
 
 
 def minimal_edit_repair(
@@ -537,32 +446,34 @@ def minimal_edit_repair(
 ) -> RepairResult:
     """Project ``draft`` onto the feasible set with the fewest unit edits.
 
-    Enumerates scripts by increasing cost and, within a cost level, in
-    deterministic tie-break order (fewest insertions, earliest highest
-    touched step, lexicographic actions); the first feasible candidate is
-    therefore the canonical argmin.  ``style='conservative'``
-    additionally appends a terminal CHARGE (at a charger) or IDLE when the
-    repaired plan ends below 50% battery.
+    Each draft step takes at most one substitute or transpose, and any
+    number of inserts, in any order, may go at any gap.  Scripts are tried
+    by increasing cost and, within a cost level, in deterministic tie-break
+    order (fewest insertions, earliest highest touched step, lexicographic
+    actions, then same-gap inserts in reverse alphabet order first); the
+    first feasible candidate is therefore the canonical argmin.
+    ``style='conservative'`` additionally appends a terminal CHARGE (at a
+    charger) or IDLE when the repaired plan ends below 50% battery.
 
-    Before ``reconcile_plan`` and ``validate``, ``_Screen`` drops the
-    candidates that fail to execute, or underflow while Battery is checked,
-    by running only their steps from the second edit on, from a snapshot of
-    their first edit's variant (from the first edit on, from the draft's,
-    for a single edit).  It drops exactly those, so the result does not
-    change.  Each level is screened one insert count at a time, and only
-    that count's survivors are sorted into tie-break order.
+    A level is walked one insert count at a time by ``_survivors``, which
+    drops the candidates that fail to execute, or underflow while Battery
+    is checked; only the rest are sorted, rebuilt by ``reconcile_plan`` and
+    validated.  The dropped ones can never validate, so the result does
+    not change.
     """
-    screen = _Screen(s, draft, ViolationClass.Battery in checks)
-    base_report = validate(s, draft, checks, trace=screen.trace)
+    base_report = validate(s, draft, checks)
     if base_report.feasible:
         return RepairResult(True, draft, EMPTY_SCRIPT, 1, base_report)
 
-    templates = screen.templates
+    templates = plan_templates(draft)
     alphabet = s.action_alphabet()
+    rank = {a: i for i, a in enumerate(alphabet)}
+    battery_checked = ViolationClass.Battery in checks
     found: tuple[Plan, Trace, list[EditOp], ViolationReport] | None = None
 
-    for cost in range(1, budget + 1):
-        for subs, inserts, swaps in _survivors(screen, alphabet, cost):
+    for cost, n_ins in ((c, k) for c in range(1, budget + 1) for k in range(c + 1)):
+        level = _survivors(s, draft, alphabet, cost, n_ins, battery_checked)
+        for subs, inserts, swaps in sorted(level, key=lambda c: _candidate_key(*c, rank)):
             plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
             report = validate(s, plan, checks, trace=trace)
             if report.feasible:

@@ -177,9 +177,6 @@ def _walk(s: Scenario, trace: Trace) -> dict[ViolationClass, list[Violation]]:
             if kind not in skills:
                 add(VC.Capability, step, f"{e.robot} lacks skill {kind.value}",
                     FixHint(HintKind.ReassignRobot, step))
-        if e.cargo > robot.payload_capacity:
-            add(VC.Capacity, step, f"cargo {e.cargo} MU exceeds capacity {robot.payload_capacity}",
-                FixHint(HintKind.Substitute, step, ActionKind.IDLE))
         if e.placed_here > 0:
             placed = placed_at[loc] = placed_at.get(loc, 0) + e.placed_here
             threshold = 0
@@ -204,9 +201,6 @@ def _walk(s: Scenario, trace: Trace) -> dict[ViolationClass, list[Violation]]:
         if e.battery < 0:
             add(VC.Battery, step, f"battery at {_fmt(e.battery)}% after {e.step.action}",
                 FixHint(HintKind.InsertBefore, step, ActionKind.CHARGE))
-        if kind is ActionKind.CHARGE and loc not in s.site.chargers:
-            add(VC.Battery, step, f"CHARGE at {loc}, which has no charging station",
-                FixHint(HintKind.Substitute, step, ActionKind.IDLE))
         if loc in s.site.no_go:
             add(VC.Safety, step, f"step enters no-go zone {loc}",
                 FixHint(HintKind.Substitute, step, ActionKind.IDLE))

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from brute_oracle import brute_feasible
+from edit_oracle import enumerate_scripts
 from foreman.executor import execute, makespan
 from foreman.experiment import (
     ExperimentConfig,
@@ -25,7 +26,6 @@ from foreman.repair import (
     SearchSupervisor,
     StepTemplate,
     _apply_edits,
-    _enumerate_scripts,
     minimal_edit_repair,
     plan_templates,
     reconcile_plan,
@@ -99,7 +99,7 @@ def _no_cheaper_script_is_feasible(s, draft, below_cost) -> bool:
     templates = plan_templates(draft)
     alphabet = s.action_alphabet()
     for cost in range(1, below_cost):
-        for subs, inserts, swaps in _enumerate_scripts(len(templates), alphabet, templates, cost):
+        for subs, inserts, swaps in enumerate_scripts(len(templates), alphabet, templates, cost):
             plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
             if trace.error is not None:
                 continue

@@ -1,12 +1,14 @@
 import gc
+import itertools
 import json
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from edit_oracle import bfs_min_cost, enumerate_scripts
 from foreman import repair
-from foreman.executor import execute, makespan
+from foreman.executor import WorldState, execute, makespan
 from foreman.experiment import battery_pressured_batch
 from foreman.fcfs import fcfs_schedule
 from foreman.plan import Action, ActionKind, Plan, parse_plan
@@ -14,8 +16,6 @@ from foreman.repair import (
     EditKind,
     _apply_edits,
     _candidate_key,
-    _enumerate_scripts,
-    _Screen,
     _survivors,
     SearchSupervisor,
     StepTemplate,
@@ -29,6 +29,7 @@ from foreman.repair import (
 )
 from foreman.scenario import load_scenario_dict, serialize_scenario
 from foreman.validator import ALL_CHECKS, ViolationClass as VC, validate
+from test_acceptance import MICRO_WORLD
 
 
 def test_exp1_search_minimal_two_substitutions(wall, wall_draft):
@@ -343,7 +344,7 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
 
 
 # ---------------------------------------------------------------------------
-# Multi-robot search and the candidate screen
+# Multi-robot search and the candidate walk
 # ---------------------------------------------------------------------------
 
 # r1 builds trips 1 and 2; r2 runs trip 3 in between on its own battery
@@ -409,7 +410,7 @@ def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
 
 
 def _screen_cases(wall, grid, wall_draft, grid_draft):
-    """(scenario, draft, costs) whose candidates the screen is checked on."""
+    """(scenario, draft, costs) whose candidates the walk is checked on."""
     classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
     cases = [(wall, wall_draft), (grid, grid_draft)]
     cases += [(classes[k], fcfs_schedule(classes[k])[1]) for k in [(3, 100.0), (3, 50.0)]]
@@ -421,62 +422,100 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     assert trace.error is not None and len(trace.entries) == 4
     cases.append((wall, plan))
     cases = [(s, draft, (1, 2)) for s, draft in cases]
-    # short drafts whose three-edit candidates screen from their first edit's variant
+    # short drafts with three-edit candidates: up to three inserts share a gap
     cases.append((*_stranded(wall), (1, 2, 3)))
     cases.append((wall, Plan(wall_draft.steps[:5]), (3,)))
     return cases
 
 
-def test_screen_rejects_exactly_what_a_full_replay_rejects(wall, grid, wall_draft, grid_draft):
-    seen = {True: 0, False: 0}
+def test_walk_keeps_exactly_the_candidates_whose_replay_runs(wall, grid, wall_draft, grid_draft):
+    # the search visits each insert count's survivors in tie-break order; that
+    # must be the oracle's whole level in that order, less the candidates whose
+    # full replay errors or (Battery checked) underflows
+    kept = {True: 0, False: 0}
+    dropped = {True: 0, False: 0}
     for s, draft, costs in _screen_cases(wall, grid, wall_draft, grid_draft):
         templates = plan_templates(draft)
         alphabet = s.action_alphabet()
-        screens = {checked: _Screen(s, draft, checked) for checked in (True, False)}
-        replay = execute(s, draft)
-        for screen in screens.values():
-            assert (screen.trace.entries, screen.trace.final) == (replay.entries, replay.final)
-            assert str(screen.trace.error) == str(replay.error)
+        rank = {a: i for i, a in enumerate(alphabet)}
+
+        def key(c):
+            return _candidate_key(*c, rank)
+
         for cost in costs:
-            for subs, inserts, swaps in _enumerate_scripts(len(templates), alphabet, templates, cost):
-                _, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
-                underflow = any(e.battery < 0 for e in trace.entries)
-                for checked, screen in screens.items():
-                    fails = trace.error is not None or (checked and underflow)
-                    assert screen.rejects(subs, inserts, swaps) == fails, (s.name, subs, inserts, swaps)
-                    seen[fails] += 1
-    assert seen[True] and seen[False]
+            replays = {}
+            for c in enumerate_scripts(len(templates), alphabet, templates, cost):
+                _, trace = reconcile_plan(s, _apply_edits(templates, *c))
+                replays[c] = (trace.error is not None, any(e.battery < 0 for e in trace.entries))
+            for checked in (True, False):
+                expected = sorted(
+                    (c for c, (error, underflow) in replays.items() if not (error or checked and underflow)),
+                    key=key,
+                )
+                visited = [
+                    c
+                    for n_ins in range(cost + 1)
+                    for c in sorted(_survivors(s, draft, alphabet, cost, n_ins, checked), key=key)
+                ]
+                assert visited == expected, (s.name, cost, checked)
+                kept[checked] += len(expected)
+                dropped[checked] += len(replays) - len(expected)
+    assert all(kept.values()) and all(dropped.values())
+    assert dropped[True] > dropped[False]  # underflows count only while Battery is checked
 
 
-def test_screen_runs_are_freed_without_the_cycle_collector(wall, wall_draft):
-    # a run that keeps an ExecError with its traceback would sit in a
-    # reference cycle, with all its snapshots, until the collector runs
+def test_oracle_tries_every_order_of_same_gap_inserts(wall):
+    alphabet = wall.action_alphabet()
+    assert len(set(enumerate_scripts(0, alphabet, [], 2))) == len(alphabet) ** 2
+
+
+def test_search_leaves_no_world_state_for_the_cycle_collector(wall, wall_draft):
+    # every branch of the walk owns a world copy; a reference cycle through
+    # the walk would keep them until the collector ran
     gc.collect()
+    before = sum(isinstance(o, WorldState) for o in gc.get_objects())
     gc.disable()
     try:
         assert minimal_edit_repair(wall, wall_draft, budget=2).feasible
-        left = sum(isinstance(o, (repair._Run, repair._Screen)) for o in gc.get_objects())
+        left = sum(isinstance(o, WorldState) for o in gc.get_objects())
     finally:
         gc.enable()
-    assert left == 0
+    assert left == before
 
 
-def test_search_visits_the_sorted_level_without_its_rejected_candidates(wall, wall_draft):
-    # each insert count is screened and sorted on its own; the visit order
-    # must still be the whole level's tie-break order
-    classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
-    s3 = classes[(3, 100.0)]
-    for s, draft in [(wall, wall_draft), (s3, fcfs_schedule(s3)[1])]:
-        templates = plan_templates(draft)
-        alphabet = s.action_alphabet()
-        screen = _Screen(s, draft, True)
-        visited = 0
-        for cost in (1, 2):
-            level = _enumerate_scripts(len(templates), alphabet, templates, cost)
-            expected = [c for c in sorted(level, key=lambda c: _candidate_key(*c)) if not screen.rejects(*c)]
-            assert list(_survivors(screen, alphabet, cost)) == expected
-            visited += len(expected)
-        assert visited
+def _one_trip(wall):
+    """The wall's first trip alone: 3 bricks from S to B."""
+    doc = json.loads(serialize_scenario(wall))
+    doc["tasks"], doc["dag"] = doc["tasks"][:1], []
+    return load_scenario_dict(doc, name="one_trip")
+
+
+def test_search_inserts_a_whole_trip_in_plan_order(wall):
+    # four inserts at one gap, in an order that is not reverse alphabet order
+    result = minimal_edit_repair(_one_trip(wall), Plan(()), budget=4)
+    assert result.feasible
+    assert result.script.render() == "S1: MOVE_S (+); S1: PICK (+); S1: MOVE_B (+); S1: BUILD (+)"
+
+
+@pytest.mark.parametrize(
+    "world, longest",
+    [("micro", 2), ("one_trip", 1)],
+)
+def test_search_agrees_with_a_breadth_first_search_over_plans(wall, world, longest):
+    s = load_scenario_dict(MICRO_WORLD, name="micro") if world == "micro" else _one_trip(wall)
+    alphabet = tuple(s.action_alphabet())
+    verdicts = {}
+
+    def feasible(actions):
+        if actions not in verdicts:
+            verdicts[actions] = validate(s, _plan_of(actions)).feasible
+        return verdicts[actions]
+
+    drafts = [d for n in range(longest + 1) for d in itertools.product(alphabet, repeat=n)]
+    for draft in drafts:
+        result = minimal_edit_repair(s, _plan_of(draft), budget=4)
+        searched = result.script.cost if result.feasible else None
+        assert searched == bfs_min_cost(feasible, draft, alphabet, 4), draft
 
 
 # draft -> (script, rows of the repaired plan); each draft needs three edits,
@@ -497,10 +536,7 @@ _COST_3 = {
 
 @pytest.mark.parametrize("actions", sorted(_COST_3))
 def test_search_finds_a_three_edit_repair(wall, actions):
-    # the wall's first trip alone: 3 bricks from S to B
-    doc = json.loads(serialize_scenario(wall))
-    doc["tasks"], doc["dag"] = doc["tasks"][:1], []
-    s = load_scenario_dict(doc, name="one_trip")
+    s = _one_trip(wall)
     draft, _ = reconcile_plan(s, [StepTemplate(None, Action(ActionKind[a])) for a in actions.split()])
     assert not minimal_edit_repair(s, draft, budget=2).feasible
     result = minimal_edit_repair(s, draft, budget=3)
