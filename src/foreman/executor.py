@@ -61,9 +61,9 @@ class WorldState:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEntry:
-    """One executed step with its post-state and costs."""
+    """One executed step with its post-state and costs; read-only by convention."""
 
     step: PlanStep
     robot: str

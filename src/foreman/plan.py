@@ -17,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NoReturn
 
 
 class ActionKind(Enum):
@@ -36,6 +37,11 @@ class ActionKind(Enum):
     MARK_LAYOUT = "MARK_LAYOUT"
     INSPECT = "INSPECT"
     CO_CARRY = "CO_CARRY"
+
+    # Members are singletons, so identity hashing is exact and runs in C;
+    # Enum's own __hash__ is a Python call.  Sets of kinds are sorted
+    # before they reach any output.
+    __hash__ = object.__hash__
 
 
 # Named-graph move actions and the node they target.
@@ -116,9 +122,77 @@ class SchemaError(ValueError):
         self.reason = reason
 
 
-_STEP_RE = re.compile(r"^STEP\s+(-?\d+)$", re.IGNORECASE)
-_DECIMAL_RE = re.compile(r"[-+]?\d+(\.\d+)?([eE][-+]?\d+)?")
-_PREFIX_RE = re.compile(r"^([A-Za-z_][\w+-]*)\s*:\s*(STEP\b.*)$")
+# The step-line grammar of docs/GRAMMAR.md.  A location or NAVIGATE target
+# has no whitespace at either end and no comma outside parentheses, which do
+# not nest, so a grid cell "(2,2)" is one value.  Each field after STEP may
+# sit in brackets: "(?P<xb>\[\s*)?" opens them and "(?(xb)\s*\])" closes
+# them when they were opened.
+_TEXT = r"(?:[^\s(,]|\([^()]*\))[^(,]*(?:\([^()]*\)[^(,]*)*(?<=\S)"
+_DECIMAL = r"[-+]?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+_NAMES = "|".join(k.value for k in ActionKind if k is not ActionKind.NAVIGATE)
+_LINE_RE = re.compile(
+    rf"""
+    (?: (?P<prefix> [A-Za-z_][\w+-]* ) \s*:\s* )?
+    (?i:STEP) \s+ (?P<step> -?[0-9]+ ) \s*,
+    \s* (?P<lb> \[\s* )? (?(lb)|(?!\[\s*\]\s*,))    # a bare "[]" is no location
+        (?P<location> {_TEXT} ) (?(lb)\s*\]) \s*,
+    \s* (?P<ab> \[\s* )? (?: (?P<name> {_NAMES} ) | NAVIGATE \s+ (?P<target> {_TEXT} ) )
+        (?(ab)\s*\]) \s*,
+    \s* (?P<cb> \[\s* )? (?P<cargo> -0+|[0-9]+ ) (?(cb)\s*\]) \s*,    # "-0" is zero
+    \s* (?P<pb> \[\s* )? (?P<placed> -0+|[0-9]+ ) (?(pb)\s*\]) \s*,
+    \s* (?P<bb> \[\s* )? (?P<battery> {_DECIMAL} ) (?(bb)\s*\])
+    """,
+    re.VERBOSE,
+)
+_GROUPS = ("prefix", "step", "location", "name", "target", "cargo", "placed", "battery")
+
+# One shared Action per kind that takes no argument.
+_PLAIN_ACTIONS = {k.value: Action(k) for k in ActionKind if k is not ActionKind.NAVIGATE}
+
+
+def _members(prefix: str) -> tuple[str, tuple[str, ...]]:
+    """The robot and coalition that an ``r1`` or ``r1+r2`` line prefix names."""
+    members = tuple(p for p in prefix.split("+") if p)
+    return members[0], (members if len(members) > 1 else ())
+
+
+def parse_plan(text: str) -> Plan:
+    """Parse plan text into a Plan.
+
+    Accepts bracketed or bare values in every field and an optional
+    ``robot:`` (or ``r1+r2:`` coalition) line prefix.  Raises SchemaError
+    for malformed fields, unknown actions, or step indices that are not
+    1..K consecutive per robot.  A line is accepted only when it matches
+    ``_LINE_RE`` and its step index and battery are in range; ``_explain``
+    words the error for any other line.
+    """
+    steps: list[PlanStep] = []
+    expected: dict[str | None, int] = {}
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        m = _LINE_RE.fullmatch(line)
+        if m is None:
+            _explain(line, line_no, expected)
+        prefix, index, location, name, target, cargo, placed, battery = m.group(*_GROUPS)
+        robot, coalition = (None, ()) if prefix is None else _members(prefix)
+        index, battery = int(index), float(battery)
+        if index != expected.get(robot, 0) + 1 or not math.isfinite(battery):
+            _explain(line, line_no, expected)
+        expected[robot] = index
+        action = _PLAIN_ACTIONS[name] if name else Action(ActionKind.NAVIGATE, target)
+        steps.append(
+            PlanStep(index, robot, location, action, int(cargo), int(placed), battery, coalition)
+        )
+    return Plan(tuple(steps))
+
+
+# The field-by-field checks below only word the error for a rejected line.
+_PREFIX_RE = re.compile(r"^([A-Za-z_][\w+-]*)\s*:\s*((?i:STEP)\b.*)$")
+_STEP_RE = re.compile(r"^STEP\s+(-?[0-9]+)$", re.IGNORECASE)
+_INT_RE = re.compile(r"-?[0-9]+")
+_DECIMAL_RE = re.compile(_DECIMAL)
 
 
 def _split_fields(body: str) -> list[str]:
@@ -149,87 +223,69 @@ def _unbracket(raw: str) -> str:
 
 
 def _parse_int(raw: str, line: int, what: str) -> int:
-    try:
-        return int(_unbracket(raw))
-    except ValueError:
-        raise SchemaError(line, f"{what} is not an integer: {raw!r}") from None
+    text = _unbracket(raw)
+    if _INT_RE.fullmatch(text):
+        return int(text)
+    raise SchemaError(line, f"{what} is not an integer: {raw!r}")
 
 
-def _parse_decimal(raw: str, line: int, what: str) -> float:
+def _check_decimal(raw: str, line: int, what: str) -> None:
     """A finite decimal such as ``50``, ``87.5`` or ``1e-05`` (what ``_fmt_num`` writes)."""
     text = _unbracket(raw)
-    if _DECIMAL_RE.fullmatch(text) and math.isfinite(value := float(text)):
-        return value
-    raise SchemaError(line, f"{what} is not a finite decimal: {raw!r}")
+    if not (_DECIMAL_RE.fullmatch(text) and math.isfinite(float(text))):
+        raise SchemaError(line, f"{what} is not a finite decimal: {raw!r}")
 
 
-def _parse_action(raw: str, line: int) -> Action:
-    raw = _unbracket(raw)
-    parts = raw.split(None, 1)
+def _check_action(raw: str, line: int) -> None:
+    parts = _unbracket(raw).split(None, 1)
+    if not parts:
+        raise SchemaError(line, "empty action")
     name = parts[0]
     try:
         kind = ActionKind(name)
     except ValueError:
         raise SchemaError(line, f"unknown action {name}") from None
     if kind is ActionKind.NAVIGATE:
-        if len(parts) != 2 or not parts[1].strip():
+        if len(parts) != 2:
             raise SchemaError(line, "NAVIGATE requires a target location")
-        return Action(kind, parts[1].strip())
-    if len(parts) != 1:
+    elif len(parts) != 1:
         raise SchemaError(line, f"action {name} takes no argument")
-    return Action(kind)
 
 
-def parse_plan(text: str) -> Plan:
-    """Parse plan text into a Plan.
+def _explain(line: str, line_no: int, expected: dict[str | None, int]) -> NoReturn:
+    """Raise the SchemaError for a step line that ``parse_plan`` rejects.
 
-    Accepts bracketed or bare integers in every numeric position and an
-    optional ``robot:`` (or ``r1+r2:`` coalition) line prefix.  Raises
-    SchemaError for malformed fields, unknown actions, or step indices
-    that are not 1..K consecutive per robot.
+    Checks the fields in order, so the message names the first bad one.
     """
-    steps: list[PlanStep] = []
-    expected: dict[str | None, int] = {}
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        robot: str | None = None
-        coalition: tuple[str, ...] = ()
-        m = _PREFIX_RE.match(line)
-        if m:
-            prefix, line = m.group(1), m.group(2)
-            members = tuple(p for p in prefix.split("+") if p)
-            robot = members[0]
-            coalition = members if len(members) > 1 else ()
-        fields = _split_fields(line)
-        if len(fields) != 6:
-            raise SchemaError(line_no, f"expected 6 fields, got {len(fields)}")
-        m = _STEP_RE.match(fields[0])
-        if not m:
-            raise SchemaError(line_no, f"bad step field: {fields[0]!r}")
-        index = int(m.group(1))
-        want = expected.get(robot, 0) + 1
-        if index != want:
-            raise SchemaError(
-                line_no, f"step index {index} (expected {want} for robot {robot or '<default>'})"
-            )
-        expected[robot] = index
-        location = _unbracket(fields[1])
-        if not location:
-            raise SchemaError(line_no, "empty location")
-        action = _parse_action(fields[2], line_no)
-        cargo = _parse_int(fields[3], line_no, "INTERNAL_CARGO")
-        placed = _parse_int(fields[4], line_no, "PLACED_BRICKS")
-        battery = _parse_decimal(fields[5], line_no, "REMAINING_BATTERY")
-        if cargo < 0:
-            raise SchemaError(line_no, f"negative cargo {cargo}")
-        if placed < 0:
-            raise SchemaError(line_no, f"negative placed count {placed}")
-        steps.append(
-            PlanStep(index, robot, location, action, cargo, placed, battery, coalition)
+    robot = None
+    m = _PREFIX_RE.match(line)
+    if m:
+        robot, _ = _members(m.group(1))
+        line = m.group(2)
+    fields = _split_fields(line)
+    if len(fields) != 6:
+        raise SchemaError(line_no, f"expected 6 fields, got {len(fields)}")
+    m = _STEP_RE.match(fields[0])
+    if not m:
+        raise SchemaError(line_no, f"bad step field: {fields[0]!r}")
+    index = int(m.group(1))
+    want = expected.get(robot, 0) + 1
+    if index != want:
+        raise SchemaError(
+            line_no, f"step index {index} (expected {want} for robot {robot or '<default>'})"
         )
-    return Plan(tuple(steps))
+    if not _unbracket(fields[1]):
+        raise SchemaError(line_no, "empty location")
+    _check_action(fields[2], line_no)
+    cargo = _parse_int(fields[3], line_no, "INTERNAL_CARGO")
+    placed = _parse_int(fields[4], line_no, "PLACED_BRICKS")
+    _check_decimal(fields[5], line_no, "REMAINING_BATTERY")
+    if cargo < 0:
+        raise SchemaError(line_no, f"negative cargo {cargo}")
+    if placed < 0:
+        raise SchemaError(line_no, f"negative placed count {placed}")
+    # every field passed, so the line breaks the one rule only _LINE_RE states
+    raise SchemaError(line_no, "nested parentheses")
 
 
 def _fmt_num(value: float) -> str:

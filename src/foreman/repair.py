@@ -443,6 +443,7 @@ def minimal_edit_repair(
     budget: int = 4,
     checks: frozenset[ViolationClass] = ALL_CHECKS,
     style: str = "minimal",
+    base_report: ViolationReport | None = None,
 ) -> RepairResult:
     """Project ``draft`` onto the feasible set with the fewest unit edits.
 
@@ -460,8 +461,12 @@ def minimal_edit_repair(
     is checked; only the rest are sorted, rebuilt by ``reconcile_plan`` and
     validated.  The dropped ones can never validate, so the result does
     not change.
+
+    ``base_report`` is the draft's report under ``checks`` when the caller
+    has it already; otherwise the draft is validated here.
     """
-    base_report = validate(s, draft, checks)
+    if base_report is None:
+        base_report = validate(s, draft, checks)
     if base_report.feasible:
         return RepairResult(True, draft, EMPTY_SCRIPT, 1, base_report)
 
@@ -538,7 +543,7 @@ class SearchSupervisor:
     def propose(
         self, s: Scenario, draft: Plan, report: ViolationReport, iteration: int
     ) -> Plan:
-        result = minimal_edit_repair(s, draft, self.budget, report.checks_run, self.style)
+        result = minimal_edit_repair(s, draft, self.budget, report.checks_run, self.style, report)
         if not result.feasible or result.plan is None:
             raise SupervisorError(f"no feasible plan within {self.budget} edits")
         return result.plan

@@ -172,16 +172,21 @@ class SiteMap:
             b = prev
         return hops[::-1]
 
+    @cached_property
+    def _du_memo(self) -> dict[tuple[str, str], float | None]:
+        return {}
+
     def shortest_path_du(self, a: str, b: str) -> float | None:
-        """Length of ``route(a, b)`` in DU; None when unreachable."""
-        hops = self.route(a, b)
-        if hops is None:
-            return None
-        du = 0.0
-        # left to right, as the search added them: sum() may round differently
-        for _, w in hops:
-            du += w
-        return du
+        """Length of ``route(a, b)`` in DU; None when unreachable.  Memoised per pair."""
+        memo = self._du_memo
+        if (a, b) not in memo:
+            hops = self.route(a, b)
+            du = None if hops is None else 0.0
+            # left to right, as the search added them: sum() may round differently
+            for _, w in hops or ():
+                du += w
+            memo[a, b] = du
+        return memo[a, b]
 
     def scan_footprint(self, cell: Cell, mode: ScanFootprint) -> frozenset[Cell]:
         """Cells a SCAN performed at ``cell`` reveals."""

@@ -1,5 +1,10 @@
+import ast
 import json
+import math
+import random
+import re
 
+import parse_oracle
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -234,3 +239,172 @@ def test_executor_generated_plans_round_trip(wall, rate, weight, kinds):
     again = parse_plan(serialize_plan(plan))
     assert again == plan
     assert validate(s, again) == validate(s, plan)
+
+
+# ---------------------------------------------------------------------------
+# The one-regex parser against the field-by-field parser it replaced
+# ---------------------------------------------------------------------------
+
+_PREFIXED_STEP_RE = re.compile(r"^(\s*[A-Za-z_][\w+-]*\s*:\s*)(?i:STEP)\b")
+_OUT_OF_GRAMMAR_RE = re.compile(
+    r"line (\d+): (?:(INTERNAL_CARGO|PLACED_BRICKS) is not an integer"
+    r"|(REMAINING_BATTERY) is not a finite decimal|bad step field): ('.*'|\".*\")",
+    re.DOTALL,
+)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except SchemaError as e:
+        return str(e)
+    except IndexError:
+        return IndexError
+
+
+def _error_line(outcome):
+    return int(outcome.split(":")[0].split()[1]) if isinstance(outcome, str) else math.inf
+
+
+def _nests(line: str) -> bool:
+    depth = 0
+    for ch in line:
+        depth = depth + 1 if ch == "(" else max(0, depth - 1) if ch == ")" else depth
+        if depth > 1:
+            return True
+    return False
+
+
+def _allowed_difference(old, new, text) -> bool:
+    """Whether ``new`` differs from ``old`` only by a documented change.
+
+    - Numbers outside the grammar are errors: ``+``, ``_`` and non-ASCII
+      digits in STEP, INTERNAL_CARGO and PLACED_BRICKS, and non-ASCII
+      digits in REMAINING_BATTERY.  The old parser took them (or failed on
+      a later field or line).
+    - Parentheses inside a location or NAVIGATE target do not nest.
+    - An empty action field is a SchemaError, not an IndexError.
+    """
+    if not isinstance(new, str) or _error_line(old) < _error_line(new):
+        return False
+    n = _error_line(new)
+    if old is IndexError:
+        return new.endswith(": empty action")
+    if m := _OUT_OF_GRAMMAR_RE.fullmatch(new):
+        raw = ast.literal_eval(m[4])  # the message quotes the field's repr
+        if m[3]:  # the battery's "+" sign is in the grammar
+            parse_oracle._parse_decimal(raw, n, m[3])
+            return bool(re.search(r"(?![0-9])\d", raw))
+        if m[2]:
+            parse_oracle._parse_int(raw, n, m[2])
+        else:
+            assert parse_oracle._STEP_RE.match(raw)
+        return bool(re.search(r"[+_]|(?![0-9])\d", raw))
+    return new.endswith(": nested parentheses") and _nests(text.splitlines()[n - 1])
+
+
+def _agree(text) -> bool:
+    """Assert that both parsers read ``text`` alike, up to
+    ``_allowed_difference``; return whether the new parser accepted it.
+
+    The old parser wants an upper-case ``STEP`` after a robot prefix, so it
+    reads ``text`` with that keyword upper-cased; messages then compare
+    case-blind.
+    """
+    lines = text.splitlines()
+    upper = "\n".join(_PREFIXED_STEP_RE.sub(r"\1STEP", line) for line in lines)
+    old, new = _outcome(parse_oracle.parse_plan, upper), _outcome(parse_plan, text)
+    if old == new or upper != "\n".join(lines) and isinstance(old, str) and old.lower() == str(new).lower():
+        return not isinstance(new, str)
+    assert _allowed_difference(old, new, upper), (text, old, new)
+    return False
+
+
+_SEED_LINES = (
+    "STEP 1, [B], BUILD, [0], 3, [50]",
+    "STEP 1, B, IDLE, 0, 0, 100",
+    "STEP 1, [ S ], [ MOVE_S ], [ 0 ] , [ 12 ], [ -12.5 ]",
+    "STEP 1, [(2,2)], SCAN, [0], 0, [40]",
+    "STEP 1, ( 1 , 2 ), MOVE_Up, 0, 0, 1e-05",
+    "r1+r2: STEP 1, [B], CO_CARRY, [0], 0, [100]",
+    "r1: step 1, [S], PICK, [3], 0, [100]",
+    "STEP 1, [C], NAVIGATE C, [0], 0, [75]",
+    "STEP 1, [(0,1)], [NAVIGATE (0,1)], [0], 0, [2.5E+1]",
+    "step 1, [B], MARK_LAYOUT, [-0], 0, [+7.25]",
+    "STEP 1, [((1,2),3)], NAVIGATE a(b), [0], 0, [5]",
+)
+# inserted one at a time: delimiters, signs, digits (one Arabic-Indic), an
+# exponent, the comment mark, letters, a no-break space and a line separator
+_INSERTS = " \t,[]()-+_07.e:#Bs٣ \x1c"
+
+
+def _mutations(line: str) -> list[str]:
+    out = []
+    for i in range(len(line)):
+        out += [line[:i] + line[i + 1:], line[:i], line[i:]]
+    for i in range(len(line) + 1):
+        out += [line[:i] + c + line[i:] for c in _INSERTS]
+    return out
+
+
+def test_parser_agrees_with_the_field_by_field_parser_on_mutated_lines():
+    rng = random.Random(2024)
+    texts = []
+    for line in _SEED_LINES:
+        once = _mutations(line)
+        texts += once
+        # as the second step of the default robot
+        texts += ["STEP 1, [S], MOVE_S, [0], 0, [75]\n" + t.replace("1", "2", 1) for t in once[::4]]
+        for t in rng.choices(once, k=6000):  # a second mutation
+            i = rng.randrange(len(t) + 1)
+            texts.append(t[:i] + rng.choice(_INSERTS) + t[i:] if rng.random() < 0.7 else t[:i] + t[i + 1:])
+    accepted = sum(_agree(t) for t in texts)
+    assert len(texts) > 75_000 and accepted > 8_000
+
+
+_FIELD_TEXT = {
+    "prefix": ["", "", "r1: ", "r1+r2: ", "r2 :", "_x+: ", "9r: "],
+    "keyword": ["STEP", "step", "Step", "STEP_", "STE P"],
+    "index": ["1", "2", "01", "-1", "0", "+1", "1_0", "١", "x", ""],
+    "location": ["B", "[B]", "[ B ]", "(2,2)", "[( 0 , 1 )]", "[]", "", "[B", "B]", "((1,2))", "(1,2", "a b"],
+    "action": ["PICK", "[BUILD]", "NAVIGATE C", "[NAVIGATE (1,1)]", "NAVIGATE", "FLY", "pick", "IDLE x", "", "[ ]"],
+    "count": ["0", "[3]", "[ 12 ]", "-0", "-2", "+3", "1_0", "٣", "3.0", "[3", ""],
+    "battery": ["50", "[75]", "-12.5", "[1e-05]", "+2.5E+1", "1e999", "nan", ".5", "٥٠", "[5", ""],
+}
+
+
+@st.composite
+def _step_lines(draw):
+    pick = lambda key: draw(st.sampled_from(_FIELD_TEXT[key]))  # noqa: E731
+    sep = draw(st.sampled_from([", ", ",", " , ", ",\t"]))
+    fields = [pick("keyword") + " " + pick("index"), pick("location"), pick("action"),
+              pick("count"), pick("count"), pick("battery")]
+    fields = fields[: draw(st.integers(4, 6))] + [pick("count")] * draw(st.integers(0, 1))
+    return pick("prefix") + sep.join(fields)
+
+
+@given(st.lists(_step_lines(), min_size=1, max_size=3))
+@settings(max_examples=200, deadline=None)
+def test_parser_agrees_with_the_field_by_field_parser_on_generated_lines(lines):
+    _agree("\n".join(lines))
+
+
+def test_out_of_grammar_lines_are_schema_errors():
+    for text, reason in [
+        ("STEP 1, [B], BUILD, [+3], 3, [50]", "INTERNAL_CARGO is not an integer: '[+3]'"),
+        ("STEP 1, [B], BUILD, [0], 1_0, [50]", "PLACED_BRICKS is not an integer: '1_0'"),
+        ("STEP ١, [B], BUILD, [0], 3, [50]", "bad step field: 'STEP ١'"),
+        ("STEP 1, [B], BUILD, [0], 3, [٥٠]", "REMAINING_BATTERY is not a finite decimal: '[٥٠]'"),
+        ("STEP 1, [B], , [0], 3, [50]", "empty action"),
+        ("STEP 1, [((1,2))], BUILD, [0], 3, [50]", "nested parentheses"),
+    ]:
+        with pytest.raises(SchemaError) as exc:
+            parse_plan(text)
+        assert exc.value.reason == reason
+    assert parse_plan("STEP 1, [B], BUILD, [-0], 3, [+50]").steps[0].battery == 50.0
+
+
+def test_lower_case_step_after_a_robot_prefix():
+    upper = parse_plan("r1: STEP 1, A, PICK, 3, 0, 50\nr1+r2: STEP 2, [B], CO_CARRY, [3], 0, [25]")
+    lower = parse_plan("r1: step 1, A, PICK, 3, 0, 50\nr1+r2 :Step 2, [B], CO_CARRY, [3], 0, [25]")
+    assert lower == upper and lower.steps[1].coalition == ("r1", "r2")

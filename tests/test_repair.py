@@ -135,6 +135,22 @@ def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draf
     assert minimal.plan not in executed
 
 
+def test_search_supervisor_validates_the_draft_once(monkeypatch, wall, grid, wall_draft, grid_draft):
+    validated = []
+
+    def counting_validate(s, plan, checks=ALL_CHECKS, trace=None):
+        validated.append(plan)
+        return validate(s, plan, checks, trace=trace)
+
+    monkeypatch.setattr(repair, "validate", counting_validate)
+    for s, draft in [(wall, wall_draft), (grid, grid_draft)]:
+        for style in ("minimal", "conservative"):
+            validated.clear()
+            result = repair_loop(s, draft, SearchSupervisor(style, 4))
+            assert result.feasible and result.iterations_used == 1
+            assert validated.count(draft) == 1  # by the loop; the search reuses its report
+
+
 def test_repair_feasibility_postcondition(wall, grid, wall_draft, grid_draft):
     for s, draft in [(wall, wall_draft), (grid, grid_draft)]:
         result = minimal_edit_repair(s, draft, budget=4)

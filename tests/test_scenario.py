@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -328,6 +329,37 @@ def test_route_is_a_shortest_walk_over_real_moves(site):
                 here, total = loc, total + w
             assert here == b
             assert total == dist[a, b] == site.shortest_path_du(a, b)
+
+
+def _left_to_right_du(hops):
+    du = 0.0
+    for _, w in hops:
+        du += w
+    return du
+
+
+def test_shortest_path_du_is_memoised_per_site(wall, grid):
+    walled = SiteMap(kind="grid", width=3, height=3, blocked=frozenset({(1, 0), (1, 1), (1, 2)}))
+    blocked = SiteMap(kind="grid", width=4, height=3, blocked=frozenset({(1, 1), (2, 0)}))
+    fractional = SiteMap(
+        kind="named_graph",
+        nodes=("A", "B", "C", "D"),
+        edges=(("A", "B", 0.1), ("B", "C", 0.2), ("C", "D", 0.3), ("A", "D", 1.0)),
+    )
+    unreachable = 0
+    for site in (replace(wall.site), replace(grid.site), blocked, walled, fractional):
+        locs = sorted(site.locations())
+        for a in locs:
+            for b in locs:
+                hops = site.route(a, b)
+                want = None if hops is None else _left_to_right_du(hops)
+                unreachable += hops is None
+                assert site.shortest_path_du(a, b) == want  # computed
+                assert site.shortest_path_du(a, b) == want  # memoised
+    assert unreachable == 2 * 3 * 3  # across the walled grid's middle column, both ways
+    assert fractional.shortest_path_du("A", "D") == (0.1 + 0.2) + 0.3
+    heavy = replace(fractional, edges=(("A", "B", 2.0), ("B", "C", 2.0), ("C", "D", 2.0), ("A", "D", 1.0)))
+    assert heavy.shortest_path_du("A", "D") == 1.0  # its own memo, not fractional's
 
 
 @st.composite
