@@ -14,12 +14,11 @@ from pathlib import Path
 import click
 
 from .executor import execute, makespan
-from .experiment import ConfigError, ExperimentConfig, fixtures_dir, run_experiment
+from .experiment import ConfigError, ExperimentConfig, llm_access, make_supervisor, run_experiment
 from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
-from .gateway import Gateway, load_profiles
-from .metrics import similarity
+from .metrics import EmptyInput, EmptyReference, similarity
 from .plan import SchemaError, parse_plan, serialize_plan, tokenize_plan, tokenize_plan_full
-from .repair import LlmSupervisor, SearchSupervisor, repair_loop
+from .repair import repair_loop
 from .scenario import ParseError, ValidationError, load_scenario
 from .validator import parse_check_names, validate_text
 
@@ -117,28 +116,20 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
     s = _load(scenario_path)
     try:
         plan = parse_plan(_read_plan_text(plan_path))
-        wanted = parse_check_names(checks)
-    except (SchemaError, ValueError) as e:
+        cfg = ExperimentConfig(
+            scenario_path=Path(scenario_path),
+            max_iters=max_iters,
+            budget=budget,
+            checks=parse_check_names(checks),
+            mocks_dir=Path(mocks_dir) if mocks_dir else None,
+            profiles_path=Path(profiles_path) if profiles_path else None,
+        )
+        cfg.validate_config()
+        supervisor = make_supervisor(supervisor_spec, cfg, *llm_access(cfg), s.name)
+    except (SchemaError, ValueError) as e:  # ConfigError included
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    if supervisor_spec.startswith("llm:"):
-        profiles = load_profiles(profiles_path or fixtures_dir() / "llm_profiles.json")
-        name = supervisor_spec.split(":", 1)[1]
-        if name not in profiles:
-            click.echo(f"error: unknown profile {name!r}", err=True)
-            sys.exit(1)
-        gateway = Gateway(mocks_dir=mocks_dir or fixtures_dir() / "mocks")
-        supervisor = LlmSupervisor(gateway, profiles[name], s.name)
-    elif supervisor_spec in ("search-minimal", "search-conservative"):
-        supervisor = SearchSupervisor(supervisor_spec.split("-", 1)[1], budget)
-    else:
-        click.echo(f"error: unknown supervisor {supervisor_spec!r}", err=True)
-        sys.exit(1)
-    try:
-        result = repair_loop(s, plan, supervisor, max_iters, wanted)
-    except ValueError as e:  # max_iters out of range
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+    result = repair_loop(s, plan, supervisor, max_iters, cfg.checks)
     payload = result.to_dict()
     if result.feasible and result.plan is not None:
         payload["plan"] = serialize_plan(result.plan)
@@ -175,7 +166,11 @@ def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     tok = tokenize_plan_full if full_tokens else tokenize_plan
-    scores = similarity(tok(cand), tok(ref), smoothing)
+    try:
+        scores = similarity(tok(cand), tok(ref), smoothing)
+    except (EmptyReference, EmptyInput) as e:  # a plan file without steps
+        click.echo(f"error: {e}", err=True)
+        sys.exit(1)
     click.echo(json.dumps(scores.to_dict(), indent=2, sort_keys=True))
     sys.exit(0)
 

@@ -76,7 +76,6 @@ class TraceEntry:
     recharged: float  # battery added by this step (0 unless CHARGE)
     tu_cost: float
     du_cost: float
-    elapsed: float  # this robot's elapsed TU after the step
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,6 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         recharged=recharged,
         tu_cost=tu,
         du_cost=du,
-        elapsed=world.elapsed[robot_id],
     )
 
 
@@ -213,16 +211,15 @@ def run(
 ) -> Iterator[TraceEntry]:
     """Apply ``steps`` to ``world`` in place, yielding one entry per step.
 
-    The steps of each bound robot keep their line order; robots take turns
-    by (elapsed time so far, robot id), so shared stockpiles decrement
-    consistently.  When every label binds to one robot, execution order is
-    line order.  ``steps`` is read only as far as the next turn needs, so a
-    caller that stops early never reads the rest.  Raises ExecError at the
+    Each bound robot's steps are queued up front and keep their line order;
+    robots with steps left take turns by (elapsed time so far, robot id),
+    so shared stockpiles decrement consistently.  When every label binds to
+    one robot, execution order is line order.  Raises ExecError at the
     first impossible transition.
     """
-    # the robots that may still have steps, each with the steps read ahead
-    queues: dict[str, deque[PlanStep]] = {r: deque() for r in bound.values()}
-    steps = iter(steps)
+    queues: dict[str, deque[PlanStep]] = {}
+    for step in steps:
+        queues.setdefault(bound[step.robot], deque()).append(step)
     elapsed = world.elapsed
     while queues:
         if len(queues) == 1:
@@ -230,18 +227,9 @@ def run(
         else:
             robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
         queue = queues[robot]
-        if queue:
-            step = queue.popleft()
-        else:
-            for step in steps:  # read up to this robot's next step
-                owner = bound[step.robot]
-                if owner == robot:
-                    break
-                queues[owner].append(step)
-            else:  # all read: robots with nothing queued are done
-                for r in [r for r, q in queues.items() if not q]:
-                    del queues[r]
-                continue
+        step = queue.popleft()
+        if not queue:
+            del queues[robot]
         yield apply_step(s, world, step, robot)
 
 

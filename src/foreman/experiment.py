@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .executor import execute, makespan
 from .fcfs import fcfs_schedule
-from .gateway import Gateway, load_profiles, strip_plan_preamble
+from .gateway import Gateway, GatewayError, LlmProfile, load_profiles, strip_plan_preamble
 from .metrics import EvalReport, eval_run
 from .plan import Plan, parse_plan
 from .repair import LlmSupervisor, RepairResult, SearchSupervisor, repair_loop
@@ -56,7 +56,18 @@ class ExperimentConfig:
             raise ConfigError(f"profiles file not found: {self.profiles_path}")
 
 
-def _make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles, scenario_name: str):
+def llm_access(cfg: ExperimentConfig) -> tuple[Gateway, dict[str, LlmProfile]]:
+    """The gateway and the LLM profiles ``cfg`` names (the shipped ones by
+    default); ConfigError when either cannot be read."""
+    mocks = cfg.mocks_dir if cfg.mocks_dir is not None else fixtures_dir() / "mocks"
+    try:
+        return Gateway(mocks_dir=mocks), load_profiles(cfg.profiles_path or fixtures_dir() / "llm_profiles.json")
+    except (GatewayError, OSError, ValueError) as e:
+        raise ConfigError(str(e)) from None
+
+
+def make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles, scenario_name: str):
+    """The supervisor a spec names: search-minimal, search-conservative or llm:<profile>."""
     if spec == "search-minimal":
         return SearchSupervisor("minimal", cfg.budget)
     if spec == "search-conservative":
@@ -102,10 +113,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    mocks = cfg.mocks_dir if cfg.mocks_dir is not None else fixtures_dir() / "mocks"
-    gateway = Gateway(mocks_dir=mocks)
-    profiles = load_profiles(cfg.profiles_path or fixtures_dir() / "llm_profiles.json")
-
+    gateway, profiles = llm_access(cfg)
     draft = _fetch_draft(s, cfg, gateway, profiles)
     draft_trace = execute(s, draft)
     draft_report = validate(s, draft, cfg.checks, trace=draft_trace)
@@ -124,7 +132,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     hybrid_rows: list[tuple[str, EvalReport, RepairResult]] = []
     for spec in cfg.supervisors:
-        supervisor = _make_supervisor(spec, cfg, gateway, profiles, s.name)
+        supervisor = make_supervisor(spec, cfg, gateway, profiles, s.name)
         result = repair_loop(s, draft, supervisor, cfg.max_iters, cfg.checks)
         report = eval_run(s, draft, result)
         label = getattr(supervisor, "name", spec)

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan
+from .executor import TraceEntry, apply_step, initial_state
+from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
 from .repair import StepTemplate, reconcile_plan
 from .scenario import Scenario, TaskSpec, parse_cell
 
@@ -43,43 +44,47 @@ _MOVE_FOR_STEP = {step: kind for kind, step in GRID_MOVES.items()}
 
 
 class _Lowering:
-    """Sequential lowering of FCFS task assignments to plan steps."""
+    """Sequential lowering of FCFS task assignments to plan steps.
+
+    Each step runs on one executor world as it is emitted, so location,
+    cargo, stock and every cost come from ``apply_step``.  ``clock`` sums
+    the emitted steps' TU: robots work in sequence, on one clock.
+    """
 
     def __init__(self, s: Scenario):
         self.s = s
-        self.loc = {r.id: r.start_location for r in s.robots}
-        self.cargo = {r.id: r.cargo_init for r in s.robots}
-        self.stock = s.stock()
-        self.elapsed = 0.0
+        self.world = initial_state(s)
+        self.clock = 0.0
         self.templates: list[StepTemplate] = []
 
-    def _emit(self, robot: str, action: Action, tu: float):
+    def _emit(self, robot: str, action: Action) -> TraceEntry:
         # single-robot plans leave their steps unlabelled
         self.templates.append(StepTemplate(robot if len(self.s.robots) > 1 else None, action))
-        self.elapsed += tu
+        entry = apply_step(self.s, self.world, PlanStep(0, robot, "?", action, 0, 0, 0.0), robot)
+        self.clock += entry.tu_cost
+        return entry
 
     def travel(self, robot: str, target: str):
         """One move step per hop of the site's shortest route."""
-        s = self.s
-        here = self.loc[robot]
-        hops = s.site.route(here, target)
+        here = self.world.robots[robot].location
+        hops = self.s.site.route(here, target)
         if hops is None:
             raise RealizationError(f"{target} unreachable from {here}")
-        for loc, du in hops:
-            if s.site.is_grid():
+        for loc, _ in hops:
+            if self.s.site.is_grid():
                 (x0, y0), (x1, y1) = parse_cell(here), parse_cell(loc)
                 action = Action(_MOVE_FOR_STEP[(x1 - x0, y1 - y0)])
             else:
                 kind = _MOVE_FOR_NODE.get(loc)
                 action = Action(kind) if kind else Action(ActionKind.NAVIGATE, loc)
-            self._emit(robot, action, s.cost.tu_per_du * du)
+            self._emit(robot, action)
             here = loc
-        self.loc[robot] = here
 
     def nearest_stock(self, robot: str) -> str:
+        here = self.world.robots[robot].location
         reachable = []
-        for loc, mu in self.stock.items():
-            if mu > 0 and (du := self.s.site.shortest_path_du(self.loc[robot], loc)) is not None:
+        for loc, mu in self.world.stock.items():
+            if mu > 0 and (du := self.s.site.shortest_path_du(here, loc)) is not None:
                 reachable.append((du, loc))
         if not reachable:
             raise RealizationError("no stock left anywhere")
@@ -87,38 +92,30 @@ class _Lowering:
 
     def run_task(self, robot: str, task: TaskSpec) -> float:
         """Lower one task; returns its start time theta (first arrival at the site)."""
-        s = self.s
         theta: float | None = None
         if task.type is ActionKind.BUILD:
             remaining = task.demand
             while remaining > 0:
-                if self.cargo[robot] == 0:
-                    stock_loc = self.nearest_stock(robot)
-                    self.travel(robot, stock_loc)
-                    moved = min(3, s.robot(robot).payload_capacity, self.stock[stock_loc])
-                    self.stock[stock_loc] -= moved
-                    self.cargo[robot] += moved
-                    self._emit(robot, Action(ActionKind.PICK), s.cost.pick_build_tu_per_3mu if moved else 0.0)
+                if self.world.robots[robot].cargo == 0:
+                    self.travel(robot, self.nearest_stock(robot))
+                    self._emit(robot, Action(ActionKind.PICK))
                 self.travel(robot, task.location)
                 if theta is None:
-                    theta = self.elapsed
-                moved = min(3, self.cargo[robot])
-                self.cargo[robot] -= moved
-                remaining -= moved
-                self._emit(robot, Action(ActionKind.BUILD), s.cost.pick_build_tu_per_3mu if moved else 0.0)
-                if moved == 0:
+                    theta = self.clock
+                placed = self._emit(robot, Action(ActionKind.BUILD)).placed_here
+                if placed == 0:
                     raise RealizationError(f"task {task.id}: no material available to build")
+                remaining -= placed
         elif task.type is ActionKind.NAVIGATE:
             self.travel(robot, task.location)
-            theta = self.elapsed
+            theta = self.clock
         elif task.type in (ActionKind.SCAN, ActionKind.INSPECT, ActionKind.MARK_LAYOUT):
             self.travel(robot, task.location)
-            theta = self.elapsed
-            tu = s.cost.scan_tu_per_su if task.type is ActionKind.SCAN else 1.0
-            self._emit(robot, Action(task.type), tu)
+            theta = self.clock
+            self._emit(robot, Action(task.type))
         else:
             raise RealizationError(f"task {task.id}: cannot lower task type {task.type.value}")
-        return theta if theta is not None else self.elapsed
+        return theta if theta is not None else self.clock
 
 
 def fcfs_schedule(s: Scenario) -> tuple[Assignment, Plan]:

@@ -49,20 +49,29 @@ class LlmProfile:
 
 
 def load_profiles(path: str | Path) -> dict[str, LlmProfile]:
+    """Read a JSON object of profile name -> settings, each with an ``endpoint``;
+    OSError when the file cannot be read, ValueError when it holds no such object."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: profiles must be a JSON object")
     out = {}
     for name, raw in doc.items():
-        out[name] = LlmProfile(
-            name=name,
-            role=raw.get("role", "supervisor"),
-            endpoint=raw["endpoint"],
-            model_name=raw.get("model_name", name),
-            temperature=float(raw.get("temperature", 0.2)),
-            max_tokens=int(raw.get("max_tokens", 1024)),
-            stop_tokens=tuple(raw.get("stop_tokens", [])),
-            api_key_env=raw.get("api_key_env", ""),
-            seed=raw.get("seed"),
-        )
+        if not isinstance(raw, dict) or "endpoint" not in raw:
+            raise ValueError(f"{path}: profile {name!r} must be an object with an endpoint")
+        try:
+            out[name] = LlmProfile(
+                name=name,
+                role=raw.get("role", "supervisor"),
+                endpoint=raw["endpoint"],
+                model_name=raw.get("model_name", name),
+                temperature=float(raw.get("temperature", 0.2)),
+                max_tokens=int(raw.get("max_tokens", 1024)),
+                stop_tokens=tuple(raw.get("stop_tokens", [])),
+                api_key_env=raw.get("api_key_env", ""),
+                seed=raw.get("seed"),
+            )
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"{path}: profile {name!r}: {e}") from None
     return out
 
 

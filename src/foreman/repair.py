@@ -19,6 +19,7 @@ it.  Only the walk's survivors are sorted, rebuilt and fully validated.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
@@ -92,17 +93,21 @@ class EditProfile:
 @dataclass(frozen=True)
 class EditScript:
     ops: tuple[EditOp, ...]
-    profile: EditProfile
 
     @property
     def cost(self) -> int:
         return len(self.ops)
 
+    @property
+    def profile(self) -> EditProfile:
+        kinds = Counter(op.kind for op in self.ops)
+        return EditProfile(kinds[EditKind.Insert], kinds[EditKind.Substitute], kinds[EditKind.Transpose])
+
     def render(self) -> str:
         return "; ".join(op.render() for op in self.ops) if self.ops else "(none)"
 
 
-EMPTY_SCRIPT = EditScript((), EditProfile())
+EMPTY_SCRIPT = EditScript(())
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,6 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
 
     # Backtrace into ops.
     ops: list[EditOp] = []
-    ins = subs = reorders = 0
     i, j = n, m
     while i > 0 or j > 0:
         cur = dist[i][j]
@@ -230,7 +234,6 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
             and cur == dist[i - 2][j - 2] + 1
         ):
             ops.append(EditOp(EditKind.Transpose, i - 1))
-            reorders += 1
             i, j = i - 2, j - 2
             continue
         if i > 0 and j > 0 and a[i - 1][0] == b[j - 1][0] and cur == dist[i - 1][j - 1]:
@@ -238,20 +241,17 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
             continue
         if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + 1:
             ops.append(EditOp(EditKind.Substitute, i, b[j - 1][1], a[i - 1][1]))
-            subs += 1
             i, j = i - 1, j - 1
             continue
         if j > 0 and cur == dist[i][j - 1] + 1:
             ops.append(EditOp(EditKind.Insert, i + 1, b[j - 1][1]))
-            ins += 1
             j -= 1
             continue
         # delete: substitution-to-nothing
         ops.append(EditOp(EditKind.Substitute, i, None, a[i - 1][1]))
-        subs += 1
         i -= 1
     ops.reverse()
-    return EditScript(tuple(ops), EditProfile(ins, subs, reorders))
+    return EditScript(tuple(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -512,12 +512,7 @@ def minimal_edit_repair(
                 ops = ops + [EditOp(EditKind.Insert, len(templates) + 1, Action(tail_kind))]
                 plan, report = tail_plan, tail_report
 
-    profile = EditProfile(
-        insertions=sum(1 for o in ops if o.kind is EditKind.Insert),
-        substitutions=sum(1 for o in ops if o.kind is EditKind.Substitute),
-        reorders=sum(1 for o in ops if o.kind is EditKind.Transpose),
-    )
-    return RepairResult(True, plan, EditScript(tuple(ops), profile), 1, report)
+    return RepairResult(True, plan, EditScript(tuple(ops)), 1, report)
 
 
 # ---------------------------------------------------------------------------

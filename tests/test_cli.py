@@ -169,3 +169,51 @@ def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
     res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--max-iters", "0"])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert res.output == "error: max_iters must be >= 1\n"
+
+
+_BAD_PROFILES = {
+    "no_endpoint": {"gemma": {"role": "supervisor", "model_name": "gemma"}},
+    "not_an_object": ["gemma"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("repair", "missing_profiles"),
+        ("repair", "missing_mocks"),
+        ("experiment", "missing_mocks"),
+        ("repair", "no_endpoint"),
+        ("experiment", "no_endpoint"),
+        ("repair", "not_an_object"),
+        ("experiment", "not_an_object"),
+    ],
+)
+def test_unreadable_llm_set_up_is_a_one_line_error(runner, fix_dir, tmp_path, command, bad):
+    p = _paths(fix_dir)
+    if bad == "missing_profiles":
+        options = ["--profiles", str(tmp_path / "missing.json")]
+    elif bad == "missing_mocks":
+        options = ["--mocks-dir", str(tmp_path / "missing")]
+    else:
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps(_BAD_PROFILES[bad]), encoding="utf-8")
+        options = ["--profiles", str(path)]
+    if command == "repair":
+        args = ["repair", p["wall"], p["wall_draft"], "--supervisor", "llm:gemma"]
+    else:
+        args = ["experiment", p["wall"], "--supervisor", "llm:gemma", "--out-dir", str(tmp_path / "out")]
+    res = runner.invoke(main, args + options)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("empty", ["candidate", "reference"])
+def test_metrics_on_an_empty_plan_is_a_one_line_error(runner, fix_dir, tmp_path, empty):
+    path = tmp_path / "empty.plan"
+    path.write_text("", encoding="utf-8")
+    plan = _paths(fix_dir)["grid_draft"]
+    args = [str(path), plan] if empty == "candidate" else [plan, str(path)]
+    res = runner.invoke(main, ["metrics", *args])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1

@@ -1,7 +1,13 @@
+import collections
+import contextlib
 import json
+import random
+from dataclasses import replace
 
-from foreman.executor import coverage_complete, execute, makespan
-from foreman.plan import Plan, parse_plan, serialize_plan
+import pytest
+
+from foreman.executor import ExecError, coverage_complete, execute, initial_state, makespan, run
+from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
 from foreman.scenario import load_scenario_dict, serialize_scenario
 
 
@@ -256,3 +262,56 @@ def test_two_robots_take_turns_by_elapsed_then_id(wall):
     trace = execute(two, plan)
     assert [(e.robot, e.step.step) for e in trace.entries] == [("r1", 1), ("r2", 1), ("r1", 2), ("r2", 2)]
     assert trace.final.stock == {"S": 3}
+
+    # seeded plans over three robots, where r3 has no steps and every other
+    # plan has a step that fails midway
+    doc["robots"].append(dict(doc["robots"][0], id="r3"))
+    doc["site"]["edges"] = [["S", "B", 1], ["B", "C", 2], ["C", "S", 0.5]]
+    three = load_scenario_dict(doc, name="three")
+    rng = random.Random(5)
+    for trial in range(80):
+        own = {r: _random_steps(rng, r, rng.randint(0, 6)) for r in ("r1", "r2")}
+        failing = None
+        if trial % 2:
+            r = rng.choice(["r1", "r2"])
+            k = rng.randint(0, len(own[r]))
+            here = own[r][k - 1].location if k else "C"
+            failing = PlanStep(0, r, here, Action(ActionKind(f"MOVE_{here}")), 0, 0, 0.0)  # already there
+            own[r].insert(k, failing)
+        order = rng.sample(["r1", "r2"] * 7, 14)
+        counts = collections.Counter()
+        lines = []
+        for r in order:
+            if own[r]:
+                counts[r] += 1
+                lines.append(replace(own[r].pop(0), step=counts[r]))
+        plan = Plan(tuple(lines))
+        entries = []
+        with pytest.raises(ExecError) if failing else contextlib.nullcontext() as raised:
+            for e in run(three, initial_state(three), plan.steps, {"r1": "r1", "r2": "r2", "r3": "r3"}):
+                entries.append(e)
+        left = {r: [st for st in plan.steps if st.robot == r] for r in ("r1", "r2")}
+        elapsed = dict.fromkeys(left, 0.0)
+        for e in entries:
+            turn = min((r for r in left if left[r]), key=lambda r: (elapsed[r], r))
+            assert e.robot == turn and e.step == left[turn].pop(0), trial
+            elapsed[turn] += e.tu_cost
+        if failing:
+            turn = min((r for r in left if left[r]), key=lambda r: (elapsed[r], r))
+            assert (raised.value.robot, raised.value.step) == (turn, left[turn][0].step) == (failing.robot, k + 1)
+        else:
+            assert not any(left.values())
+
+
+def _random_steps(rng, robot, n):
+    """``n`` steps that ``robot`` can run in turn from C on the triangle site."""
+    steps, here = [], "C"
+    for _ in range(n):
+        kind = rng.choice(["MOVE", "MOVE", "PICK", "BUILD", "IDLE", "INSPECT", "CHARGE"])
+        if kind == "MOVE":
+            here = rng.choice([x for x in "SBC" if x != here])
+            kind = f"MOVE_{here}"
+        elif kind == "PICK" and here != "S" or kind == "CHARGE" and here != "C":
+            kind = "IDLE"
+        steps.append(PlanStep(0, robot, here, Action(ActionKind(kind)), 0, 0, 0.0))
+    return steps

@@ -1,10 +1,15 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
 
-from foreman.fcfs import UnassignableTask, fcfs_schedule
-from foreman.plan import ActionKind
-from foreman.scenario import load_scenario_dict
+from foreman.executor import execute
+from foreman.experiment import battery_pressured_batch
+from foreman.fcfs import RealizationError, UnassignableTask, fcfs_schedule
+from foreman.plan import ActionKind, serialize_plan
+from foreman.scenario import ValidationError, load_scenario_dict, serialize_scenario
 from foreman.validator import ALL_CHECKS, ViolationClass as VC, validate
 
 
@@ -145,3 +150,149 @@ def test_theta_respects_dag_durations(wall):
     by_id = {t.id: t for t in wall.tasks}
     for a, b in wall.dag.edges:
         assert theta[b] >= theta[a] + by_id[a].duration
+
+
+def test_theta_is_the_executed_arrival_when_a_pair_is_listed_twice():
+    # S-B is listed at 2 DU, then at 1 DU: the route takes the 1-DU hop, but
+    # MOVE_B and MOVE_S run on the first-listed 2 DU, so B is reached at 4 and 10
+    s = _world(
+        [
+            {"id": "t1", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 3},
+            {"id": "t2", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 3},
+        ],
+        [],
+    )
+    doc = json.loads(serialize_scenario(s))
+    doc["site"]["edges"].insert(0, ["S", "B", 2])
+    s = load_scenario_dict(doc)
+    assignment, plan = fcfs_schedule(s)
+    assert dict(assignment.theta) == {"t1": 4.0, "t2": 10.0}
+    trace = execute(s, plan)
+    arrivals = list(itertools.accumulate(e.tu_cost for e in trace.entries))
+    assert [t for t, e in zip(arrivals, trace.entries) if e.step.action.kind is ActionKind.MOVE_B] == [4.0, 10.0]
+
+
+_NODES = ["S", "B", "C", "D", "E"]
+_DU = [0.5, 1, 1, 1.5, 2, 2.25, 3]
+_TASK_TYPES = ["BUILD", "BUILD", "NAVIGATE", "SCAN", "INSPECT", "MARK_LAYOUT"]
+
+
+def _random_tasks(rng, locations):
+    n = rng.randint(1, 4)
+    tasks = [
+        {
+            "id": f"t{k}",
+            "type": (kind := rng.choice(_TASK_TYPES)),
+            "required_skills": [kind],
+            "location": rng.choice(locations),
+            "demand": rng.randint(0, 7) if kind == "BUILD" else 0,
+        }
+        for k in range(n)
+    ]
+    dag = [[f"t{a}", f"t{b}"] for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+    return tasks, dag
+
+
+def _random_robots(rng, locations, all_skills):
+    robots = []
+    for k in range(rng.choice([1, 1, 1, 2, 3])):
+        cap = rng.choice([0, 1, 2, 3, 3, 4])
+        skills = [sk for sk in all_skills if rng.random() < 0.95]
+        robots.append(
+            {
+                "id": f"r{k + 1}",
+                "skills": skills,
+                "payload_capacity": cap,
+                "cargo_init": rng.randint(0, cap),
+                "start_location": rng.choice(locations),
+            }
+        )
+    return robots
+
+
+def _random_cost(rng):
+    return {
+        "tu_per_du": rng.choice([0.5, 1, 2]),
+        "pick_build_tu_per_3mu": rng.choice([0.5, 1, 2]),
+        "scan_tu_per_su": rng.choice([1, 1.5]),
+    }
+
+
+def _random_graph(rng, i):
+    """A connected named graph; small, so extra edges often repeat a pair."""
+    nodes = _NODES[: rng.randint(2, 5)]
+    edges = [[nodes[k], rng.choice(nodes[:k]), rng.choice(_DU)] for k in range(1, len(nodes))]
+    for _ in range(rng.randint(0, 4)):
+        u, v = rng.sample(nodes, 2)
+        edges.insert(rng.randint(0, len(edges)), [u, v, rng.choice(_DU)])
+    skills = ["MOVE_S", "MOVE_B", "MOVE_C", "NAVIGATE", "PICK", "BUILD", "SCAN", "INSPECT", "MARK_LAYOUT"]
+    tasks, dag = _random_tasks(rng, nodes)
+    doc = {
+        "site": {"kind": "named_graph", "nodes": nodes, "edges": edges},
+        "robots": _random_robots(rng, nodes, skills),
+        "tasks": tasks,
+        "dag": dag,
+        "cost": _random_cost(rng),
+        "resources": {n: rng.randint(2, 12) for n in rng.sample(nodes, rng.randint(1, len(nodes)))},
+    }
+    return load_scenario_dict(doc, name=f"graph_{i}")
+
+
+def _random_grid(rng, i):
+    """A grid with a few blocked cells, or None when they cut it in two."""
+    w, h = rng.randint(1, 5), rng.randint(2, 5)
+    cells = [[x, y] for x in range(w) for y in range(h)]
+    blocked = rng.sample(cells, rng.randint(0, len(cells) // 4))
+    free = [f"({x},{y})" for x, y in cells if [x, y] not in blocked]
+    skills = ["MOVE_Left", "MOVE_Right", "MOVE_Up", "MOVE_Down", "NAVIGATE", "PICK", "BUILD", "SCAN", "INSPECT",
+              "MARK_LAYOUT"]
+    tasks, dag = _random_tasks(rng, free)
+    doc = {
+        "site": {"kind": "grid", "width": w, "height": h, "blocked": blocked},
+        "robots": _random_robots(rng, free, skills),
+        "tasks": tasks,
+        "dag": dag,
+        "cost": _random_cost(rng),
+        "resources": {c: rng.randint(2, 12) for c in rng.sample(free, rng.randint(1, min(3, len(free))))},
+    }
+    try:
+        return load_scenario_dict(doc, name=f"grid_{i}")
+    except ValidationError:
+        return None
+
+
+def _seeded_scenarios(wall, grid):
+    yield wall
+    yield grid
+    yield from battery_pressured_batch(2024, 50)
+    yield from battery_pressured_batch(7, 30)
+    rng = random.Random(9)
+    yield from (_random_graph(rng, i) for i in range(200))
+    yield from filter(None, (_random_grid(rng, i) for i in range(100)))
+
+
+# SHA-256 of every seeded scenario's FCFS plan text (or error), recorded when
+# the lowering still kept its own copy of each step's rules: running the steps
+# on the executor must not change a single plan
+_SEEDED_PLANS_SHA256 = "dd3230d00f31aae4941516fcbd77bffb5f8eec98a02502fe5f7a379511f8ce30"
+
+
+def test_fcfs_theta_is_a_prefix_sum_of_the_executed_costs(wall, grid):
+    digest = hashlib.sha256()
+    single = 0
+    for s in _seeded_scenarios(wall, grid):
+        try:
+            assignment, plan = fcfs_schedule(s)
+        except (UnassignableTask, RealizationError) as e:
+            digest.update(f"{s.name}: error: {e}\n".encode())
+            continue
+        digest.update(f"{s.name}:\n{serialize_plan(plan)}".encode())
+        if len(s.robots) > 1:
+            continue  # robots take turns when run, while FCFS keeps one clock
+        trace = execute(s, plan)
+        assert trace.error is None, s.name
+        sums = {0.0, *itertools.accumulate(e.tu_cost for e in trace.entries)}
+        assert all(start in sums for _, start in assignment.theta), s.name
+        single += 1
+    assert single > 150
+    assert digest.hexdigest() == _SEEDED_PLANS_SHA256
