@@ -87,7 +87,10 @@ def _fetch_draft(s: Scenario, cfg: ExperimentConfig, gateway: Gateway, profiles)
         from .scenario import canonical_context
 
         prompt = build_generator_prompt(canonical_context(s))
-        raw = gateway.complete(profiles["generator"], prompt, mock_key=("generator", s.name, 1))
+        try:
+            raw = gateway.complete(profiles["generator"], prompt, mock_key=("generator", s.name, 1))
+        except GatewayError as e:
+            raise ConfigError(str(e)) from None
         return parse_plan(strip_plan_preamble(raw))
     draft_file = fixtures_dir() / "plans" / f"{s.name}.draft.plan"
     if not draft_file.exists():

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .executor import TraceEntry, apply_step, initial_state
 from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
-from .repair import StepTemplate, reconcile_plan
+from .repair import reconcile_plan
 from .scenario import Scenario, TaskSpec, parse_cell
 
 
@@ -55,12 +55,13 @@ class _Lowering:
         self.s = s
         self.world = initial_state(s)
         self.clock = 0.0
-        self.templates: list[StepTemplate] = []
+        self.steps: list[PlanStep] = []
 
     def _emit(self, robot: str, action: Action) -> TraceEntry:
         # single-robot plans leave their steps unlabelled
-        self.templates.append(StepTemplate(robot if len(self.s.robots) > 1 else None, action))
-        entry = apply_step(self.s, self.world, PlanStep(0, robot, "?", action, 0, 0, 0.0), robot)
+        step = PlanStep(0, robot if len(self.s.robots) > 1 else None, "?", action, 0, 0, 0.0)
+        self.steps.append(step)
+        entry = apply_step(self.s, self.world, step, robot)
         self.clock += entry.tu_cost
         return entry
 
@@ -139,6 +140,6 @@ def fcfs_schedule(s: Scenario) -> tuple[Assignment, Plan]:
         robot = capable[0].id  # sequential execution: every robot is idle, lowest id wins
         alpha.append((task_id, (robot,)))
         theta.append((task_id, lowering.run_task(robot, task)))
-    plan, _ = reconcile_plan(s, lowering.templates)  # numbers the steps, fills the state columns
+    plan, _ = reconcile_plan(s, lowering.steps)  # numbers the steps, fills the state columns
     return Assignment(tuple(alpha), tuple(theta)), plan
 

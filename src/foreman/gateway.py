@@ -91,22 +91,16 @@ def _section(title: str, body: str) -> str:
 
 
 def build_generator_prompt(ctx: PromptContext) -> str:
-    """Deterministic generator prompt: context, roster, schema, rules, exemplars."""
-    parts = [
+    """Deterministic generator prompt: context, roster, schema and rules."""
+    return "\n".join([
         "# You are the schedule Generator for a construction robot team.",
         _section("BACKGROUND", ctx.background),
         _section("TASKS", ctx.task_text),
         _section("ROBOTS", ctx.roster),
         _section("API SCHEMA", ctx.api_schema),
         _section("RULES (do/don't)", "\n".join(f"- {r}" for r in GENERATOR_RULES + tuple(ctx.guardrails))),
-    ]
-    if ctx.few_shot:
-        shots = []
-        for i, (shot_ctx, shot_plan) in enumerate(ctx.few_shot, start=1):
-            shots.append(f"## example {i}\n# context:\n{shot_ctx}\n# schedule:\n{shot_plan}")
-        parts.append(_section("EXAMPLES", "\n".join(shots)))
-    parts.append("# Emit the schedule now, one step per line:")
-    return "\n".join(parts)
+        "# Emit the schedule now, one step per line:",
+    ])
 
 
 COUNTEREXAMPLE = (

@@ -198,7 +198,6 @@ class EvalReport:
     edits: EditProfile
     makespan_tu: float
     makespan_delta: float
-    t_rep: int
 
 
 def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
@@ -221,5 +220,4 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
         edits=result.script.profile if result.script is not None else EditProfile(),
         makespan_tu=ms_final,
         makespan_delta=ms_final - ms_draft,
-        t_rep=result.iterations_used,
     )

@@ -10,17 +10,19 @@ scenario's action alphabet; the search never deletes (observed repairs only
 insert, substitute and reorder).  After every structural edit the state
 columns are recomputed by the executor, never edited textually.
 
-One depth-first walk per cost and insert count enumerates the candidates.
-It carries the world state through the draft, so the candidates that share
-a prefix share its simulation, and a step that cannot execute, or drains
-the battery while Battery is checked, prunes every candidate that extends
-it.  Only the walk's survivors are sorted, rebuilt and fully validated.
+A candidate is its edit script: a tuple of ``EditOp`` in script order.
+One depth-first walk per cost and insert count enumerates them.  It
+carries the world state through the draft, so the candidates that share a
+prefix share its simulation, and a step that cannot execute, or drains the
+battery while Battery is checked, prunes every candidate that extends it.
+Only the walk's survivors are sorted, applied by ``apply_script`` (the one
+applier of edit ops) and fully validated.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,53 +130,43 @@ class RepairResult:
 
 
 # ---------------------------------------------------------------------------
-# Plan reconstruction from action templates
+# Plan reconstruction from edited steps
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepTemplate:
-    robot: str | None
-    action: Action
-    coalition: tuple[str, ...] = ()
-
-
-def plan_templates(plan: Plan) -> list[StepTemplate]:
-    return [StepTemplate(s.robot, s.action, s.coalition) for s in plan.steps]
-
-
-def reconcile_plan(s: Scenario, templates: list[StepTemplate]) -> tuple[Plan, Trace]:
-    """Rebuild a canonical Plan from action templates.
+def reconcile_plan(s: Scenario, steps: list[PlanStep]) -> tuple[Plan, Trace]:
+    """Rebuild a canonical Plan from steps, reading only their label,
+    action and coalition.
 
     State fields (location, cargo, placed, battery) come from executing
     the action sequence, so structurally edited plans can never carry
-    contradictory state columns.  Step numbers count per template label,
-    and each step takes the trace entry of its own (label, step number).
-    If execution fails, claimed fields for the unexecuted suffix fall back
+    contradictory state columns.  Step numbers count per label, and each
+    step takes the trace entry of its own (label, step number).  If
+    execution fails, claimed fields for the unexecuted suffix fall back
     to zeros and the Trace carries the error.
     """
     counters: dict[str | None, int] = {}
     skeleton = []
-    for t in templates:
+    for t in steps:
         counters[t.robot] = counters.get(t.robot, 0) + 1
         skeleton.append(
             PlanStep(counters[t.robot], t.robot, "?", t.action, 0, 0, 0.0, t.coalition)
         )
     trace = execute(s, Plan(tuple(skeleton)))
     by_key = {(e.step.robot, e.step.step): e for e in trace.entries}
-    steps = []
+    rebuilt = []
     for sk in skeleton:
         e = by_key.get((sk.robot, sk.step))
         if e is None:
-            steps.append(sk)
+            rebuilt.append(sk)
         else:
-            steps.append(
+            rebuilt.append(
                 PlanStep(
                     sk.step, sk.robot, e.location, sk.action, e.cargo, e.placed_total,
                     e.battery, sk.coalition,
                 )
             )
-    return Plan(tuple(steps)), trace
+    return Plan(tuple(rebuilt)), trace
 
 
 # ---------------------------------------------------------------------------
@@ -259,105 +251,83 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
 # ---------------------------------------------------------------------------
 
 
-def _apply_edits(
-    templates: list[StepTemplate],
-    subs: Iterable[tuple[int, Action]],
-    inserts: Iterable[tuple[int, Action]],
-    transposes: Iterable[int],
-    deletes: frozenset[int] = frozenset(),
-) -> list[StepTemplate]:
-    """Apply edits given in the original index space of ``templates``.
+def _edited(steps: Sequence[PlanStep], ops: Sequence[EditOp]) -> list[PlanStep]:
+    """``steps`` with ``ops`` applied; the state columns are left to reconcile.
 
-    ``subs`` are (1-based step, action) pairs, ``transposes`` swap step
-    ``p`` with ``p + 1``, ``deletes`` drop 1-based steps, and ``inserts``
-    are (gap, action) pairs with gaps counted from 0 (before step 1) to n
-    (after the last step).  Inserts sharing a gap enter the plan in list
-    order and take the robot of the step after the gap (the last step's
-    at the end).
+    Substitutes and deletes apply first, then transposes in script order.
+    Inserts go in right to left, so lower positions stay valid; inserts at
+    one position enter the plan in script order, and each takes the label
+    of the step at its position (the last step's at the end).
     """
-    work = list(templates)
-    for pos, action in subs:
-        t = work[pos - 1]
-        work[pos - 1] = StepTemplate(t.robot, action, t.coalition)
-    for pos in transposes:
-        work[pos - 1], work[pos] = work[pos], work[pos - 1]
-    out = [None if i in deletes else t for i, t in enumerate(work, 1)]
-    # Right to left, so lower gap indices stay valid; within a gap, back to
-    # front, so the inserts end up in list order.
-    for gap, action in reversed(sorted(inserts, key=lambda ins: ins[0])):
-        robot = work[min(gap, len(work) - 1)].robot if work else None
-        out.insert(gap, StepTemplate(robot, action))
+    work = list(steps)
+    for op in ops:
+        if op.kind is EditKind.Substitute and op.payload is not None:
+            t = work[op.position - 1]
+            work[op.position - 1] = PlanStep(0, t.robot, "?", op.payload, 0, 0, 0.0, t.coalition)
+    for op in ops:
+        if op.kind is EditKind.Transpose:
+            p = op.position
+            work[p - 1], work[p] = work[p], work[p - 1]
+    deleted = {op.position for op in ops if op.kind is EditKind.Substitute and op.payload is None}
+    out = [None if i in deleted else t for i, t in enumerate(work, 1)]
+    inserts = sorted((op for op in ops if op.kind is EditKind.Insert), key=lambda op: op.position)
+    for op in reversed(inserts):  # not reverse=True: same-position inserts go in back to front
+        label = work[min(op.position, len(work)) - 1].robot if work else None
+        out.insert(op.position - 1, PlanStep(0, label, "?", op.payload, 0, 0, 0.0))
     return [t for t in out if t is not None]
 
 
-def _candidate_key(subs, inserts, transposes, rank: dict[Action, int]) -> tuple:
+def apply_script(s: Scenario, draft: Plan, ops: Sequence[EditOp]) -> tuple[Plan, Trace]:
+    """Apply ``ops`` to the draft; returns the reconciled plan and its trace.
+
+    This is the one applier of edit ops.  Positions are in the draft's
+    index space (substitute, delete and transpose name existing steps;
+    insert names the index the new step will occupy), which is how both
+    the search and the alignment emit them; ``_edited`` gives the order in
+    which the ops apply.
+    """
+    return reconcile_plan(s, _edited(draft.steps, ops))
+
+
+def _candidate_key(ops: tuple[EditOp, ...], rank: dict[Action, int]) -> tuple:
     """Deterministic tie-break: fewer insertions, then the smallest
-    highest-touched step index (earliest fix), then lexicographic ops, then
-    the order of inserts that share a gap, reverse alphabet order first.
+    highest-touched step index (earliest fix; a transpose touches
+    ``position + 1``), then lexicographic ops, then the order of inserts
+    that share a gap, reverse alphabet order first.
 
-    ``inserts`` are in plan order and ``rank`` is each action's index in
-    the alphabet.
+    ``ops`` are in script order, so the inserts are in plan order, and
+    ``rank`` is each action's index in the alphabet.
     """
-    touched = [p for p, _ in subs] + [g + 1 for g, _ in inserts] + [p + 1 for p in transposes]
-    lex = tuple(
-        sorted(
-            [("sub", p, str(a)) for p, a in subs]
-            + [("ins", g + 1, str(a)) for g, a in inserts]
-            + [("swap", p, "") for p in transposes]
-        )
-    )
-    order = tuple(-rank[a] for _, a in inserts)
-    return (len(inserts), max(touched) if touched else 0, lex, order)
-
-
-def apply_script(s: Scenario, draft: Plan, script: EditScript) -> Plan:
-    """Apply a script's ops to the draft and reconcile the state columns.
-
-    Op positions are interpreted in the draft's index space (substitute,
-    delete and transpose name existing steps; insert names the index the
-    new step will occupy), which is how both the search and the alignment
-    emit them.  Inserts at one position enter the plan in script order.
-    """
-    subs: dict[int, Action] = {}
-    deletes: set[int] = set()
-    inserts: list[tuple[int, Action]] = []
-    swaps: list[int] = []
-    for op in script.ops:
-        if op.kind is EditKind.Insert:
-            inserts.append((op.position - 1, op.payload))
-        elif op.kind is EditKind.Transpose:
-            swaps.append(op.position)
-        elif op.payload is None:
-            deletes.add(op.position)
-        else:
-            subs[op.position] = op.payload
-    edited = _apply_edits(plan_templates(draft), subs.items(), inserts, swaps, frozenset(deletes))
-    plan, _ = reconcile_plan(s, edited)
-    return plan
+    inserts = [op.payload for op in ops if op.kind is EditKind.Insert]
+    touched = max((op.position + (op.kind is EditKind.Transpose) for op in ops), default=0)
+    lex = tuple(sorted((op.kind.value, op.position, str(op.payload or "")) for op in ops))
+    return (len(inserts), touched, lex, tuple(-rank[a] for a in inserts))
 
 
 def _survivors(
     s: Scenario, draft: Plan, alphabet: list[Action], cost: int, n_ins: int, battery_checked: bool
-) -> list[tuple]:
-    """Every candidate of ``cost`` edits, ``n_ins`` of them inserts, that executes.
+) -> list[tuple[EditOp, ...]]:
+    """Every script of ``cost`` edits, ``n_ins`` of them inserts, whose edited plan executes.
 
-    A candidate is ``(subs, inserts, swaps)`` as ``_apply_edits`` takes
-    them, with the inserts in plan order.  One depth-first walk goes through
-    the draft gap by gap.  At each gap it may insert any action, again and
+    Each script is a tuple of ops in script order: by position, and at one
+    position the inserts, in plan order, before a substitute or transpose.
+    One depth-first walk goes through the draft gap by gap and emits the
+    ops in that order.  At each gap it may insert any action, again and
     again, so every order of same-gap inserts is tried; then it substitutes
-    the next step, transposes it with the one after (inserts may go between
-    the swapped pair) or keeps it.  Each branch runs its new step on its
-    own copy of the world, and a step that raises ExecError, or leaves a
-    negative battery while Battery is checked, drops the branch with every
-    candidate that extends it: exactly the candidates whose full replay
-    fails.  Keeping a step runs it in place, so the recursion is only as
-    deep as the edit count.  Labels bound to two or more robots take turns
-    by elapsed time rather than line order, so there no step runs during
-    the walk and each complete candidate runs whole.  A draft whose labels
-    cannot be bound yields nothing.
+    the next step, transposes it with the one after (inserts may go
+    between the swapped pair) or keeps it.  The ops, and the steps they
+    run, come from tables built once per call.  Each branch runs its new
+    step on its own copy of the world, and a step that raises ExecError,
+    or leaves a negative battery while Battery is checked, drops the branch
+    with every script that extends it: exactly the scripts whose full
+    replay fails.  Keeping a step runs it in place, so the recursion is
+    only as deep as the edit count.  Labels bound to two or more robots
+    take turns by elapsed time rather than line order, so there no step
+    runs during the walk and each complete script's edited steps run
+    whole.  A draft whose labels cannot be bound yields nothing.
     """
-    templates = plan_templates(draft)
-    n = len(templates)
+    steps = draft.steps
+    n = len(steps)
     try:
         # search inserts into an empty draft are unlabelled
         bound = bind(s, draft.robots or (None,))
@@ -365,10 +335,29 @@ def _survivors(
         return []
     one_robot = len(set(bound.values())) == 1
     robot = next(iter(bound.values()))  # the one robot, when there is one
-    found: list[tuple] = []
+    found: list[tuple[EditOp, ...]] = []
 
-    def step(action: Action, label: str | None = None, coalition: tuple[str, ...] = ()) -> PlanStep:
-        return PlanStep(0, label, "?", action, 0, 0, 0.0, coalition)
+    # Per gap g: the inserts at position g + 1 and the substitutes of step
+    # g + 1, each with the step it runs, and the transpose of steps g + 1
+    # and g + 2 when it is allowed.  Only one robot's walk runs steps, and
+    # apply_step takes that robot as an argument, so labels are left out.
+    runs = {a: PlanStep(0, None, "?", a, 0, 0, 0.0) for a in alphabet}
+    inserts_at = [[(EditOp(EditKind.Insert, g + 1, a), runs[a]) for a in alphabet] for g in range(n + 1)]
+    subs_at = [
+        [
+            (
+                EditOp(EditKind.Substitute, g + 1, a, t.action),
+                PlanStep(0, None, "?", a, 0, 0, 0.0, t.coalition) if t.coalition else runs[a],
+            )
+            for a in alphabet
+            if a != t.action
+        ]
+        for g, t in enumerate(steps)
+    ]
+    swaps_at = [
+        EditOp(EditKind.Transpose, g + 1) if t.robot == u.robot and t.action != u.action else None
+        for g, (t, u) in enumerate(zip(steps, steps[1:]))
+    ] + [None]  # the last step has no partner
 
     def ok(world: WorldState, plan_step: PlanStep) -> bool:
         """Run one step on ``world`` in place; false when it fails."""
@@ -385,54 +374,46 @@ def _survivors(
         branch = world.copy() if one_robot else world
         return branch if ok(branch, plan_step) else None
 
-    def executes(candidate: tuple) -> bool:
-        """Whether the whole candidate runs, robots taking turns."""
-        edited = _apply_edits(templates, *candidate)
-        steps = (step(t.action, t.robot, t.coalition) for t in edited)
+    def executes(ops: tuple[EditOp, ...]) -> bool:
+        """Whether the whole edited plan runs, robots taking turns."""
         try:
-            return all(e.battery >= 0 or not battery_checked for e in run(s, initial_state(s), steps, bound))
+            edited = run(s, initial_state(s), _edited(steps, ops), bound)
+            return all(e.battery >= 0 or not battery_checked for e in edited)
         except ExecError:
             return False
 
-    kept = [step(t.action, t.robot, t.coalition) for t in templates]
-    added = [(a, step(a)) for a in alphabet]
-
-    def walk(g, world, subs, inserts, swaps, pending) -> None:
+    def walk(g, world, ops, ins_left, left, pending) -> None:
         while True:
-            left = cost - n_ins - len(subs) - len(swaps)
             if left > n - g:
                 return  # too few steps left for the other edits
-            if len(inserts) < n_ins:
-                for a, new in added:
+            if ins_left:
+                for op, new in inserts_at[g]:
                     branch = after(world, new)
                     if branch is not None:
-                        walk(g, branch, subs, inserts + ((g, a),), swaps, pending)
+                        walk(g, branch, ops + (op,), ins_left - 1, left, pending)
             if pending is not None:  # the first step of a transposed pair
                 if not ok(world, pending):
                     return
                 g, pending = g + 1, None
                 continue
             if g == n:
-                if len(inserts) == n_ins and (one_robot or executes((subs, inserts, swaps))):
-                    found.append((subs, inserts, swaps))
+                if not ins_left and (one_robot or executes(ops)):
+                    found.append(ops)
                 return
-            t = templates[g]
             if left:
-                for a in alphabet:
-                    if a != t.action:
-                        branch = after(world, step(a, t.robot, t.coalition))
-                        if branch is not None:
-                            walk(g + 1, branch, subs + ((g + 1, a),), inserts, swaps, None)
-                u = templates[g + 1] if g + 1 < n else t  # the last step has no partner
-                if u.robot == t.robot and u.action != t.action:
-                    branch = after(world, kept[g + 1])
+                for op, new in subs_at[g]:
+                    branch = after(world, new)
                     if branch is not None:
-                        walk(g + 1, branch, subs, inserts, swaps + (g + 1,), kept[g])
-            if not ok(world, kept[g]):
+                        walk(g + 1, branch, ops + (op,), ins_left, left - 1, None)
+                if swaps_at[g] is not None:
+                    branch = after(world, steps[g + 1])
+                    if branch is not None:
+                        walk(g + 1, branch, ops + (swaps_at[g],), ins_left, left - 1, steps[g])
+            if not ok(world, steps[g]):
                 return
             g += 1
 
-    walk(0, initial_state(s), (), (), (), None)
+    walk(0, initial_state(s), (), n_ins, cost - n_ins, None)
     del walk  # it refers to itself: free the cycle now, not at the next collection
     return found
 
@@ -454,13 +435,15 @@ def minimal_edit_repair(
     actions, then same-gap inserts in reverse alphabet order first); the
     first feasible candidate is therefore the canonical argmin.
     ``style='conservative'`` additionally appends a terminal CHARGE (at a
-    charger) or IDLE when the repaired plan ends below 50% battery.
+    charger) or IDLE when the repaired plan ends below 50% battery: one
+    more insert, after the last step, applied with the rest of the script.
 
     A level is walked one insert count at a time by ``_survivors``, which
-    drops the candidates that fail to execute, or underflow while Battery
-    is checked; only the rest are sorted, rebuilt by ``reconcile_plan`` and
-    validated.  The dropped ones can never validate, so the result does
-    not change.
+    yields its scripts in script order and drops the ones whose edited
+    plan fails to execute, or underflows while Battery is checked; only
+    the rest are sorted, applied by ``apply_script`` and validated.  The
+    dropped ones can never validate, so the result does not change.  The
+    reported script is exactly the ops that were applied.
 
     ``base_report`` is the draft's report under ``checks`` when the caller
     has it already; otherwise the draft is validated here.
@@ -470,25 +453,17 @@ def minimal_edit_repair(
     if base_report.feasible:
         return RepairResult(True, draft, EMPTY_SCRIPT, 1, base_report)
 
-    templates = plan_templates(draft)
     alphabet = s.action_alphabet()
     rank = {a: i for i, a in enumerate(alphabet)}
     battery_checked = ViolationClass.Battery in checks
-    found: tuple[Plan, Trace, list[EditOp], ViolationReport] | None = None
+    found: tuple[Plan, Trace, tuple[EditOp, ...], ViolationReport] | None = None
 
     for cost, n_ins in ((c, k) for c in range(1, budget + 1) for k in range(c + 1)):
         level = _survivors(s, draft, alphabet, cost, n_ins, battery_checked)
-        for subs, inserts, swaps in sorted(level, key=lambda c: _candidate_key(*c, rank)):
-            plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
+        for ops in sorted(level, key=lambda ops: _candidate_key(ops, rank)):
+            plan, trace = apply_script(s, draft, ops)
             report = validate(s, plan, checks, trace=trace)
             if report.feasible:
-                ops = [
-                    EditOp(EditKind.Substitute, p, a, templates[p - 1].action) for p, a in subs
-                ]
-                ops += [EditOp(EditKind.Insert, g + 1, a) for g, a in inserts]
-                ops += [EditOp(EditKind.Transpose, p) for p in swaps]
-                # stable: inserts at one position stay in plan order
-                ops.sort(key=lambda op: (op.position, op.kind.value))
                 found = (plan, trace, ops, report)
                 break
         if found:
@@ -501,18 +476,15 @@ def minimal_edit_repair(
     if style == "conservative":
         final_battery = min(rs.battery for rs in trace.final.robots.values())
         if final_battery < 50.0:
-            last = plan.steps[-1]
-            tail_kind = (
-                ActionKind.CHARGE if last.location in s.site.chargers else ActionKind.IDLE
-            )
-            tail = plan_templates(plan) + [StepTemplate(last.robot, Action(tail_kind))]
-            tail_plan, tail_trace = reconcile_plan(s, tail)
+            at_charger = plan.steps[-1].location in s.site.chargers
+            tail = Action(ActionKind.CHARGE if at_charger else ActionKind.IDLE)
+            tail_ops = ops + (EditOp(EditKind.Insert, len(draft) + 1, tail),)
+            tail_plan, tail_trace = apply_script(s, draft, tail_ops)
             tail_report = validate(s, tail_plan, checks, trace=tail_trace)
             if tail_report.feasible:
-                ops = ops + [EditOp(EditKind.Insert, len(templates) + 1, Action(tail_kind))]
-                plan, report = tail_plan, tail_report
+                plan, ops, report = tail_plan, tail_ops, tail_report
 
-    return RepairResult(True, plan, EditScript(tuple(ops)), 1, report)
+    return RepairResult(True, plan, EditScript(ops), 1, report)
 
 
 # ---------------------------------------------------------------------------

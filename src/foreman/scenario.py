@@ -636,7 +636,6 @@ class PromptContext:
     task_text: str
     roster: str
     api_schema: str
-    few_shot: tuple[tuple[str, str], ...] = ()
     guardrails: tuple[str, ...] = ()
 
 

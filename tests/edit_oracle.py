@@ -2,15 +2,38 @@
 
 ``enumerate_scripts`` lists every candidate edit script of the search's
 edit model; ``bfs_min_cost`` finds the fewest unit edits to a feasible plan
-by a plain breadth-first search over whole action tuples.
+by a plain breadth-first search over whole action tuples.  ``as_ops`` turns
+an enumerated candidate into the ops ``apply_script`` takes, and
+``unnumbered`` builds a step as ``reconcile_plan`` reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from foreman.plan import PlanStep
+from foreman.repair import EditKind, EditOp
 
-def enumerate_scripts(n_steps, alphabet, templates, cost):
+
+def unnumbered(label, action, coalition=()):
+    """A step with only a label, an action and a coalition; ``reconcile_plan``
+    numbers it and fills its state columns."""
+    return PlanStep(0, label, "?", action, 0, 0, 0.0, coalition)
+
+
+def as_ops(steps, candidate):
+    """An enumerated ``(subs, inserts, swaps)`` as ops on ``steps``, in script
+    order: by position, inserts before a substitute or transpose, and
+    same-gap inserts in plan order."""
+    subs, inserts, swaps = candidate
+    ops = [EditOp(EditKind.Substitute, p, a, steps[p - 1].action) for p, a in subs]
+    ops += [EditOp(EditKind.Insert, g + 1, a) for g, a in inserts]
+    ops += [EditOp(EditKind.Transpose, p) for p in swaps]
+    ops.sort(key=lambda op: (op.position, op.kind.value))  # stable
+    return tuple(ops)
+
+
+def enumerate_scripts(n_steps, alphabet, steps, cost):
     """Every candidate of exactly ``cost`` unit edits, as ``(subs, inserts,
     swaps)`` in the draft's index space.
 
@@ -23,13 +46,13 @@ def enumerate_scripts(n_steps, alphabet, templates, cost):
         (pos, action)
         for pos in range(1, n_steps + 1)
         for action in alphabet
-        if action != templates[pos - 1].action
+        if action != steps[pos - 1].action
     ]
     swap_choices = [
         pos
         for pos in range(1, n_steps)
-        if templates[pos - 1].action != templates[pos].action
-        and templates[pos - 1].robot == templates[pos].robot
+        if steps[pos - 1].action != steps[pos].action
+        and steps[pos - 1].robot == steps[pos].robot
     ]
     for n_subs in range(cost + 1):
         for n_swaps in range(cost - n_subs + 1):

@@ -12,7 +12,7 @@ import time
 import pytest
 
 from brute_oracle import brute_feasible
-from edit_oracle import enumerate_scripts
+from edit_oracle import as_ops, enumerate_scripts, unnumbered
 from foreman.executor import execute, makespan
 from foreman.experiment import (
     ExperimentConfig,
@@ -24,10 +24,8 @@ from foreman.metrics import bleu, meteor, rouge, similarity
 from foreman.plan import Action, ActionKind, tokenize_plan
 from foreman.repair import (
     SearchSupervisor,
-    StepTemplate,
-    _apply_edits,
+    apply_script,
     minimal_edit_repair,
-    plan_templates,
     reconcile_plan,
     repair_loop,
 )
@@ -96,11 +94,10 @@ def test_criterion_2_experiment_ii_coverage_repair(grid, grid_draft):
 
 
 def _no_cheaper_script_is_feasible(s, draft, below_cost) -> bool:
-    templates = plan_templates(draft)
     alphabet = s.action_alphabet()
     for cost in range(1, below_cost):
-        for subs, inserts, swaps in enumerate_scripts(len(templates), alphabet, templates, cost):
-            plan, trace = reconcile_plan(s, _apply_edits(templates, subs, inserts, swaps))
+        for c in enumerate_scripts(len(draft), alphabet, draft.steps, cost):
+            plan, trace = apply_script(s, draft, as_ops(draft.steps, c))
             if trace.error is not None:
                 continue
             if validate(s, plan, ALL_CHECKS, trace=trace).feasible:
@@ -296,7 +293,7 @@ def test_criterion_7_validator_oracle_equivalence():
     for length in range(0, 7):
         for combo in itertools.product(_MICRO_ALPHABET, repeat=length):
             actions = [Action(ActionKind(kind), target) for kind, target in combo]
-            plan, trace = reconcile_plan(s, [StepTemplate(None, a) for a in actions])
+            plan, trace = reconcile_plan(s, [unnumbered(None, a) for a in actions])
             validator_says = validate(s, plan, ALL_CHECKS, trace=trace).feasible
             brute_says = brute_feasible(BRUTE_WORLD, list(combo))
             checked += 1

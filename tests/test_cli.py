@@ -174,6 +174,7 @@ def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
 _BAD_PROFILES = {
     "no_endpoint": {"gemma": {"role": "supervisor", "model_name": "gemma"}},
     "not_an_object": ["gemma"],
+    "unmocked_generator": {"generator": {"endpoint": "mock://gen", "role": "generator"}},
 }
 
 
@@ -187,6 +188,7 @@ _BAD_PROFILES = {
         ("experiment", "no_endpoint"),
         ("repair", "not_an_object"),
         ("experiment", "not_an_object"),
+        ("experiment", "unmocked_generator"),
     ],
 )
 def test_unreadable_llm_set_up_is_a_one_line_error(runner, fix_dir, tmp_path, command, bad):
@@ -199,10 +201,16 @@ def test_unreadable_llm_set_up_is_a_one_line_error(runner, fix_dir, tmp_path, co
         path = tmp_path / "profiles.json"
         path.write_text(json.dumps(_BAD_PROFILES[bad]), encoding="utf-8")
         options = ["--profiles", str(path)]
+    supervisor = "llm:gemma"
+    if bad == "unmocked_generator":  # no mock answers the generator's prompt
+        (tmp_path / "mocks").mkdir()
+        (tmp_path / "mocks" / "manifest.json").write_text("{}", encoding="utf-8")
+        options += ["--mocks-dir", str(tmp_path / "mocks")]
+        supervisor = "search-minimal"
     if command == "repair":
-        args = ["repair", p["wall"], p["wall_draft"], "--supervisor", "llm:gemma"]
+        args = ["repair", p["wall"], p["wall_draft"], "--supervisor", supervisor]
     else:
-        args = ["experiment", p["wall"], "--supervisor", "llm:gemma", "--out-dir", str(tmp_path / "out")]
+        args = ["experiment", p["wall"], "--supervisor", supervisor, "--out-dir", str(tmp_path / "out")]
     res = runner.invoke(main, args + options)
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
     assert res.output.startswith("error: ") and res.output.count("\n") == 1

@@ -30,10 +30,6 @@ def test_generator_prompt_elides_empty_few_shot(wall):
     ctx = canonical_context(wall)
     prompt = build_generator_prompt(ctx)
     assert "EXAMPLES" not in prompt
-    from dataclasses import replace
-
-    with_shot = replace(ctx, few_shot=(("ctx", "STEP 1, [C], IDLE, [0], 0, [100]"),))
-    assert "EXAMPLES" in build_generator_prompt(with_shot)
 
 
 def test_prompt_determinism(wall, grid):

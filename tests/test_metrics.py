@@ -180,7 +180,6 @@ def test_eval_run_feasible_draft_scores_one(wall, wall_gemma):
     assert report.scores.meteor >= 0.99  # identical plans, long token sequence
     assert report.edits.total() == 0
     assert report.makespan_delta == 0.0
-    assert report.t_rep == 1
 
 
 def test_eval_run_on_infeasible_loop_has_empty_edit_profile(wall, wall_draft):
@@ -234,4 +233,3 @@ def test_eval_run_on_repair(wall, wall_draft):
     assert report.fr == 1.0
     assert report.edits.substitutions == 2
     assert report.makespan_delta == 1.0
-    assert report.t_rep == 1

@@ -19,7 +19,8 @@ from foreman.plan import (
     tokenize_plan,
     tokenize_plan_full,
 )
-from foreman.repair import StepTemplate, reconcile_plan
+from edit_oracle import unnumbered
+from foreman.repair import reconcile_plan
 from foreman.scenario import load_scenario_dict, serialize_scenario
 from foreman.validator import validate
 
@@ -235,7 +236,7 @@ def test_executor_generated_plans_round_trip(wall, rate, weight, kinds):
     doc["cost"]["battery_per_du"] = rate
     doc["site"]["edges"][0][2] = weight
     s = load_scenario_dict(doc, name="rates")
-    plan, _ = reconcile_plan(s, [StepTemplate(None, Action(k)) for k in kinds])
+    plan, _ = reconcile_plan(s, [unnumbered(None, Action(k)) for k in kinds])
     again = parse_plan(serialize_plan(plan))
     assert again == plan
     assert validate(s, again) == validate(s, plan)

@@ -1,29 +1,29 @@
 import gc
+import hashlib
 import itertools
 import json
+import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from edit_oracle import bfs_min_cost, enumerate_scripts
+from edit_oracle import as_ops, bfs_min_cost, enumerate_scripts, unnumbered
 from foreman import repair
 from foreman.executor import WorldState, execute, makespan
 from foreman.experiment import battery_pressured_batch
 from foreman.fcfs import fcfs_schedule
-from foreman.plan import Action, ActionKind, Plan, parse_plan
+from foreman.plan import Action, ActionKind, Plan, parse_plan, serialize_plan
 from foreman.repair import (
     EditKind,
-    _apply_edits,
+    EditOp,
     _candidate_key,
     _survivors,
     SearchSupervisor,
-    StepTemplate,
     SupervisorError,
     apply_script,
     edit_script,
     minimal_edit_repair,
-    plan_templates,
     reconcile_plan,
     repair_loop,
 )
@@ -119,7 +119,7 @@ def test_conservative_appends_idle_on_low_end_battery(grid, grid_draft):
     # the terminal insert is placed in the draft's index space, like every
     # other search op, so the script replays onto the draft
     assert conservative.script.render() == "S8: SCAN (+); S8: IDLE (+)"
-    assert apply_script(grid, grid_draft, conservative.script) == conservative.plan
+    assert apply_script(grid, grid_draft, conservative.script.ops)[0] == conservative.plan
 
 
 def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draft):
@@ -207,9 +207,9 @@ def test_reconcile_reads_each_step_its_own_trace_entry(wall):
     # their steps separately, and each step's state columns must come from
     # its own (label, step) entry, not from the other label's step 1 or 2
     K = ActionKind
-    templates = [StepTemplate(None, Action(K.MOVE_S)), StepTemplate(None, Action(K.PICK))]
-    templates += [StepTemplate("r1", Action(K.MOVE_B)), StepTemplate("r1", Action(K.BUILD))]
-    plan, trace = reconcile_plan(wall, templates)
+    steps = [unnumbered(None, Action(K.MOVE_S)), unnumbered(None, Action(K.PICK))]
+    steps += [unnumbered("r1", Action(K.MOVE_B)), unnumbered("r1", Action(K.BUILD))]
+    plan, trace = reconcile_plan(wall, steps)
     assert trace.error is None
     rows = [(s.robot, s.step, s.location, s.action.kind, s.cargo, s.placed, s.battery) for s in plan.steps]
     assert rows == [
@@ -338,7 +338,7 @@ def test_applying_search_script_reproduces_repaired_plan(wall, grid, wall_draft,
     for s, draft, budget in cases:
         result = minimal_edit_repair(s, draft, budget)
         assert result.feasible
-        assert apply_script(s, draft, result.script) == result.plan
+        assert apply_script(s, draft, result.script.ops)[0] == result.plan
         positions = [op.position for op in result.script.ops if op.kind is EditKind.Insert]
         same_gap_inserts += len(positions) - len(set(positions))
     assert same_gap_inserts  # 3 tasks at 100% needs two inserts in one gap
@@ -347,7 +347,47 @@ def test_applying_search_script_reproduces_repaired_plan(wall, grid, wall_draft,
 def test_applying_alignment_script_reproduces_target(wall, wall_draft, wall_gemma, wall_mistral):
     for target in (wall_gemma, wall_mistral):
         script = edit_script(wall_draft, target)
-        assert apply_script(wall, wall_draft, script) == target
+        assert apply_script(wall, wall_draft, script.ops)[0] == target
+
+
+def _random_ops(rng, draft, alphabet):
+    """Up to five random edits in random order: substitutes, deletes,
+    transposes, runs of inserts at one position, and a substitute of a step
+    that a transpose also moves."""
+    steps = draft.steps
+    n = len(steps)
+    ops = []
+    for _ in range(rng.randint(1, 5)):
+        what = rng.choice(["sub", "del", "swap", "ins", "sub_swap"])
+        if what == "ins":
+            position = rng.randint(1, n + 1)
+            ops += [EditOp(EditKind.Insert, position, rng.choice(alphabet)) for _ in range(rng.randint(1, 3))]
+        elif what == "sub" or what == "del" or n < 2:
+            p = rng.randint(1, n)
+            payload = rng.choice(alphabet) if what != "del" else None
+            ops.append(EditOp(EditKind.Substitute, p, payload, steps[p - 1].action))
+        else:
+            p = rng.randint(1, n - 1)
+            ops.append(EditOp(EditKind.Transpose, p))
+            if what == "sub_swap":
+                q = p + rng.randint(0, 1)
+                ops.append(EditOp(EditKind.Substitute, q, rng.choice(alphabet), steps[q - 1].action))
+    rng.shuffle(ops)
+    return ops
+
+
+def test_apply_script_is_pinned_on_random_op_lists(wall, grid, wall_draft, grid_draft):
+    # 500 seeded op lists in any order; the digest of each edited plan's
+    # text and replay error was recorded when subs, inserts and transposes
+    # were applied as separate lists
+    cases = [(wall, wall_draft), (grid, grid_draft), (_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT))]
+    rng = random.Random(20261018)
+    digest = hashlib.sha256()
+    for i in range(500):
+        s, draft = cases[i % len(cases)]
+        plan, trace = apply_script(s, draft, _random_ops(rng, draft, s.action_alphabet()))
+        digest.update(f"{serialize_plan(plan)}|{trace.error}\n".encode())
+    assert digest.hexdigest() == "342f7c6e387d0c6bb1c325adca27588fa1841374e5d70945437ab08b7d4afd1a"
 
 
 def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
@@ -413,7 +453,7 @@ def test_search_repairs_a_two_robot_plan(wall):
         ("r1", 7, "B", "MOVE_B", 3, 6, 0.0),
         ("r1", 8, "B", "BUILD", 0, 9, 0.0),
     ]
-    assert apply_script(s, draft, result.script) == result.plan
+    assert apply_script(s, draft, result.script.ops)[0] == result.plan
 
 
 def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
@@ -432,8 +472,8 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     cases += [(classes[k], fcfs_schedule(classes[k])[1]) for k in [(3, 100.0), (3, 50.0)]]
     cases.append((_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT)))
     # a CHARGE at B, which has no charger, halts the draft at step 5
-    halting = plan_templates(wall_draft)[:9]
-    halting[4] = StepTemplate(None, Action(ActionKind.CHARGE))
+    halting = list(wall_draft.steps[:9])
+    halting[4] = unnumbered(None, Action(ActionKind.CHARGE))
     plan, trace = reconcile_plan(wall, halting)
     assert trace.error is not None and len(trace.entries) == 4
     cases.append((wall, plan))
@@ -451,18 +491,18 @@ def test_walk_keeps_exactly_the_candidates_whose_replay_runs(wall, grid, wall_dr
     kept = {True: 0, False: 0}
     dropped = {True: 0, False: 0}
     for s, draft, costs in _screen_cases(wall, grid, wall_draft, grid_draft):
-        templates = plan_templates(draft)
         alphabet = s.action_alphabet()
         rank = {a: i for i, a in enumerate(alphabet)}
 
-        def key(c):
-            return _candidate_key(*c, rank)
+        def key(ops):
+            return _candidate_key(ops, rank)
 
         for cost in costs:
             replays = {}
-            for c in enumerate_scripts(len(templates), alphabet, templates, cost):
-                _, trace = reconcile_plan(s, _apply_edits(templates, *c))
-                replays[c] = (trace.error is not None, any(e.battery < 0 for e in trace.entries))
+            for c in enumerate_scripts(len(draft), alphabet, draft.steps, cost):
+                ops = as_ops(draft.steps, c)
+                _, trace = apply_script(s, draft, ops)
+                replays[ops] = (trace.error is not None, any(e.battery < 0 for e in trace.entries))
             for checked in (True, False):
                 expected = sorted(
                     (c for c, (error, underflow) in replays.items() if not (error or checked and underflow)),
@@ -553,11 +593,11 @@ _COST_3 = {
 @pytest.mark.parametrize("actions", sorted(_COST_3))
 def test_search_finds_a_three_edit_repair(wall, actions):
     s = _one_trip(wall)
-    draft, _ = reconcile_plan(s, [StepTemplate(None, Action(ActionKind[a])) for a in actions.split()])
+    draft, _ = reconcile_plan(s, [unnumbered(None, Action(ActionKind[a])) for a in actions.split()])
     assert not minimal_edit_repair(s, draft, budget=2).feasible
     result = minimal_edit_repair(s, draft, budget=3)
     assert result.feasible
     script, rows = _COST_3[actions]
     assert result.script.render() == script
     assert [(p.location, str(p.action), p.cargo, p.placed, p.battery) for p in result.plan.steps] == rows
-    assert apply_script(s, draft, result.script) == result.plan
+    assert apply_script(s, draft, result.script.ops)[0] == result.plan

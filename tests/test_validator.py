@@ -1,7 +1,8 @@
 import random
 
 from foreman.plan import Action, ActionKind, parse_plan
-from foreman.repair import StepTemplate, reconcile_plan
+from edit_oracle import unnumbered
+from foreman.repair import reconcile_plan
 from foreman.validator import (
     ALL_CHECKS,
     HintKind,
@@ -106,7 +107,7 @@ def test_battery_soundness_vs_executor(wall):
              ActionKind.PICK, ActionKind.BUILD, ActionKind.CHARGE, ActionKind.IDLE]
     for _ in range(300):
         actions = [Action(rng.choice(kinds)) for _ in range(rng.randint(1, 8))]
-        plan, trace = reconcile_plan(wall, [StepTemplate(None, a) for a in actions])
+        plan, trace = reconcile_plan(wall, [unnumbered(None, a) for a in actions])
         report = validate(wall, plan, ALL_CHECKS, trace=trace)
         has_battery_class = bool(report.by_class(VC.Battery))
         negative = any(e.battery < 0 for e in trace.entries)
@@ -168,14 +169,14 @@ def test_precedence_incomplete_and_order(wall):
     actions = [ActionKind.MOVE_S, ActionKind.PICK, ActionKind.MOVE_B, ActionKind.BUILD,
                ActionKind.MOVE_C, ActionKind.CHARGE, ActionKind.MOVE_S, ActionKind.PICK,
                ActionKind.MOVE_B, ActionKind.BUILD]
-    plan, _ = reconcile_plan(wall, [StepTemplate(None, Action(a)) for a in actions])
+    plan, _ = reconcile_plan(wall, [unnumbered(None, Action(a)) for a in actions])
     report = validate(wall, plan, {VC.Precedence})
     assert [v for v in report.violations if "build_3" in v.detail]
 
 
 def test_misplaced_build_is_capacity_violation(wall):
     actions = [ActionKind.MOVE_S, ActionKind.PICK, ActionKind.MOVE_C, ActionKind.BUILD]
-    plan, _ = reconcile_plan(wall, [StepTemplate(None, Action(a)) for a in actions])
+    plan, _ = reconcile_plan(wall, [unnumbered(None, Action(a)) for a in actions])
     report = validate(wall, plan, {VC.Capacity})
     assert report.by_class(VC.Capacity)
 
@@ -190,7 +191,7 @@ def test_overbuild_is_capacity_violation(wall):
     rich = load_scenario_dict(doc, name="rich")
     actions = [ActionKind.MOVE_S, ActionKind.PICK, ActionKind.MOVE_B, ActionKind.BUILD,
                ActionKind.MOVE_C, ActionKind.CHARGE] * 4
-    plan, _ = reconcile_plan(rich, [StepTemplate(None, Action(a)) for a in actions])
+    plan, _ = reconcile_plan(rich, [unnumbered(None, Action(a)) for a in actions])
     report = validate(rich, plan, {VC.Capacity})
     assert any("exceeds demand" in v.detail for v in report.violations)
 
@@ -221,7 +222,7 @@ def test_capability_violation():
             "resources": {"A": 3},
         }
     )
-    plan, _ = reconcile_plan(s, [StepTemplate(None, Action(ActionKind.PICK))])
+    plan, _ = reconcile_plan(s, [unnumbered(None, Action(ActionKind.PICK))])
     report = validate(s, plan, {VC.Capability})
     assert report.by_class(VC.Capability)
     assert report.violations[0].hint.kind is HintKind.ReassignRobot
@@ -295,15 +296,15 @@ def test_whole_reports_are_pinned(grid, grid_draft):
     def trip(to):
         return [K.MOVE_S, K.PICK, to, K.BUILD]
 
-    templates = [StepTemplate("r1", Action(k)) for k in trip(K.MOVE_B) + trip(K.MOVE_C) + [K.CHARGE]]
-    templates.append(StepTemplate("r1", Action(K.INSPECT), ("r1", "r2")))  # r2 brings the skill
-    templates += [StepTemplate("r1", Action(k)) for k in trip(K.MOVE_B) * 2]
-    templates += [
-        StepTemplate("r2", a)
+    steps = [unnumbered("r1", Action(k)) for k in trip(K.MOVE_B) + trip(K.MOVE_C) + [K.CHARGE]]
+    steps.append(unnumbered("r1", Action(K.INSPECT), ("r1", "r2")))  # r2 brings the skill
+    steps += [unnumbered("r1", Action(k)) for k in trip(K.MOVE_B) * 2]
+    steps += [
+        unnumbered("r2", a)
         for a in (Action(K.NAVIGATE, "D"), Action(K.NAVIGATE, "X"), Action(K.BUILD),
                   Action(K.NAVIGATE, "D"), Action(K.INSPECT))
     ]
-    plan, _ = reconcile_plan(s, templates)
+    plan, _ = reconcile_plan(s, steps)
     precedence = [
         ("precedence", None, "task scan_s (SCAN at S) never completes", "insert_after SCAN @ step 18"),
         ("precedence", 2, "task reach_x completes before its prerequisite inspect_d", "swap_adjacent @ step 2"),
@@ -326,7 +327,7 @@ def test_whole_reports_are_pinned(grid, grid_draft):
     subset = {VC.Capacity, VC.Safety, VC.Precedence}
     assert validate(s, plan, subset).to_dict() == _report_dict(subset, True, 3, precedence + capacity + safety)
 
-    bad_charge, _ = reconcile_plan(s, [StepTemplate("r1", Action(K.MOVE_S)), StepTemplate("r1", Action(K.CHARGE))])
+    bad_charge, _ = reconcile_plan(s, [unnumbered("r1", Action(K.MOVE_S)), unnumbered("r1", Action(K.CHARGE))])
     unexecutable = [("battery", 2, "unexecutable: no charging station at S", "substitute IDLE @ step 2")]
     for checks in (ALL_CHECKS, subset):
         assert validate(s, bad_charge, checks).to_dict() == _report_dict(checks, False, 1, unexecutable)
