@@ -129,7 +129,11 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
     except (SchemaError, ValueError) as e:  # ConfigError included
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
-    result = repair_loop(s, plan, supervisor, max_iters, cfg.checks)
+    try:
+        result = repair_loop(s, plan, supervisor, max_iters, cfg.checks)
+    except AssertionError as e:  # internal invariant breach
+        click.echo(f"internal error: {e}", err=True)
+        sys.exit(2)
     payload = result.to_dict()
     if result.feasible and result.plan is not None:
         payload["plan"] = serialize_plan(result.plan)

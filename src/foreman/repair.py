@@ -12,17 +12,23 @@ columns are recomputed by the executor, never edited textually.
 
 A candidate is its edit script: a tuple of ``EditOp`` in script order.
 One depth-first walk per cost and insert count enumerates them.  It
-carries the world state through the draft, so the candidates that share a
-prefix share its simulation, and a step that cannot execute, or drains the
-battery while Battery is checked, prunes every candidate that extends it.
-Only the walk's survivors are sorted, applied by ``apply_script`` (the one
-applier of edit ops) and fully validated.
+carries the world state and the validator's check state (a
+``validator.Monitor``) through the draft, so the candidates that share a
+prefix share its simulation and its checks.  A step that cannot execute,
+violates a checked class or (with Precedence checked) completes a task
+before a prerequisite prunes every candidate that extends it, and at the
+end of the draft the monitor's final checks decide feasibility: the walk
+keeps only feasible scripts.  A walk state whose continuations held no
+feasible script is remembered for the rest of the search and not explored
+again.  The smallest feasible
+script in tie-break order wins; ``apply_script`` (the one applier of edit
+ops) rebuilds it, and ``validate`` confirms it once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,6 +37,8 @@ from .plan import Action, ActionKind, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
     ALL_CHECKS,
+    CheckState,
+    Monitor,
     ViolationClass,
     ViolationReport,
     validate,
@@ -305,9 +313,11 @@ def _candidate_key(ops: tuple[EditOp, ...], rank: dict[Action, int]) -> tuple:
 
 
 def _survivors(
-    s: Scenario, draft: Plan, alphabet: list[Action], cost: int, n_ins: int, battery_checked: bool
-) -> list[tuple[EditOp, ...]]:
-    """Every script of ``cost`` edits, ``n_ins`` of them inserts, whose edited plan executes.
+    s: Scenario, draft: Plan, alphabet: list[Action], checks: frozenset[ViolationClass]
+) -> Callable[[int, int], list[tuple[EditOp, ...]]]:
+    """The walk of one search: ``level(cost, n_ins)`` lists every script of
+    ``cost`` edits, ``n_ins`` of them inserts, whose edited plan is feasible
+    under ``checks``.
 
     Each script is a tuple of ops in script order: by position, and at one
     position the inserts, in plan order, before a substitute or transpose.
@@ -316,15 +326,26 @@ def _survivors(
     again, so every order of same-gap inserts is tried; then it substitutes
     the next step, transposes it with the one after (inserts may go
     between the swapped pair) or keeps it.  The ops, and the steps they
-    run, come from tables built once per call.  Each branch runs its new
-    step on its own copy of the world, and a step that raises ExecError,
-    or leaves a negative battery while Battery is checked, drops the branch
-    with every script that extends it: exactly the scripts whose full
-    replay fails.  Keeping a step runs it in place, so the recursion is
-    only as deep as the edit count.  Labels bound to two or more robots
-    take turns by elapsed time rather than line order, so there no step
-    runs during the walk and each complete script's edited steps run
-    whole.  A draft whose labels cannot be bound yields nothing.
+    run, come from tables built once per search.
+
+    When one robot runs every step, each branch runs its new step on its
+    own copy of the world and of the validator's ``CheckState``.  A step
+    that raises ExecError, violates a checked class or dooms a precedence
+    edge drops the branch with every script that extends it, and at the
+    end of the draft the monitor's ``final`` alone decides feasibility; so
+    the walk keeps exactly the scripts that ``apply_script`` plus
+    ``validate`` find feasible.  Keeping a step runs it in place, so the
+    recursion is only as deep as the edit count.  A walk node is its gap,
+    whether a transposed step is pending, the edits left, the world but for
+    ``elapsed`` and ``scanned`` (which no verdict reads) and the monitor's
+    key; a node whose subtree held no feasible script is remembered, for
+    every level of the search, and skipped when it is reached again.
+
+    Labels bound to two or more robots take turns by elapsed time rather
+    than line order, so there no step runs during the walk: each complete
+    script's edited steps run whole through ``run`` under the same monitor,
+    and nothing is remembered.  A draft whose labels cannot be bound yields
+    nothing.
     """
     steps = draft.steps
     n = len(steps)
@@ -332,10 +353,11 @@ def _survivors(
         # search inserts into an empty draft are unlabelled
         bound = bind(s, draft.robots or (None,))
     except ValueError:
-        return []
+        return lambda cost, n_ins: []
     one_robot = len(set(bound.values())) == 1
     robot = next(iter(bound.values()))  # the one robot, when there is one
-    found: list[tuple[EditOp, ...]] = []
+    monitor = Monitor(s, checks)
+    dead: set[tuple] = set()  # nodes whose subtree holds no feasible script
 
     # Per gap g: the inserts at position g + 1 and the substitutes of step
     # g + 1, each with the step it runs, and the transpose of steps g + 1
@@ -359,63 +381,92 @@ def _survivors(
         for g, (t, u) in enumerate(zip(steps, steps[1:]))
     ] + [None]  # the last step has no partner
 
-    def ok(world: WorldState, plan_step: PlanStep) -> bool:
-        """Run one step on ``world`` in place; false when it fails."""
+    def ok(world: WorldState, state: CheckState, plan_step: PlanStep) -> bool:
+        """Run one step on ``world`` and ``state`` in place; false when it
+        fails, violates a checked class or dooms a precedence edge."""
         if not one_robot:
             return True
         try:
             entry = apply_step(s, world, plan_step, robot)
         except ExecError:
             return False
-        return not (battery_checked and entry.battery < 0)
+        return not monitor.step(state, entry) and not state.doomed
 
-    def after(world: WorldState, plan_step: PlanStep) -> WorldState | None:
-        """A copy of ``world`` after one step, or None when the step fails."""
-        branch = world.copy() if one_robot else world
-        return branch if ok(branch, plan_step) else None
+    def after(world: WorldState, state: CheckState, plan_step: PlanStep) -> tuple[WorldState, CheckState] | None:
+        """Copies of ``world`` and ``state`` after one step, or None when it fails."""
+        if one_robot:
+            world, state = world.copy(), state.copy()
+        return (world, state) if ok(world, state, plan_step) else None
 
-    def executes(ops: tuple[EditOp, ...]) -> bool:
-        """Whether the whole edited plan runs, robots taking turns."""
+    def feasible(world: WorldState, state: CheckState, ops: tuple[EditOp, ...]) -> bool:
+        """Whether the walk's world and state, at the end of the draft, pass
+        the final checks; with robots taking turns, whether the whole edited
+        plan runs and passes every check."""
+        if one_robot:
+            return not monitor.final(state, world)
+        world, state = initial_state(s), CheckState()
         try:
-            edited = run(s, initial_state(s), _edited(steps, ops), bound)
-            return all(e.battery >= 0 or not battery_checked for e in edited)
+            for entry in run(s, world, _edited(steps, ops), bound):
+                if monitor.step(state, entry) or state.doomed:
+                    return False
         except ExecError:
             return False
+        return not monitor.final(state, world)
 
-    def walk(g, world, ops, ins_left, left, pending) -> None:
-        while True:
-            if left > n - g:
-                return  # too few steps left for the other edits
-            if ins_left:
-                for op, new in inserts_at[g]:
-                    branch = after(world, new)
-                    if branch is not None:
-                        walk(g, branch, ops + (op,), ins_left - 1, left, pending)
-            if pending is not None:  # the first step of a transposed pair
-                if not ok(world, pending):
-                    return
-                g, pending = g + 1, None
-                continue
-            if g == n:
-                if not ins_left and (one_robot or executes(ops)):
-                    found.append(ops)
-                return
-            if left:
-                for op, new in subs_at[g]:
-                    branch = after(world, new)
-                    if branch is not None:
-                        walk(g + 1, branch, ops + (op,), ins_left, left - 1, None)
-                if swaps_at[g] is not None:
-                    branch = after(world, steps[g + 1])
-                    if branch is not None:
-                        walk(g + 1, branch, ops + (swaps_at[g],), ins_left, left - 1, steps[g])
-            if not ok(world, steps[g]):
-                return
-            g += 1
+    def node(g: int, pending: PlanStep | None, ins_left: int, left: int, world: WorldState, state: CheckState):
+        rs = world.robots[robot]
+        return (
+            g, pending is not None, ins_left, left, rs.location, rs.battery, rs.cargo,
+            tuple(world.stock.values()), frozenset(world.placed_at.items()), frozenset(world.discovered),
+            monitor.key(state),
+        )
 
-    walk(0, initial_state(s), (), n_ins, cost - n_ins, None)
-    del walk  # it refers to itself: free the cycle now, not at the next collection
-    return found
+    def level(cost: int, n_ins: int) -> list[tuple[EditOp, ...]]:
+        found: list[tuple[EditOp, ...]] = []
+
+        def walk(g, world, state, ops, ins_left, left, pending) -> None:
+            entered = []  # the nodes this call reached, each with the scripts found before it
+            while True:
+                if left > n - g:
+                    break  # too few steps left for the other edits
+                if one_robot:
+                    key = node(g, pending, ins_left, left, world, state)
+                    if key in dead:
+                        break
+                    entered.append((key, len(found)))
+                if ins_left:
+                    for op, new in inserts_at[g]:
+                        branch = after(world, state, new)
+                        if branch is not None:
+                            walk(g, *branch, ops + (op,), ins_left - 1, left, pending)
+                if pending is not None:  # the first step of a transposed pair
+                    if not ok(world, state, pending):
+                        break
+                    g, pending = g + 1, None
+                    continue
+                if g == n:
+                    if not ins_left and feasible(world, state, ops):
+                        found.append(ops)
+                    break
+                if left:
+                    for op, new in subs_at[g]:
+                        branch = after(world, state, new)
+                        if branch is not None:
+                            walk(g + 1, *branch, ops + (op,), ins_left, left - 1, None)
+                    if swaps_at[g] is not None:
+                        branch = after(world, state, steps[g + 1])
+                        if branch is not None:
+                            walk(g + 1, *branch, ops + (swaps_at[g],), ins_left, left - 1, steps[g])
+                if not ok(world, state, steps[g]):
+                    break
+                g += 1
+            dead.update(key for key, before in entered if len(found) == before)
+
+        walk(0, initial_state(s), CheckState(), (), n_ins, cost - n_ins, None)
+        del walk  # it refers to itself: free the cycle now, not at the next collection
+        return found
+
+    return level
 
 
 def minimal_edit_repair(
@@ -430,20 +481,21 @@ def minimal_edit_repair(
 
     Each draft step takes at most one substitute or transpose, and any
     number of inserts, in any order, may go at any gap.  Scripts are tried
-    by increasing cost and, within a cost level, in deterministic tie-break
-    order (fewest insertions, earliest highest touched step, lexicographic
-    actions, then same-gap inserts in reverse alphabet order first); the
-    first feasible candidate is therefore the canonical argmin.
-    ``style='conservative'`` additionally appends a terminal CHARGE (at a
-    charger) or IDLE when the repaired plan ends below 50% battery: one
-    more insert, after the last step, applied with the rest of the script.
+    by increasing cost, a level one insert count at a time, and within the
+    first level that holds a feasible script the deterministic tie-break
+    (fewest insertions, earliest highest touched step, lexicographic
+    actions, then same-gap inserts in reverse alphabet order first) picks
+    the canonical argmin.  ``style='conservative'`` additionally appends a
+    terminal CHARGE (at a charger) or IDLE when the repaired plan ends
+    below 50% battery: one more insert, after the last step, applied with
+    the rest of the script.
 
-    A level is walked one insert count at a time by ``_survivors``, which
-    yields its scripts in script order and drops the ones whose edited
-    plan fails to execute, or underflows while Battery is checked; only
-    the rest are sorted, applied by ``apply_script`` and validated.  The
-    dropped ones can never validate, so the result does not change.  The
-    reported script is exactly the ops that were applied.
+    ``_survivors`` walks each level and keeps only the feasible scripts,
+    deciding feasibility with the validator's own monitor as it goes.  So
+    the winner is the only script that ``apply_script`` rebuilds; it is
+    validated once more, and a disagreement is an internal error
+    (AssertionError).  The reported script is exactly the ops that were
+    applied.
 
     ``base_report`` is the draft's report under ``checks`` when the caller
     has it already; otherwise the draft is validated here.
@@ -455,24 +507,18 @@ def minimal_edit_repair(
 
     alphabet = s.action_alphabet()
     rank = {a: i for i, a in enumerate(alphabet)}
-    battery_checked = ViolationClass.Battery in checks
-    found: tuple[Plan, Trace, tuple[EditOp, ...], ViolationReport] | None = None
-
+    level = _survivors(s, draft, alphabet, checks)
     for cost, n_ins in ((c, k) for c in range(1, budget + 1) for k in range(c + 1)):
-        level = _survivors(s, draft, alphabet, cost, n_ins, battery_checked)
-        for ops in sorted(level, key=lambda ops: _candidate_key(ops, rank)):
-            plan, trace = apply_script(s, draft, ops)
-            report = validate(s, plan, checks, trace=trace)
-            if report.feasible:
-                found = (plan, trace, ops, report)
-                break
-        if found:
+        leaves = level(cost, n_ins)
+        if leaves:
+            ops = min(leaves, key=lambda ops: _candidate_key(ops, rank))
             break
-
-    if found is None:
+    else:
         return RepairResult(False, None, None, 1, base_report)
 
-    plan, trace, ops, report = found
+    plan, trace = apply_script(s, draft, ops)
+    report = validate(s, plan, checks, trace=trace)
+    assert report.feasible, f"the search's winner [{EditScript(ops).render()}] fails validation"
     if style == "conservative":
         final_battery = min(rs.battery for rs in trace.final.robots.values())
         if final_battery < 50.0:

@@ -1,11 +1,12 @@
 """Typed constraint checking over executed plans.
 
 ``validate`` replays a plan through the executor and checks the
-ground-truth trajectory, never the plan's claimed state columns.  Every
-check class runs in one walk over the trace, which also records task
-completions; the report keeps the enabled classes.  Each violation
-carries an actionable fix hint; the invalidity score counts violated
-*classes*, not individual violations.
+ground-truth trajectory, never the plan's claimed state columns.  The
+enabled check classes form one ``Monitor``, which ``validate`` folds over
+the trace: ``step`` per entry, which also records task completions, then
+``final``.  The repair search runs the same monitor step by step as it
+walks its candidates.  Each violation carries an actionable fix hint; the
+invalidity score counts violated *classes*, not individual violations.
 
 Plans carry no task ids, so completions are matched by task type and
 location: the k-th productive BUILD at a wall location completes the
@@ -16,10 +17,10 @@ first matching action at their location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
-from .executor import Trace, coverage_complete, execute
+from .executor import Trace, TraceEntry, WorldState, execute
 from .plan import ActionKind, Plan, SchemaError, parse_plan
 from .scenario import Scenario, TaskSpec, cell_id
 
@@ -32,6 +33,10 @@ class ViolationClass(Enum):
     Safety = "safety"
     Schema = "schema"
     Coverage = "coverage"
+
+    # Identity hashing runs in C (see ActionKind); sets of classes are
+    # sorted before they reach any output.
+    __hash__ = object.__hash__
 
 
 ALL_CHECKS = frozenset(ViolationClass)
@@ -145,82 +150,146 @@ _EXEC_ERROR_CLASS = {
 
 
 # ---------------------------------------------------------------------------
-# The checks: one walk over the trace
+# The checks: a monitor folded over the trace
 # ---------------------------------------------------------------------------
 
 
-def _walk(s: Scenario, trace: Trace) -> dict[ViolationClass, list[Violation]]:
-    """Every check class's violations over a complete ``trace``, in one walk."""
-    VC = ViolationClass
-    found: dict[ViolationClass, list[Violation]] = {cls: [] for cls in _REPORT_ORDER}
+@dataclass(slots=True)
+class CheckState:
+    """What the checks carry from one executed step to the next."""
 
-    def add(cls: ViolationClass, step: int | None, detail: str, hint: FixHint) -> None:
-        found[cls].append(Violation(cls, step, detail, hint))
+    index: int = 0  # trace entries seen
+    last_step: int = 0  # step number of the last entry seen
+    placed_at: dict[str, int] = field(default_factory=dict)
+    done: dict[str, tuple[int, int]] = field(default_factory=dict)  # task id -> (trace index, step number)
+    doomed: bool = False  # a task completed before a prerequisite
 
-    tasks_at: dict[tuple[ActionKind, str], list[TaskSpec]] = {}
-    for t in s.tasks:
-        tasks_at.setdefault((t.type, t.location), []).append(t)
-    demand_at = {
-        loc: sum(t.demand for t in ts) for (kind, loc), ts in tasks_at.items() if kind is ActionKind.BUILD
-    }
-    robots = {r.id: r for r in s.robots}
-    placed_at: dict[str, int] = {}
-    done: dict[str, tuple[int, int]] = {}  # task id -> (trace index, step number)
+    def copy(self) -> CheckState:
+        return CheckState(self.index, self.last_step, dict(self.placed_at), dict(self.done), self.doomed)
 
-    for i, e in enumerate(trace.entries):
-        step, kind, loc, robot = e.step.step, e.step.action.kind, e.location, robots[e.robot]
-        if kind is not ActionKind.IDLE:
+
+class Monitor:
+    """The enabled check classes of one scenario, as a fold over executed steps.
+
+    ``step`` takes the next trace entry, updates the carried ``CheckState``
+    and returns that step's Capability, Capacity, Battery and Safety
+    violations; ``final`` returns the "never completes" and precedence-order
+    violations and Coverage once the trace has ended.  A step violation is
+    irrevocable: the placed counts and the done map only grow, and the trace
+    is never revisited.  So is a task completing before one of its
+    prerequisites: that prerequisite either completes later (an order
+    violation) or never does, so ``step`` marks the state ``doomed``.  Only
+    classes in ``checks`` are tracked or reported.
+    """
+
+    def __init__(self, s: Scenario, checks: frozenset[ViolationClass]):
+        VC = ViolationClass
+        self.s = s
+        self.capability = VC.Capability in checks
+        self.capacity = VC.Capacity in checks
+        self.battery = VC.Battery in checks
+        self.safety = VC.Safety in checks
+        self.precedence = VC.Precedence in checks
+        self.cells = s.site.traversable_cells() if VC.Coverage in checks and s.site.is_grid() else None
+        self.tasks_at: dict[tuple[ActionKind, str], list[TaskSpec]] = {}
+        for t in s.tasks:
+            self.tasks_at.setdefault((t.type, t.location), []).append(t)
+        self.demand_at = {
+            loc: sum(t.demand for t in ts) for (kind, loc), ts in self.tasks_at.items() if kind is ActionKind.BUILD
+        }
+        self.skills = {r.id: r.skills for r in s.robots}
+        self.edges = sorted(s.dag.edges)
+        self.prerequisites: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            self.prerequisites.setdefault(b, []).append(a)
+
+    def step(self, state: CheckState, e: TraceEntry) -> list[Violation]:
+        """Fold one trace entry into ``state``; the step's violations."""
+        VC = ViolationClass
+        found: list[Violation] = []
+        step, kind, loc = e.step.step, e.step.action.kind, e.location
+        i = state.index
+        state.index, state.last_step = i + 1, step
+        if self.capability and kind is not ActionKind.IDLE:
             if e.step.coalition:
-                skills = frozenset().union(*(robots[r].skills for r in e.step.coalition))
+                skills = frozenset().union(*(self.skills[r] for r in e.step.coalition))
             else:
-                skills = robot.skills
+                skills = self.skills[e.robot]
             if kind not in skills:
-                add(VC.Capability, step, f"{e.robot} lacks skill {kind.value}",
-                    FixHint(HintKind.ReassignRobot, step))
-        if e.placed_here > 0:
-            placed = placed_at[loc] = placed_at.get(loc, 0) + e.placed_here
-            threshold = 0
-            for t in tasks_at.get((ActionKind.BUILD, loc), ()):
-                threshold += t.demand
-                if t.id not in done and placed >= threshold:
-                    done[t.id] = (i, step)
-            if loc not in demand_at:
-                add(VC.Capacity, step, f"BUILD places {e.placed_here} MU at {loc}, which has no build task",
-                    FixHint(HintKind.Substitute, step, ActionKind.IDLE))
-            elif placed > demand_at[loc]:
-                add(VC.Capacity, step, f"placed {placed} MU at {loc} exceeds demand {demand_at[loc]}",
-                    FixHint(HintKind.Substitute, step, ActionKind.IDLE))
-        elif kind in _DONE_AT_SITE:
-            for t in tasks_at.get((kind, loc), ()):
-                if t.id not in done:
-                    done[t.id] = (i, step)
-                    break
-        if kind is not ActionKind.BUILD:
-            for t in tasks_at.get((ActionKind.NAVIGATE, loc), ()):
-                done.setdefault(t.id, (i, step))
-        if e.battery < 0:
-            add(VC.Battery, step, f"battery at {_fmt(e.battery)}% after {e.step.action}",
-                FixHint(HintKind.InsertBefore, step, ActionKind.CHARGE))
-        if loc in s.site.no_go:
-            add(VC.Safety, step, f"step enters no-go zone {loc}",
-                FixHint(HintKind.Substitute, step, ActionKind.IDLE))
+                found.append(Violation(VC.Capability, step, f"{e.robot} lacks skill {kind.value}",
+                                       FixHint(HintKind.ReassignRobot, step)))
+        placed_here = e.placed_here
+        if placed_here > 0 and (self.capacity or self.precedence):
+            placed = state.placed_at[loc] = state.placed_at.get(loc, 0) + placed_here
+            demand = self.demand_at.get(loc)
+            if self.capacity and demand is None:
+                found.append(Violation(
+                    VC.Capacity, step, f"BUILD places {placed_here} MU at {loc}, which has no build task",
+                    FixHint(HintKind.Substitute, step, ActionKind.IDLE)))
+            elif self.capacity and placed > demand:
+                found.append(Violation(VC.Capacity, step, f"placed {placed} MU at {loc} exceeds demand {demand}",
+                                       FixHint(HintKind.Substitute, step, ActionKind.IDLE)))
+        if self.precedence:
+            done = state.done
+            before = len(done)
+            if placed_here > 0:
+                threshold = 0
+                for t in self.tasks_at.get((ActionKind.BUILD, loc), ()):
+                    threshold += t.demand
+                    if t.id not in done and placed >= threshold:
+                        done[t.id] = (i, step)
+            elif kind in _DONE_AT_SITE:
+                for t in self.tasks_at.get((kind, loc), ()):
+                    if t.id not in done:
+                        done[t.id] = (i, step)
+                        break
+            if kind is not ActionKind.BUILD:
+                for t in self.tasks_at.get((ActionKind.NAVIGATE, loc), ()):
+                    done.setdefault(t.id, (i, step))
+            if len(done) > before:  # prerequisites count as done when completed by this same step
+                prerequisites = self.prerequisites
+                state.doomed = state.doomed or any(
+                    a not in done for t in list(done)[before:] for a in prerequisites.get(t, ())
+                )
+        if self.battery and e.battery < 0:
+            found.append(Violation(VC.Battery, step, f"battery at {_fmt(e.battery)}% after {e.step.action}",
+                                   FixHint(HintKind.InsertBefore, step, ActionKind.CHARGE)))
+        if self.safety and loc in self.s.site.no_go:
+            found.append(Violation(VC.Safety, step, f"step enters no-go zone {loc}",
+                                   FixHint(HintKind.Substitute, step, ActionKind.IDLE)))
+        return found
 
-    last_step = trace.entries[-1].step.step if trace.entries else 0
-    for t in s.tasks:
-        if t.id not in done:
-            add(VC.Precedence, None, f"task {t.id} ({t.type.value} at {t.location}) never completes",
-                FixHint(HintKind.InsertAfter, last_step, t.type))
-    for a, b in sorted(s.dag.edges):
-        if a in done and b in done and done[a][0] > done[b][0]:
-            step_b = done[b][1]
-            add(VC.Precedence, step_b, f"task {b} completes before its prerequisite {a}",
-                FixHint(HintKind.SwapAdjacent, step_b))
-    complete, missing = coverage_complete(s, trace)
-    if not complete:
-        cells = ", ".join(cell_id(c) for c in sorted(missing))
-        add(VC.Coverage, None, f"cells never discovered: {cells}",
-            FixHint(HintKind.InsertAfter, last_step, ActionKind.SCAN))
-    return found
+    def final(self, state: CheckState, world: WorldState) -> list[Violation]:
+        """The violations decided when the trace ends in ``world``."""
+        VC = ViolationClass
+        found: list[Violation] = []
+        if self.precedence:
+            done = state.done
+            for t in self.s.tasks:
+                if t.id not in done:
+                    found.append(Violation(
+                        VC.Precedence, None, f"task {t.id} ({t.type.value} at {t.location}) never completes",
+                        FixHint(HintKind.InsertAfter, state.last_step, t.type)))
+            for a, b in self.edges:
+                if a in done and b in done and done[a][0] > done[b][0]:
+                    step_b = done[b][1]
+                    found.append(Violation(VC.Precedence, step_b, f"task {b} completes before its prerequisite {a}",
+                                           FixHint(HintKind.SwapAdjacent, step_b)))
+        if self.cells is not None:
+            missing = self.cells - world.discovered
+            if missing:
+                cells = ", ".join(cell_id(c) for c in sorted(missing))
+                found.append(Violation(VC.Coverage, None, f"cells never discovered: {cells}",
+                                       FixHint(HintKind.InsertAfter, state.last_step, ActionKind.SCAN)))
+        return found
+
+    def key(self, state: CheckState) -> frozenset[str]:
+        """What of ``state`` can still change a verdict: the tasks done.
+
+        The placed counts equal the world's ``placed_at`` when one robot
+        runs every step, and a walk prunes a doomed state before keying it.
+        """
+        return frozenset(state.done)
 
 
 def _fmt(x: float) -> str:
@@ -260,7 +329,14 @@ def validate(
             )
         )
     else:
-        violations = [v for cls, vs in _walk(s, trace).items() if cls in checks for v in vs]
+        monitor, state = Monitor(s, checks), CheckState()
+        found: dict[ViolationClass, list[Violation]] = {cls: [] for cls in _REPORT_ORDER}
+        for e in trace.entries:
+            for v in monitor.step(state, e):
+                found[v.cls].append(v)
+        for v in monitor.final(state, trace.final):
+            found[v.cls].append(v)
+        violations = [v for vs in found.values() for v in vs]
     return _make_report(violations, checks, trace.error is None)
 
 

@@ -1,12 +1,14 @@
+import dataclasses
 import json
 
 import pytest
 from click.testing import CliRunner
 
+from foreman import repair
 from foreman.cli import main
 from foreman.plan import parse_plan
 from foreman.scenario import load_scenario
-from foreman.validator import validate
+from foreman.validator import ALL_CHECKS, validate
 from test_scenario import _MALFORMED, _minimal_doc
 
 
@@ -169,6 +171,20 @@ def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
     res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--max-iters", "0"])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit)
     assert res.output == "error: max_iters must be >= 1\n"
+
+
+def test_repair_winner_failing_validation_is_an_internal_error(runner, fix_dir, monkeypatch):
+    # a validator that disagrees with the search's monitor on every plan
+    def disagreeing(s, plan, checks=ALL_CHECKS, *, trace=None):
+        return dataclasses.replace(validate(s, plan, checks, trace=trace), feasible=False)
+
+    monkeypatch.setattr(repair, "validate", disagreeing)
+    p = _paths(fix_dir)
+    res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"]])
+    assert res.exit_code == 2 and isinstance(res.exception, SystemExit), res.output
+    assert res.output == (
+        "internal error: the search's winner [S5: MOVE_S->MOVE_C; S6: PICK->CHARGE] fails validation\n"
+    )
 
 
 _BAD_PROFILES = {

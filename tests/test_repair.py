@@ -135,6 +135,29 @@ def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draf
     assert minimal.plan not in executed
 
 
+def test_search_rebuilds_only_its_winner(monkeypatch, wall, grid, wall_draft, grid_draft):
+    # the walk decides feasibility itself: apply_script rebuilds the winner,
+    # and the conservative tail once more, never a losing script
+    rebuilt = []
+
+    def counting_reconcile(s, steps):
+        rebuilt.append(steps)
+        return reconcile_plan(s, steps)
+
+    monkeypatch.setattr(repair, "reconcile_plan", counting_reconcile)
+    cases = [
+        (wall, wall_draft, "minimal", True, 1),
+        (grid, grid_draft, "minimal", True, 1),
+        (grid, grid_draft, "conservative", True, 2),  # with the terminal IDLE
+        (*_stranded(wall), "minimal", False, 0),
+        (_wall5(wall), wall_draft, "minimal", False, 0),
+    ]
+    for s, draft, style, repaired, rebuilds in cases:
+        rebuilt.clear()
+        assert minimal_edit_repair(s, draft, budget=4, style=style).feasible is repaired
+        assert len(rebuilt) == rebuilds, (s.name, style)
+
+
 def test_search_supervisor_validates_the_draft_once(monkeypatch, wall, grid, wall_draft, grid_draft):
     validated = []
 
@@ -390,6 +413,16 @@ def test_apply_script_is_pinned_on_random_op_lists(wall, grid, wall_draft, grid_
     assert digest.hexdigest() == "342f7c6e387d0c6bb1c325adca27588fa1841374e5d70945437ab08b7d4afd1a"
 
 
+def _wall5(wall):
+    """The wall with two more 3-brick tasks chained after it, and the bricks."""
+    doc = json.loads(serialize_scenario(wall))
+    last = doc["tasks"][-1]
+    doc["tasks"] += [dict(last, id="build_4"), dict(last, id="build_5")]
+    doc["dag"] += [["build_3", "build_4"], ["build_4", "build_5"]]
+    doc["resources"] = {"S": 15}
+    return load_scenario_dict(doc, name="wall5")
+
+
 def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
     t0 = time.monotonic()
     minimal_edit_repair(wall, wall_draft, budget=4)
@@ -397,6 +430,16 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
     t0 = time.monotonic()
     minimal_edit_repair(grid, grid_draft, budget=4)
     assert time.monotonic() - t0 < 5.0
+    # the wall draft with its second and third trips cut needs four edits
+    t0 = time.monotonic()
+    result = minimal_edit_repair(wall, Plan(wall_draft.steps[:4] + wall_draft.steps[12:]), budget=4)
+    assert time.monotonic() - t0 < 2.0
+    assert result.script.render() == "S11: MOVE_S (+); S11: PICK (+); S11: MOVE_C->MOVE_B; S12: CHARGE->BUILD"
+    # the shipped draft builds three of wall5's five tasks: no repair within four edits
+    t0 = time.monotonic()
+    result = minimal_edit_repair(_wall5(wall), wall_draft, budget=4)
+    assert time.monotonic() - t0 < 2.0
+    assert not result.feasible
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +509,7 @@ def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
 
 
 def _screen_cases(wall, grid, wall_draft, grid_draft):
-    """(scenario, draft, costs) whose candidates the walk is checked on."""
+    """(scenario, draft, top cost) whose candidates the walk is checked on."""
     classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
     cases = [(wall, wall_draft), (grid, grid_draft)]
     cases += [(classes[k], fcfs_schedule(classes[k])[1]) for k in [(3, 100.0), (3, 50.0)]]
@@ -477,47 +520,46 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     plan, trace = reconcile_plan(wall, halting)
     assert trace.error is not None and len(trace.entries) == 4
     cases.append((wall, plan))
-    cases = [(s, draft, (1, 2)) for s, draft in cases]
+    cases = [(s, draft, 2) for s, draft in cases]
     # short drafts with three-edit candidates: up to three inserts share a gap
-    cases.append((*_stranded(wall), (1, 2, 3)))
-    cases.append((wall, Plan(wall_draft.steps[:5]), (3,)))
+    cases.append((*_stranded(wall), 3))
+    cases.append((wall, Plan(wall_draft.steps[:5]), 3))
     return cases
 
 
-def test_walk_keeps_exactly_the_candidates_whose_replay_runs(wall, grid, wall_draft, grid_draft):
-    # the search visits each insert count's survivors in tie-break order; that
-    # must be the oracle's whole level in that order, less the candidates whose
-    # full replay errors or (Battery checked) underflows
-    kept = {True: 0, False: 0}
-    dropped = {True: 0, False: 0}
-    for s, draft, costs in _screen_cases(wall, grid, wall_draft, grid_draft):
+def test_walk_keeps_exactly_the_candidates_that_validate(wall, grid, wall_draft, grid_draft):
+    # each check set's walk is asked for its levels in search order, so one
+    # memo of dead nodes serves them all, as in the search; every insert
+    # count's leaves must be exactly the oracle's candidates of that level
+    # that apply_script + validate find feasible
+    check_sets = (ALL_CHECKS, ALL_CHECKS - {VC.Battery}, frozenset({VC.Precedence, VC.Capacity, VC.Coverage}))
+    kept = [0] * len(check_sets)
+    dropped = [0] * len(check_sets)
+    for s, draft, top in _screen_cases(wall, grid, wall_draft, grid_draft):
         alphabet = s.action_alphabet()
         rank = {a: i for i, a in enumerate(alphabet)}
 
         def key(ops):
             return _candidate_key(ops, rank)
 
-        for cost in costs:
-            replays = {}
-            for c in enumerate_scripts(len(draft), alphabet, draft.steps, cost):
-                ops = as_ops(draft.steps, c)
-                _, trace = apply_script(s, draft, ops)
-                replays[ops] = (trace.error is not None, any(e.battery < 0 for e in trace.entries))
-            for checked in (True, False):
-                expected = sorted(
-                    (c for c, (error, underflow) in replays.items() if not (error or checked and underflow)),
-                    key=key,
-                )
-                visited = [
-                    c
-                    for n_ins in range(cost + 1)
-                    for c in sorted(_survivors(s, draft, alphabet, cost, n_ins, checked), key=key)
-                ]
-                assert visited == expected, (s.name, cost, checked)
-                kept[checked] += len(expected)
-                dropped[checked] += len(replays) - len(expected)
-    assert all(kept.values()) and all(dropped.values())
-    assert dropped[True] > dropped[False]  # underflows count only while Battery is checked
+        walks = [_survivors(s, draft, alphabet, checks) for checks in check_sets]
+        for cost in range(1, top + 1):
+            feasible = [[[] for _ in range(cost + 1)] for _ in check_sets]  # [check set][insert count]
+            for subs, inserts, swaps in enumerate_scripts(len(draft), alphabet, draft.steps, cost):
+                ops = as_ops(draft.steps, (subs, inserts, swaps))
+                plan, trace = apply_script(s, draft, ops)
+                for j, checks in enumerate(check_sets):
+                    if trace.error is None and validate(s, plan, checks, trace=trace).feasible:
+                        feasible[j][len(inserts)].append(ops)
+                    else:
+                        dropped[j] += 1
+            for j, level in enumerate(walks):
+                for n_ins in range(cost + 1):
+                    expected = sorted(feasible[j][n_ins], key=key)
+                    assert sorted(level(cost, n_ins), key=key) == expected, (s.name, cost, n_ins, j)
+                    kept[j] += len(expected)
+    assert all(kept) and all(dropped)
+    assert dropped[0] > dropped[1]  # underflows count only while Battery is checked
 
 
 def test_oracle_tries_every_order_of_same_gap_inserts(wall):

@@ -1,16 +1,25 @@
+import copy
+import hashlib
+import itertools
+import json
 import random
 
-from foreman.plan import Action, ActionKind, parse_plan
+from brute_oracle import brute_feasible
 from edit_oracle import unnumbered
+from foreman.plan import Action, ActionKind, parse_plan
 from foreman.repair import reconcile_plan
+from foreman.scenario import load_scenario_dict
 from foreman.validator import (
     ALL_CHECKS,
+    CheckState,
     HintKind,
+    Monitor,
     ViolationClass as VC,
     parse_check_names,
     validate,
     validate_text,
 )
+from test_acceptance import BRUTE_WORLD, MICRO_WORLD, _MICRO_ALPHABET
 
 
 def test_exp1_draft_battery_violations(wall, wall_draft):
@@ -349,3 +358,73 @@ def test_coalition_member_outside_the_roster_is_unexecutable(wall):
     unexecutable = [("schema", 1, "unexecutable: unknown robot 'r9'", "substitute IDLE @ step 1")]
     for checks in (ALL_CHECKS, {VC.Capability}, set()):
         assert validate_text(wall, text, checks).to_dict() == _report_dict(checks, False, 1, unexecutable)
+
+
+# ---------------------------------------------------------------------------
+# The monitor on criterion 7's micro world
+# ---------------------------------------------------------------------------
+
+_MICRO_CHECK_SETS = (
+    ALL_CHECKS, frozenset({VC.Battery}), frozenset({VC.Precedence}), frozenset({VC.Capacity, VC.Safety}), frozenset(),
+)
+
+
+def _micro_worlds():
+    """Criterion 7's micro world, and the same world with the robot and
+    the bricks at B and a return to A that must follow the build: there a
+    step at A before the build dooms the plan."""
+    doc = copy.deepcopy(MICRO_WORLD)
+    doc["robots"][0]["start_location"] = "B"
+    doc["resources"] = {"B": 3}
+    doc["tasks"].append({"id": "back_at_a", "type": "NAVIGATE", "required_skills": ["NAVIGATE"],
+                         "location": "A", "demand": 0, "duration": 1})
+    doc["dag"] = [["build_1", "back_at_a"]]
+    return [load_scenario_dict(MICRO_WORLD, name="micro"), load_scenario_dict(doc, name="micro_return")]
+
+
+def _micro_plans(s):
+    """Every plan of up to five micro-world actions, with its trace."""
+    for length in range(6):
+        for combo in itertools.product(_MICRO_ALPHABET, repeat=length):
+            plan, trace = reconcile_plan(s, [unnumbered(None, Action(ActionKind(k), t)) for k, t in combo])
+            yield combo, plan, trace
+
+
+def test_micro_world_reports_are_pinned():
+    # every report over both micro worlds and five check sets; the digest
+    # was recorded when the checks ran as one walk over the trace
+    digest = hashlib.sha256()
+    for s in _micro_worlds():
+        for _, plan, trace in _micro_plans(s):
+            for checks in _MICRO_CHECK_SETS:
+                digest.update(json.dumps(validate(s, plan, checks, trace=trace).to_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == "a6de55837c47d7711de4d3a07d793aba5f8bb6e5b98e366b772abd19631dd808"
+
+
+def test_a_prefix_the_monitor_flags_never_validates():
+    # a step violation of a checked class, or a task done before its
+    # prerequisite, flags the prefix: every plan extending it must fail
+    # validate under the same checks (and, on the micro world with every
+    # check, the brute-force oracle)
+    flagged = {"violation": 0, "doomed": 0}
+    feasible = 0
+    for s in _micro_worlds():
+        for combo, plan, trace in _micro_plans(s):
+            for checks in _MICRO_CHECK_SETS:
+                monitor, state = Monitor(s, checks), CheckState()
+                why = None
+                for e in trace.entries:
+                    if monitor.step(state, e):
+                        why = "violation"
+                    elif state.doomed:
+                        why = "doomed"
+                    if why:
+                        break
+                report = validate(s, plan, checks, trace=trace)
+                feasible += report.feasible
+                if why:
+                    flagged[why] += 1
+                    assert not report.feasible, (s.name, combo, sorted(c.value for c in checks))
+                    if s.name == "micro" and checks == ALL_CHECKS:
+                        assert not brute_feasible(BRUTE_WORLD, list(combo)), combo
+    assert all(flagged.values()) and feasible
