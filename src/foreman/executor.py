@@ -211,26 +211,27 @@ def run(
 ) -> Iterator[TraceEntry]:
     """Apply ``steps`` to ``world`` in place, yielding one entry per step.
 
-    Each bound robot's steps are queued up front and keep their line order;
-    robots with steps left take turns by (elapsed time so far, robot id),
-    so shared stockpiles decrement consistently.  When every label binds to
-    one robot, execution order is line order.  Raises ExecError at the
-    first impossible transition.
+    Each bound robot's steps are queued up front and keep their line order.
+    While two or more robots have steps left they take turns by (elapsed
+    time so far, robot id), so shared stockpiles decrement consistently;
+    then the last robot's queue drains in line order.  So when every label
+    binds to one robot, execution order is line order.  Raises ExecError at
+    the first impossible transition.
     """
     queues: dict[str, deque[PlanStep]] = {}
     for step in steps:
         queues.setdefault(bound[step.robot], deque()).append(step)
     elapsed = world.elapsed
-    while queues:
-        if len(queues) == 1:
-            [robot] = queues
-        else:
-            robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
+    while len(queues) > 1:
+        robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
         queue = queues[robot]
         step = queue.popleft()
         if not queue:
             del queues[robot]
         yield apply_step(s, world, step, robot)
+    for robot, queue in queues.items():
+        for step in queue:
+            yield apply_step(s, world, step, robot)
 
 
 def execute(s: Scenario, plan: Plan) -> Trace:

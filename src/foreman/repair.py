@@ -356,7 +356,7 @@ def _survivors(
         return lambda cost, n_ins: []
     one_robot = len(set(bound.values())) == 1
     robot = next(iter(bound.values()))  # the one robot, when there is one
-    monitor = Monitor(s, checks)
+    monitor = Monitor.of(s, checks)
     dead: set[tuple] = set()  # nodes whose subtree holds no feasible script
 
     # Per gap g: the inserts at position g + 1 and the substitutes of step

@@ -290,6 +290,11 @@ class Scenario:
     def _robots_by_id(self) -> dict[str, RobotSpec]:
         return {r.id: r for r in self.robots}
 
+    @cached_property
+    def _monitors(self) -> dict:
+        """The validator's monitors of this scenario, by check set (``Monitor.of``)."""
+        return {}
+
     def robot(self, robot_id: str) -> RobotSpec:
         return self._robots_by_id[robot_id]
 

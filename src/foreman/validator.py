@@ -180,6 +180,11 @@ class Monitor:
     prerequisites: that prerequisite either completes later (an order
     violation) or never does, so ``step`` marks the state ``doomed``.  Only
     classes in ``checks`` are tracked or reported.
+
+    A monitor holds only tables derived from the scenario and ``checks``
+    and never changes them: a run keeps all of its state in its own
+    ``CheckState``.  So ``Monitor.of`` builds one monitor per scenario and
+    check set, and every run under them shares it.
     """
 
     def __init__(self, s: Scenario, checks: frozenset[ViolationClass]):
@@ -202,6 +207,15 @@ class Monitor:
         self.prerequisites: dict[str, list[str]] = {}
         for a, b in self.edges:
             self.prerequisites.setdefault(b, []).append(a)
+
+    @classmethod
+    def of(cls, s: Scenario, checks: frozenset[ViolationClass]) -> Monitor:
+        """The monitor of ``s`` under ``checks``, built on first use."""
+        memo = s._monitors
+        monitor = memo.get(checks)
+        if monitor is None:
+            monitor = memo[checks] = cls(s, checks)
+        return monitor
 
     def step(self, state: CheckState, e: TraceEntry) -> list[Violation]:
         """Fold one trace entry into ``state``; the step's violations."""
@@ -329,7 +343,7 @@ def validate(
             )
         )
     else:
-        monitor, state = Monitor(s, checks), CheckState()
+        monitor, state = Monitor.of(s, checks), CheckState()
         found: dict[ViolationClass, list[Violation]] = {cls: [] for cls in _REPORT_ORDER}
         for e in trace.entries:
             for v in monitor.step(state, e):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import itertools
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edit_oracle import as_ops, bfs_min_cost, enumerate_scripts, unnumbered
-from foreman import repair
+from foreman import fcfs, repair
 from foreman.executor import WorldState, execute, makespan
 from foreman.experiment import battery_pressured_batch
 from foreman.fcfs import fcfs_schedule
@@ -411,6 +412,45 @@ def test_apply_script_is_pinned_on_random_op_lists(wall, grid, wall_draft, grid_
         plan, trace = apply_script(s, draft, _random_ops(rng, draft, s.action_alphabet()))
         digest.update(f"{serialize_plan(plan)}|{trace.error}\n".encode())
     assert digest.hexdigest() == "342f7c6e387d0c6bb1c325adca27588fa1841374e5d70945437ab08b7d4afd1a"
+
+
+def _snapshot(steps):
+    return [dataclasses.astuple(t) for t in steps]
+
+
+def test_shared_steps_are_never_mutated(wall, grid, wall_draft, grid_draft, monkeypatch):
+    # steps are shared between a plan, its candidates and its traces, and
+    # are not frozen: nothing may change a step it was handed
+    assert not hasattr(wall_draft.steps[0], "__dict__")  # slots, no per-step dict
+    lowered = []
+
+    def spy(s, steps):
+        before = _snapshot(steps)
+        out = reconcile_plan(s, steps)
+        lowered.append(_snapshot(steps) == before)
+        return out
+
+    monkeypatch.setattr(fcfs, "reconcile_plan", spy)
+    for s, draft in ((wall, wall_draft), (grid, grid_draft)):
+        before = _snapshot(draft.steps)
+        for style in ("minimal", "conservative"):
+            minimal_edit_repair(s, draft, budget=2, style=style)
+            assert _snapshot(draft.steps) == before
+        repair_loop(s, draft, SearchSupervisor("minimal", 2))
+        assert _snapshot(draft.steps) == before
+        reconcile_plan(s, list(draft.steps))
+        assert _snapshot(draft.steps) == before
+        fcfs_schedule(s)
+        assert _snapshot(draft.steps) == before
+    assert lowered == [True, True]  # the FCFS lowering's steps, through reconcile_plan
+    # the seeded op lists of the apply_script pin
+    cases = [(wall, wall_draft), (grid, grid_draft), (_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT))]
+    befores = [_snapshot(draft.steps) for _, draft in cases]
+    rng = random.Random(20261018)
+    for i in range(500):
+        s, draft = cases[i % len(cases)]
+        apply_script(s, draft, _random_ops(rng, draft, s.action_alphabet()))
+        assert _snapshot(draft.steps) == befores[i % len(cases)], i
 
 
 def _wall5(wall):

@@ -7,8 +7,8 @@ import random
 from brute_oracle import brute_feasible
 from edit_oracle import unnumbered
 from foreman.plan import Action, ActionKind, parse_plan
-from foreman.repair import reconcile_plan
-from foreman.scenario import load_scenario_dict
+from foreman.repair import minimal_edit_repair, reconcile_plan
+from foreman.scenario import load_scenario, load_scenario_dict
 from foreman.validator import (
     ALL_CHECKS,
     CheckState,
@@ -428,3 +428,25 @@ def test_a_prefix_the_monitor_flags_never_validates():
                     if s.name == "micro" and checks == ALL_CHECKS:
                         assert not brute_feasible(BRUTE_WORLD, list(combo)), combo
     assert all(flagged.values()) and feasible
+
+
+def test_one_monitor_per_scenario_and_check_set(fix_dir, wall_draft, monkeypatch):
+    # a monitor keeps no run state, so validate and the search share one
+    # per (scenario, check set); a fresh scenario has none built yet
+    s = load_scenario(fix_dir / "wall_assembly.scn.json")
+    built = []
+    init = Monitor.__init__
+
+    def counted(self, s, checks):
+        built.append(checks)
+        init(self, s, checks)
+
+    monkeypatch.setattr(Monitor, "__init__", counted)
+    battery = frozenset({VC.Battery})
+    for _ in range(3):
+        for checks in (ALL_CHECKS, battery):
+            validate(s, wall_draft, checks)
+            validate(s, wall_draft, set(checks))
+    assert built == [ALL_CHECKS, battery]
+    assert minimal_edit_repair(s, wall_draft, budget=2, checks=battery).feasible
+    assert built == [ALL_CHECKS, battery]
