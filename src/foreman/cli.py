@@ -3,6 +3,9 @@
 Exit codes: 0 = ran to completion, 1 = config or I/O error, 2 = internal
 invariant breach.  ``validate`` additionally exits 3 when the plan is
 infeasible (so scripts can branch on feasibility without parsing JSON).
+
+Each command imports the modules it runs inside its body, so a cold
+``validate`` or ``simulate`` loads only plan, scenario, executor and validator.
 """
 
 from __future__ import annotations
@@ -14,11 +17,7 @@ from pathlib import Path
 import click
 
 from .executor import execute, makespan
-from .experiment import ConfigError, ExperimentConfig, llm_access, make_supervisor, run_experiment
-from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
-from .metrics import EmptyInput, EmptyReference, similarity
 from .plan import SchemaError, parse_plan, serialize_plan, tokenize_plan, tokenize_plan_full
-from .repair import repair_loop
 from .scenario import ParseError, ValidationError, load_scenario
 from .validator import parse_check_names, validate_text
 
@@ -113,6 +112,9 @@ def cmd_simulate(scenario_path, plan_path):
 @click.option("--mocks-dir", type=click.Path(), default=None)
 def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, checks, profiles_path, mocks_dir):
     """Run the bounded validate->repair loop on PLAN."""
+    from .experiment import ExperimentConfig, llm_access, make_supervisor
+    from .repair import repair_loop
+
     s = _load(scenario_path)
     try:
         plan = parse_plan(_read_plan_text(plan_path))
@@ -145,6 +147,8 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
 @click.argument("scenario_path", type=click.Path())
 def cmd_fcfs(scenario_path):
     """Schedule SCENARIO with the FCFS baseline; plan text plus assignment JSON."""
+    from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
+
     s = _load(scenario_path)
     try:
         assignment, plan = fcfs_schedule(s)
@@ -163,6 +167,8 @@ def cmd_fcfs(scenario_path):
 @click.option("--full-tokens", is_flag=True, help="include numeric state fields in tokens")
 def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
     """Similarity scores between two plan files (candidate vs reference)."""
+    from .metrics import EmptyInput, EmptyReference, similarity
+
     try:
         cand = parse_plan(_read_plan_text(candidate_path))
         ref = parse_plan(_read_plan_text(reference_path))
@@ -192,6 +198,8 @@ def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
 @click.option("--mocks-dir", type=click.Path(), default=None)
 def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_dir, seed, profiles_path, mocks_dir):
     """Run generator-only, hybrid and FCFS arms; write CSV/JSON reports."""
+    from .experiment import ExperimentConfig, run_experiment
+
     if not supervisors:
         supervisors = ("llm:gemma", "llm:llama", "llm:mistral", "search-minimal")
     try:
@@ -207,7 +215,7 @@ def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_di
             profiles_path=Path(profiles_path) if profiles_path else None,
         )
         summary = run_experiment(cfg)
-    except (ConfigError, ValueError) as e:
+    except (ValueError, OSError) as e:  # ConfigError included; OSError from writing the reports
         click.echo(f"error: {e}", err=True)
         sys.exit(1)
     except AssertionError as e:  # internal invariant breach

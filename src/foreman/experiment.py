@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ConfigError(f"scenario file not found: {self.scenario_path}")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
+        if self.budget < 0:
+            raise ConfigError("budget must be >= 0")
         if self.profiles_path is not None and not Path(self.profiles_path).exists():
             raise ConfigError(f"profiles file not found: {self.profiles_path}")
 

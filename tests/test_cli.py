@@ -1,10 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from foreman import repair
+from foreman import cli, repair
 from foreman.cli import main
 from foreman.plan import parse_plan
 from foreman.scenario import load_scenario
@@ -154,6 +158,26 @@ def test_experiment_nonexistent_scenario(runner, tmp_path):
     assert res.exit_code == 1
 
 
+def test_experiment_out_dir_that_cannot_be_created_is_a_one_line_error(runner, fix_dir, tmp_path):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("", encoding="utf-8")
+    res = runner.invoke(main, ["experiment", _paths(fix_dir)["wall"], "--out-dir", str(blocker / "out")])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["repair", "experiment"])
+def test_negative_budget_is_a_one_line_error(runner, fix_dir, tmp_path, command):
+    p = _paths(fix_dir)
+    if command == "repair":
+        args = ["repair", p["wall"], p["wall_draft"]]
+    else:
+        args = ["experiment", p["wall"], "--out-dir", str(tmp_path / "out")]
+    res = runner.invoke(main, args + ["--budget", "-1"])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.output == "error: budget must be >= 0\n"
+
+
 def test_coalition_member_outside_the_roster_is_no_traceback(runner, fix_dir, tmp_path):
     path = tmp_path / "coalition.plan"
     path.write_text("r1+r9: STEP 1, [S], MOVE_S, [0], 0, [75]\n", encoding="utf-8")
@@ -241,3 +265,35 @@ def test_metrics_on_an_empty_plan_is_a_one_line_error(runner, fix_dir, tmp_path,
     res = runner.invoke(main, ["metrics", *args])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+def _fresh(*args: str) -> subprocess.CompletedProcess:
+    """Run ``python *args`` in a fresh interpreter that imports foreman from
+    the same source tree as this test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, timeout=60)
+
+
+def test_a_cold_cli_imports_only_what_validate_runs(runner, fix_dir):
+    code = "import sys, foreman.cli; print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'foreman')))"
+    loaded = _fresh("-c", code)
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.split() == [
+        b"foreman", b"foreman.cli", b"foreman.executor", b"foreman.plan", b"foreman.scenario", b"foreman.validator",
+    ]
+    p = _paths(fix_dir)
+    cold = _fresh("-m", "foreman.cli", "validate", p["wall"], p["wall_draft"])
+    warm = runner.invoke(main, ["validate", p["wall"], p["wall_draft"]])
+    assert cold.returncode == warm.exit_code == 3, cold.stderr
+    assert cold.stdout == warm.stdout_bytes
+
+
+def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
+    for command in ["validate", "simulate", "repair", "fcfs", "metrics", "experiment"]:
+        res = _fresh("-m", "foreman.cli", command, "--help")
+        assert res.returncode == 0, (command, res.stderr)
+        assert res.stdout.startswith(b"Usage: "), command
+    wall = _paths(fix_dir)["wall"]
+    cold = _fresh("-m", "foreman.cli", "fcfs", wall)  # imports fcfs inside the command
+    assert cold.returncode == 0, cold.stderr
+    assert cold.stdout == runner.invoke(main, ["fcfs", wall]).stdout_bytes
