@@ -262,11 +262,3 @@ def makespan(trace: Trace) -> float:
     if not trace.final.elapsed:
         return 0.0
     return max(trace.final.elapsed.values())
-
-
-def coverage_complete(s: Scenario, trace: Trace) -> tuple[bool, frozenset[Cell]]:
-    """Whether every traversable grid cell was discovered; returns the gap."""
-    if not s.site.is_grid():
-        return True, frozenset()
-    missing = s.site.traversable_cells() - trace.final.discovered
-    return (not missing), frozenset(missing)

@@ -303,8 +303,8 @@ def fcfs_vs_hybrid(scenarios: list[Scenario], budget: int = 2, max_iters: int = 
     strict = 0
     for s in scenarios:
         _, plan = fcfs_schedule(s)
-        fcfs_ok = validate(s, plan).feasible
         result = repair_loop(s, plan, SearchSupervisor("minimal", budget), max_iters)
+        fcfs_ok = result.plan is plan  # the loop's first validation passed the FCFS plan
         hybrid_ok = result.feasible
         if fcfs_ok and hybrid_ok:
             both += 1

@@ -87,10 +87,13 @@ class PlanStep:
 
     Steps are shared: a trace entry holds the step it ran, and the search's
     candidates and edited step lists hold the draft's own steps.  So a step
-    is read-only by convention, like ``TraceEntry``.  It is not frozen
-    because a frozen init sets each field through ``object.__setattr__``,
-    about five times the cost of a plain one (2.3 against 0.45 µs,
-    ``timeit``, 2-core VM), and parsing builds one step per line.
+    is read-only by convention, like ``TraceEntry``.  The one writer is
+    ``repair.reconcile_plan``: it fills in the state columns of the steps
+    it has just built and run, before any caller sees them.  A step is not
+    frozen because a frozen init sets each field through
+    ``object.__setattr__``, about five times the cost of a plain one (2.3
+    against 0.45 µs, ``timeit``, 2-core VM), and parsing builds one step
+    per line.
     """
 
     step: int

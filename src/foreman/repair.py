@@ -32,7 +32,7 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 
-from .executor import ExecError, Trace, WorldState, apply_step, bind, execute, initial_state, run
+from .executor import ExecError, Trace, WorldState, apply_step, bind, execute, initial_state
 from .plan import Action, ActionKind, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
@@ -146,35 +146,29 @@ def reconcile_plan(s: Scenario, steps: list[PlanStep]) -> tuple[Plan, Trace]:
     """Rebuild a canonical Plan from steps, reading only their label,
     action and coalition.
 
-    State fields (location, cargo, placed, battery) come from executing
-    the action sequence, so structurally edited plans can never carry
-    contradictory state columns.  Step numbers count per label, and each
-    step takes the trace entry of its own (label, step number).  If
-    execution fails, claimed fields for the unexecuted suffix fall back
-    to zeros and the Trace carries the error.
+    Each step is built once, numbered per label, and the plan of them runs
+    once.  State fields (location, cargo, placed, battery) are then filled
+    in from each executed step's own trace entry, so structurally edited
+    plans can never carry contradictory state columns, and the returned
+    trace's entries hold the returned plan's steps.  If execution fails,
+    the steps it never reached keep location "?" and zeros, and the Trace
+    carries the error.
     """
     counters: dict[str | None, int] = {}
-    skeleton = []
+    rebuilt = []
     for t in steps:
         counters[t.robot] = counters.get(t.robot, 0) + 1
-        skeleton.append(
+        rebuilt.append(
             PlanStep(counters[t.robot], t.robot, "?", t.action, 0, 0, 0.0, t.coalition)
         )
-    trace = execute(s, Plan(tuple(skeleton)))
-    by_key = {(e.step.robot, e.step.step): e for e in trace.entries}
-    rebuilt = []
-    for sk in skeleton:
-        e = by_key.get((sk.robot, sk.step))
-        if e is None:
-            rebuilt.append(sk)
-        else:
-            rebuilt.append(
-                PlanStep(
-                    sk.step, sk.robot, e.location, sk.action, e.cargo, e.placed_total,
-                    e.battery, sk.coalition,
-                )
-            )
-    return Plan(tuple(rebuilt)), trace
+    plan = Plan(tuple(rebuilt))
+    trace = execute(s, plan)
+    for e in trace.entries:  # no one else holds these steps yet
+        e.step.location = e.location
+        e.step.cargo = e.cargo
+        e.step.placed = e.placed_total
+        e.step.battery = e.battery
+    return plan, trace
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +337,9 @@ def _survivors(
 
     Labels bound to two or more robots take turns by elapsed time rather
     than line order, so there no step runs during the walk: each complete
-    script's edited steps run whole through ``run`` under the same monitor,
-    and nothing is remembered.  A draft whose labels cannot be bound yields
+    script's edited steps, which keep the draft's labels and so bind to the
+    same robots, go whole through ``validate`` under the same checks, and
+    nothing is remembered.  A draft whose labels cannot be bound yields
     nothing.
     """
     steps = draft.steps
@@ -400,18 +395,11 @@ def _survivors(
 
     def feasible(world: WorldState, state: CheckState, ops: tuple[EditOp, ...]) -> bool:
         """Whether the walk's world and state, at the end of the draft, pass
-        the final checks; with robots taking turns, whether the whole edited
-        plan runs and passes every check."""
+        the final checks; with robots taking turns, whether ``validate``
+        finds the edited plan feasible."""
         if one_robot:
             return not monitor.final(state, world)
-        world, state = initial_state(s), CheckState()
-        try:
-            for entry in run(s, world, _edited(steps, ops), bound):
-                if monitor.step(state, entry) or state.doomed:
-                    return False
-        except ExecError:
-            return False
-        return not monitor.final(state, world)
+        return validate(s, Plan(tuple(_edited(steps, ops))), checks).feasible
 
     def node(g: int, pending: PlanStep | None, ins_left: int, left: int, world: WorldState, state: CheckState):
         rs = world.robots[robot]

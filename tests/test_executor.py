@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from foreman.executor import ExecError, coverage_complete, execute, initial_state, makespan, run
+from foreman.executor import ExecError, execute, initial_state, makespan, run
 from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
 from foreman.scenario import load_scenario_dict, serialize_scenario
 
@@ -157,14 +157,12 @@ def test_move_off_grid_halts(grid):
 
 def test_coverage_draft_misses_corner(grid, grid_draft):
     trace = execute(grid, grid_draft)
-    complete, missing = coverage_complete(grid, trace)
-    assert not complete
-    assert missing == frozenset({(2, 0)})
+    assert grid.site.traversable_cells() - trace.final.discovered == {(2, 0)}
 
 
 def test_coverage_complete_after_inserted_scan(grid, grid_llama):
-    complete, missing = coverage_complete(grid, execute(grid, grid_llama))
-    assert complete and not missing
+    trace = execute(grid, grid_llama)
+    assert grid.site.traversable_cells() - trace.final.discovered == set()
 
 
 def test_coverage_degenerate_grid():
@@ -179,8 +177,7 @@ def test_coverage_degenerate_grid():
     }
     s = load_scenario_dict(doc)
     trace = execute(s, parse_plan("STEP 1, [(0,0)], SCAN, [0], 0, [100]"))
-    complete, missing = coverage_complete(s, trace)
-    assert complete
+    assert s.site.traversable_cells() - trace.final.discovered == set()
 
 
 def test_duplicate_scans_allowed_and_cost_tu(grid):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
+from foreman import experiment, repair, validator
 from foreman.executor import execute
-from foreman.experiment import battery_pressured_batch
+from foreman.experiment import battery_pressured_batch, fcfs_vs_hybrid
 from foreman.fcfs import RealizationError, UnassignableTask, fcfs_schedule
 from foreman.plan import ActionKind, serialize_plan
 from foreman.scenario import ValidationError, load_scenario_dict, serialize_scenario
@@ -296,3 +297,33 @@ def test_fcfs_theta_is_a_prefix_sum_of_the_executed_costs(wall, grid):
         single += 1
     assert single > 150
     assert digest.hexdigest() == _SEEDED_PLANS_SHA256
+
+
+@pytest.mark.parametrize(
+    "seed, expected",
+    [
+        (2024, {"fcfs_rate": 0.36, "hybrid_rate": 0.94, "strict_hybrid_wins": 29, "fcfs_only_wins": 0, "neither": 3}),
+        (7, {"fcfs_rate": 0.48, "hybrid_rate": 0.82, "strict_hybrid_wins": 17, "fcfs_only_wins": 0, "neither": 9}),
+    ],
+)
+def test_fcfs_vs_hybrid_runs_each_fcfs_plan_once(monkeypatch, seed, expected):
+    # the repair loop's first validation is the FCFS verdict: after
+    # fcfs_schedule returns a plan, nothing else runs it
+    runs = []  # [FCFS plan, executions after fcfs_schedule returned it]
+
+    def counting_execute(s, plan):
+        for run in runs:
+            if run[0] is plan:
+                run[1] += 1
+        return execute(s, plan)
+
+    def recording_schedule(s):
+        assignment, plan = fcfs_schedule(s)
+        runs.append([plan, 0])
+        return assignment, plan
+
+    monkeypatch.setattr(repair, "execute", counting_execute)
+    monkeypatch.setattr(validator, "execute", counting_execute)
+    monkeypatch.setattr(experiment, "fcfs_schedule", recording_schedule)
+    assert fcfs_vs_hybrid(battery_pressured_batch(seed, 50)) == {"n": 50, **expected}
+    assert [n for _, n in runs] == [1] * 50

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from edit_oracle import as_ops, bfs_min_cost, enumerate_scripts, unnumbered
-from foreman import fcfs, repair
+from foreman import fcfs, repair, validator
 from foreman.executor import WorldState, execute, makespan
 from foreman.experiment import battery_pressured_batch
 from foreman.fcfs import fcfs_schedule
@@ -124,6 +124,8 @@ def test_conservative_appends_idle_on_low_end_battery(grid, grid_draft):
 
 
 def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draft):
+    # the winner runs once, in its rebuild, and is validated on that trace;
+    # so is the tail, and no plan runs twice
     minimal = minimal_edit_repair(grid, grid_draft, budget=4, style="minimal")
     executed = []
 
@@ -132,8 +134,31 @@ def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draf
         return execute(s, plan)
 
     monkeypatch.setattr(repair, "execute", counting_execute)
+    monkeypatch.setattr(validator, "execute", counting_execute)
     minimal_edit_repair(grid, grid_draft, budget=4, style="conservative")
-    assert minimal.plan not in executed
+    assert executed.count(minimal.plan) == 1
+    assert all(executed.count(plan) == 1 for plan in executed)
+
+
+def test_the_trace_holds_the_rebuilt_plans_own_steps(wall, wall_draft):
+    # a CHARGE at B, which has no charger, halts the draft at step 5
+    halting = list(wall_draft.steps[:9])
+    halting[4] = unnumbered(None, Action(ActionKind.CHARGE))
+    winner = minimal_edit_repair(wall, wall_draft, budget=2).script.ops
+    cases = [
+        (reconcile_plan(wall, list(wall_draft.steps)), len(wall_draft)),
+        (apply_script(wall, wall_draft, winner), len(wall_draft)),
+        (reconcile_plan(wall, halting), 4),
+        (apply_script(wall, Plan(tuple(halting)), ()), 4),
+    ]
+    for (plan, trace), ran in cases:
+        assert len(trace.entries) == ran
+        for e, step in zip(trace.entries, plan.steps):
+            assert e.step is step
+            assert (step.location, step.cargo, step.placed, step.battery) == (
+                e.location, e.cargo, e.placed_total, e.battery,
+            )
+        assert all((t.location, t.cargo, t.placed, t.battery) == ("?", 0, 0, 0.0) for t in plan.steps[ran:])
 
 
 def test_search_rebuilds_only_its_winner(monkeypatch, wall, grid, wall_draft, grid_draft):
