@@ -72,8 +72,6 @@ class TraceEntry:
     cargo: int
     placed_total: int
     placed_here: int  # bricks placed by this step (0 unless BUILD)
-    picked_here: int  # MU picked by this step (0 unless PICK)
-    recharged: float  # battery added by this step (0 unless CHARGE)
     tu_cost: float
     du_cost: float
 
@@ -110,8 +108,6 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
     du = 0.0
     tu = 0.0
     placed_here = 0
-    picked_here = 0
-    recharged = 0.0
 
     if kind in MOVE_TARGETS or kind is ActionKind.NAVIGATE:
         target = step.action.target if kind is ActionKind.NAVIGATE else MOVE_TARGETS[kind]
@@ -153,7 +149,6 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         moved = max(0, moved)
         rs.cargo += moved
         world.stock[rs.location] -= moved
-        picked_here = moved
         tu = cost.pick_build_tu_per_3mu if moved > 0 else 0.0
     elif kind is ActionKind.BUILD:
         moved = min(3, rs.cargo)
@@ -166,9 +161,7 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
     elif kind is ActionKind.CHARGE:
         if rs.location not in s.site.chargers:
             raise ExecError(robot_id, step.step, "bad_charge", f"no charging station at {rs.location}")
-        battery_max = s.robot(robot_id).battery_max
-        recharged = battery_max - rs.battery
-        rs.battery = battery_max
+        rs.battery = s.robot(robot_id).battery_max
         tu = cost.recharge_tu
     elif kind is ActionKind.SCAN:
         if s.site.is_grid():
@@ -190,8 +183,6 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         cargo=rs.cargo,
         placed_total=world.placed_total,
         placed_here=placed_here,
-        picked_here=picked_here,
-        recharged=recharged,
         tu_cost=tu,
         du_cost=du,
     )

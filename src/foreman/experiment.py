@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .executor import execute, makespan
 from .fcfs import fcfs_schedule
-from .gateway import Gateway, GatewayError, LlmProfile, load_profiles, strip_plan_preamble
+from .gateway import Gateway, GatewayError, LlmProfile, build_generator_prompt, load_profiles, strip_plan_preamble
 from .metrics import EvalReport, eval_run
 from .plan import Plan, parse_plan
 from .repair import LlmSupervisor, RepairResult, SearchSupervisor, repair_loop
@@ -85,10 +85,7 @@ def make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles
 def _fetch_draft(s: Scenario, cfg: ExperimentConfig, gateway: Gateway, profiles) -> Plan:
     """Generator arm input: mock/live completion, else the shipped draft fixture."""
     if "generator" in profiles:
-        from .gateway import build_generator_prompt
-        from .scenario import canonical_context
-
-        prompt = build_generator_prompt(canonical_context(s))
+        prompt = build_generator_prompt(s)
         try:
             raw = gateway.complete(profiles["generator"], prompt, mock_key=("generator", s.name, 1))
         except GatewayError as e:
@@ -146,7 +143,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             ArmResult(
                 name=f"hybrid/{label}",
                 feasible=result.feasible,
-                psi=result.report.psi if result.report else -1,
+                psi=result.report.psi,
                 makespan_tu=report.makespan_tu,
                 t_rep=result.iterations_used,
                 edited_steps=result.script.render() if result.script else "",

@@ -1,10 +1,11 @@
 """Prompt assembly and chat-completion transport for the two LLM roles.
 
-Prompts are structured, not free-form prose: commented blocks, key-value
-rosters, and explicit do/don't rules, byte-stable for equal inputs.  The
-transport speaks the OpenAI-compatible chat-completions shape; a canned
-mock provider keyed by (role, scenario, iteration) makes every workflow
-runnable fully offline.
+This is the one module that knows what an LLM sees.  Prompts are rendered
+from the ``Scenario`` itself and are structured, not free-form prose:
+commented blocks, key-value rosters, and explicit do/don't rules,
+byte-stable for equal inputs.  The transport speaks the OpenAI-compatible
+chat-completions shape; a canned mock provider keyed by (role, scenario,
+iteration) makes every workflow runnable fully offline.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 log = logging.getLogger(__name__)
 
-from .plan import Plan, SchemaError, parse_plan, serialize_plan
-from .scenario import PromptContext, Scenario, canonical_context
+from .plan import Plan, SchemaError, _fmt_num, parse_plan, serialize_plan
+from .scenario import Scenario
 from .validator import ViolationReport
 
 
@@ -90,15 +91,64 @@ def _section(title: str, body: str) -> str:
     return f"# --- {title} ---\n{body}\n"
 
 
-def build_generator_prompt(ctx: PromptContext) -> str:
+def _context(s: Scenario) -> str:
+    """The BACKGROUND, TASKS, ROBOTS and API SCHEMA sections both prompts share.
+
+    A pure function of the scenario, so equal scenarios give byte-identical
+    text; a line with nothing to list (no no-go zones, say) is left out.
+    """
+    site, cost = s.site, s.cost
+    background = [f"instruction: {s.instruction}"]
+    if site.is_grid():
+        background.append(f"site: {site.width}x{site.height} grid")
+        if site.blocked:
+            background.append("blocked cells: " + ", ".join(f"({x},{y})" for x, y in sorted(site.blocked)))
+    else:
+        background.append("site locations: " + ", ".join(site.nodes))
+        background.append("site edges (DU): " + ", ".join(f"{u}-{v}={_fmt_num(w)}" for u, v, w in sorted(site.edges)))
+    if site.no_go:
+        background.append("no-go zones: " + ", ".join(sorted(site.no_go)))
+    if site.chargers:
+        background.append("charging stations: " + ", ".join(sorted(site.chargers)))
+    if s.resources:
+        background.append("stockpiles (MU): " + ", ".join(f"{loc}={mu}" for loc, mu in s.resources))
+    background.append(
+        f"costs: battery {_fmt_num(cost.battery_per_du)}%/DU, {_fmt_num(cost.tu_per_du)} TU/DU, "
+        f"pick/build {_fmt_num(cost.pick_build_tu_per_3mu)} TU per 3 MU, "
+        f"recharge {_fmt_num(cost.recharge_tu)} TU, scan {_fmt_num(cost.scan_tu_per_su)} TU/SU"
+    )
+    if s.safety_rules:
+        background.append("safety rules in force: " + ", ".join(s.safety_rules))
+
+    tasks = []
+    for t in s.tasks:
+        line = f"- {t.id}: {t.type.value} at {t.location}, demand {t.demand} MU, duration {_fmt_num(t.duration)} TU"
+        if t.required_skills:
+            line += ", requires " + "+".join(sorted(k.value for k in t.required_skills))
+        tasks.append(line)
+    tasks.extend(f"- precedence: {a} before {b}" for a, b in sorted(s.dag.edges))
+
+    robots = [
+        f"- {r.id}: skills {'+'.join(sorted(k.value for k in r.skills))}; "
+        f"capacity {r.payload_capacity} MU; battery {_fmt_num(r.battery_init)}/{_fmt_num(r.battery_max)}%; "
+        f"start {r.start_location}; cargo {r.cargo_init} MU"
+        for r in s.robots
+    ]
+    return "\n".join([
+        _section("BACKGROUND", "\n".join(background)),
+        _section("TASKS", "\n".join(tasks)),
+        _section("ROBOTS", "\n".join(robots)),
+        _section("API SCHEMA", "STEP, CURRENT_LOCATION, ACTION, INTERNAL_CARGO, PLACED_BRICKS, REMAINING_BATTERY"),
+    ])
+
+
+def build_generator_prompt(s: Scenario) -> str:
     """Deterministic generator prompt: context, roster, schema and rules."""
+    rules = GENERATOR_RULES + tuple(f"honor site rule: {r}" for r in s.safety_rules)
     return "\n".join([
         "# You are the schedule Generator for a construction robot team.",
-        _section("BACKGROUND", ctx.background),
-        _section("TASKS", ctx.task_text),
-        _section("ROBOTS", ctx.roster),
-        _section("API SCHEMA", ctx.api_schema),
-        _section("RULES (do/don't)", "\n".join(f"- {r}" for r in GENERATOR_RULES + tuple(ctx.guardrails))),
+        _context(s),
+        _section("RULES (do/don't)", "\n".join(f"- {r}" for r in rules)),
         "# Emit the schedule now, one step per line:",
     ])
 
@@ -110,16 +160,13 @@ COUNTEREXAMPLE = (
 )
 
 
-def build_supervisor_prompt(ctx: PromptContext, draft: Plan, report: ViolationReport) -> str:
+def build_supervisor_prompt(s: Scenario, draft: Plan, report: ViolationReport) -> str:
     """Supervisor prompt: draft, typed violations with fix hints, repair charter."""
     parts = [
         "# You are the schedule Supervisor. Check the draft against the scenario",
         "# and return a corrected schedule with the fewest possible edits",
         "# (substitute, reorder or insert steps; keep the original intent).",
-        _section("BACKGROUND", ctx.background),
-        _section("TASKS", ctx.task_text),
-        _section("ROBOTS", ctx.roster),
-        _section("API SCHEMA", ctx.api_schema),
+        _context(s),
         _section("DRAFT SCHEDULE", serialize_plan(draft).rstrip("\n")),
     ]
     if report.feasible:
@@ -260,8 +307,7 @@ def supervise_with_llm(
     error; a second failure surfaces as SchemaError (the repair loop counts
     it as a failed iteration).
     """
-    ctx = canonical_context(s)
-    prompt = build_supervisor_prompt(ctx, draft, report)
+    prompt = build_supervisor_prompt(s, draft, report)
     key = (profile.name, scenario_name, iteration)
     raw = gateway.complete(profile, prompt, mock_key=key)
     try:

@@ -126,7 +126,7 @@ class RepairResult:
     plan: Plan | None
     script: EditScript | None
     iterations_used: int  # T_rep
-    report: ViolationReport | None  # report of the final plan
+    report: ViolationReport  # report of the final plan
 
     def to_dict(self) -> dict:
         return {
@@ -190,7 +190,6 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
     a = [(_sig(s), s.action) for s in from_plan.steps]
     b = [(_sig(s), s.action) for s in to_plan.steps]
     n, m = len(a), len(b)
-    INF = n + m + 1
     dist = [[0] * (m + 1) for _ in range(n + 1)]
     for i in range(n + 1):
         dist[i][0] = i
@@ -543,11 +542,11 @@ class SearchSupervisor:
 
     def propose(
         self, s: Scenario, draft: Plan, report: ViolationReport, iteration: int
-    ) -> Plan:
+    ) -> tuple[Plan, ViolationReport]:
         result = minimal_edit_repair(s, draft, self.budget, report.checks_run, self.style, report)
         if not result.feasible or result.plan is None:
             raise SupervisorError(f"no feasible plan within {self.budget} edits")
-        return result.plan
+        return result.plan, result.report
 
 
 class LlmSupervisor:
@@ -564,17 +563,18 @@ class LlmSupervisor:
 
     def propose(
         self, s: Scenario, draft: Plan, report: ViolationReport, iteration: int
-    ) -> Plan:
+    ) -> tuple[Plan, ViolationReport]:
         from .gateway import GatewayError, supervise_with_llm
         from .plan import SchemaError
 
         try:
-            return supervise_with_llm(
+            plan = supervise_with_llm(
                 s, draft, report, self.gateway, self.profile,
                 scenario_name=self.scenario_name, iteration=iteration,
             )
         except (GatewayError, SchemaError) as e:
             raise SupervisorError(str(e)) from e
+        return plan, validate(s, plan, report.checks_run)
 
 
 def repair_loop(
@@ -586,32 +586,29 @@ def repair_loop(
 ) -> RepairResult:
     """Algorithm: up to ``max_iters`` rounds of validate -> supervisor repair.
 
-    Returns Feasible on the first zero-violation validation; a supervisor
-    failure (gateway error, unparseable response, exhausted search) counts
-    as a failed iteration with the plan unchanged.  A *deterministic*
-    supervisor that fails is not retried on the identical plan: the
-    remaining iterations cannot go differently, so the loop reports
-    Infeasible at the cap immediately.
+    The loop validates the draft once; ``propose`` returns the supervisor's
+    plan with its report under the same checks, so no plan is validated
+    twice.  Returns Feasible on the first zero-violation report; a
+    supervisor failure (gateway error, unparseable response, exhausted
+    search) counts as a failed iteration with the plan and its report
+    unchanged.  A *deterministic* supervisor that fails is not retried on
+    the identical plan: the remaining iterations cannot go differently, so
+    the loop reports Infeasible at the cap immediately.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be >= 1")
     current = draft
+    report = validate(s, current, checks)
     proposals = 0
-    report: ViolationReport | None = None  # of ``current``; None until validated
     for t in range(1, max_iters + 1):
-        report = validate(s, current, checks)
         if report.feasible:
             break
         proposals += 1
         try:
-            current = supervisor.propose(s, current, report, t)
+            current, report = supervisor.propose(s, current, report, t)
         except SupervisorError:
             if getattr(supervisor, "deterministic", False):
                 break
-            continue
-        report = None
-    if report is None:
-        report = validate(s, current, checks)
     if report.feasible:
         return RepairResult(True, current, edit_script(draft, current), max(1, proposals), report)
     return RepairResult(False, None, None, max_iters, report)

@@ -358,6 +358,14 @@ def _number(raw, where: str, kind: type = float):
     return kind(value)
 
 
+def _count(raw, where: str) -> int:
+    """``raw`` as an integer >= 0 (a capacity, a cargo, a stock or a demand in MU)."""
+    value = _number(raw, where, int)
+    if value < 0:
+        raise ValidationError(where, f"expected an integer >= 0, got {value}")
+    return value
+
+
 def _row(raw, n: int, where: str) -> list:
     if not isinstance(raw, list) or len(raw) != n:
         raise ValidationError(where, f"expected an array of {n} values, got {raw!r}")
@@ -457,8 +465,8 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         rid = _canon_id(_require(_typed(r, dict, where), "id", where)).lower()
         battery_max = _number(r.get("battery_max", 100), f"{where}.battery_max")
         battery_init = _number(r.get("battery_init", battery_max), f"{where}.battery_init")
-        cap = _number(r.get("payload_capacity", 0), f"{where}.payload_capacity", int)
-        cargo = _number(r.get("cargo_init", 0), f"{where}.cargo_init", int)
+        cap = _count(r.get("payload_capacity", 0), f"{where}.payload_capacity")
+        cargo = _count(r.get("cargo_init", 0), f"{where}.cargo_init")
         if not (0 <= battery_init <= battery_max <= 100):
             raise ValidationError(where, f"need 0 <= battery_init <= battery_max <= 100, got {battery_init}/{battery_max}")
         if cargo > cap:
@@ -481,11 +489,9 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     for i, t in enumerate(_typed(doc.get("tasks", []), list, "tasks")):
         where = f"tasks[{i}]"
         duration = _number(_typed(t, dict, where).get("duration", 1), f"{where}.duration")
-        demand = _number(t.get("demand", 0), f"{where}.demand", int)
+        demand = _count(t.get("demand", 0), f"{where}.demand")
         if duration <= 0:
             raise ValidationError(where, f"duration {duration} must be > 0")
-        if demand < 0:
-            raise ValidationError(where, f"demand {demand} must be >= 0")
         try:
             task_type = ActionKind(str(_require(t, "type", where)))
         except ValueError:
@@ -529,12 +535,14 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         raise ValidationError("cost.scan_footprint", f"unknown scan footprint {footprint!r}") from None
     cost = CostModel(**rates, scan_footprint=footprint)
 
-    resources = tuple(
-        sorted(
-            (check_location(loc, f"resources.{loc}"), _number(mu, f"resources.{loc}", int))
-            for loc, mu in _typed(doc.get("resources", {}), dict, "resources").items()
-        )
-    )
+    stock: dict[str, int] = {}
+    for raw_loc, mu in _typed(doc.get("resources", {}), dict, "resources").items():
+        where = f"resources.{raw_loc}"
+        loc = check_location(raw_loc, where)
+        if loc in stock:
+            raise ValidationError(where, f"a second stockpile at {loc!r}")
+        stock[loc] = _count(mu, where)
+    resources = tuple(sorted(stock.items()))
 
     scenario = Scenario(
         name=name,
@@ -625,86 +633,3 @@ def serialize_scenario(s: Scenario) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
-
-# ---------------------------------------------------------------------------
-# Canonical prompt context (Stage 0)
-# ---------------------------------------------------------------------------
-
-API_SCHEMA_LINE = "STEP, CURRENT_LOCATION, ACTION, INTERNAL_CARGO, PLACED_BRICKS, REMAINING_BATTERY"
-
-
-@dataclass(frozen=True)
-class PromptContext:
-    """The canonical context block handed to LLM roles."""
-
-    background: str
-    task_text: str
-    roster: str
-    api_schema: str
-    guardrails: tuple[str, ...] = ()
-
-
-def canonical_context(s: Scenario) -> PromptContext:
-    """Assemble the deterministic, stable-ordered context block.
-
-    Pure function of the Scenario: equal scenarios produce byte-identical
-    contexts.  Empty sections (e.g. no-go zones) are elided entirely.
-    """
-    bg = [f"instruction: {s.instruction}"]
-    if s.site.is_grid():
-        bg.append(f"site: {s.site.width}x{s.site.height} grid")
-        if s.site.blocked:
-            bg.append("blocked cells: " + ", ".join(cell_id(c) for c in sorted(s.site.blocked)))
-    else:
-        bg.append("site locations: " + ", ".join(s.site.nodes))
-        bg.append(
-            "site edges (DU): "
-            + ", ".join(f"{u}-{v}={_trim(w)}" for u, v, w in sorted(s.site.edges))
-        )
-    if s.site.no_go:
-        bg.append("no-go zones: " + ", ".join(sorted(s.site.no_go)))
-    if s.site.chargers:
-        bg.append("charging stations: " + ", ".join(sorted(s.site.chargers)))
-    if s.resources:
-        bg.append("stockpiles (MU): " + ", ".join(f"{loc}={mu}" for loc, mu in s.resources))
-    bg.append(
-        "costs: battery {}%/DU, {} TU/DU, pick/build {} TU per 3 MU, recharge {} TU, scan {} TU/SU".format(
-            _trim(s.cost.battery_per_du),
-            _trim(s.cost.tu_per_du),
-            _trim(s.cost.pick_build_tu_per_3mu),
-            _trim(s.cost.recharge_tu),
-            _trim(s.cost.scan_tu_per_su),
-        )
-    )
-
-    task_lines = []
-    for t in s.tasks:
-        line = f"- {t.id}: {t.type.value} at {t.location}, demand {t.demand} MU, duration {_trim(t.duration)} TU"
-        if t.required_skills:
-            line += ", requires " + "+".join(sorted(k.value for k in t.required_skills))
-        task_lines.append(line)
-    for a, b in sorted(s.dag.edges):
-        task_lines.append(f"- precedence: {a} before {b}")
-
-    roster_lines = []
-    for r in s.robots:
-        roster_lines.append(
-            f"- {r.id}: skills {'+'.join(sorted(k.value for k in r.skills))}; "
-            f"capacity {r.payload_capacity} MU; battery {_trim(r.battery_init)}/{_trim(r.battery_max)}%; "
-            f"start {r.start_location}; cargo {r.cargo_init} MU"
-        )
-
-    if s.safety_rules:
-        bg.append("safety rules in force: " + ", ".join(s.safety_rules))
-
-    return PromptContext(
-        background="\n".join(bg),
-        task_text="\n".join(task_lines),
-        roster="\n".join(roster_lines),
-        api_schema=API_SCHEMA_LINE,
-        guardrails=tuple(f"honor site rule: {r}" for r in s.safety_rules),
-    )
-
-
-def _trim(x: float) -> str:
-    return str(int(x)) if float(x).is_integer() else str(x)

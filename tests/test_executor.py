@@ -86,7 +86,9 @@ def test_pick_build_amounts_and_stock(wall):
         "STEP 5, [B], BUILD, [0], 3, [50]\n"
     )
     trace = execute(wall, plan)
-    assert [e.picked_here for e in trace.entries] == [0, 3, 0, 0, 0]
+    cargo = [wall.robots[0].cargo_init] + [e.cargo for e in trace.entries]
+    # the first PICK loads 3 MU, the second none; the BUILD unloads them
+    assert [after - before for before, after in zip(cargo, cargo[1:])] == [0, 3, 0, 0, -3]
     assert trace.entries[2].tu_cost == 0.0  # 1 TU per 3 MU: zero material, zero time
     assert trace.final.stock["S"] == 6
     assert trace.final.placed_at["B"] == 3
@@ -111,12 +113,14 @@ def test_battery_conservation_on_fixtures(wall, grid, wall_draft, wall_gemma, wa
     for scenario, plan in cases:
         trace = execute(scenario, plan)
         robot = scenario.robots[0]
-        expected = (
-            robot.battery_init
-            - sum(e.du_cost for e in trace.entries) * scenario.cost.battery_per_du
-            + sum(e.recharged for e in trace.entries)
-        )
-        assert trace.final.robots[robot.id].battery == expected
+        battery = robot.battery_init
+        for e in trace.entries:
+            if e.step.action.kind is ActionKind.CHARGE:
+                assert e.battery == robot.battery_max
+            else:
+                assert e.battery == battery - e.du_cost * scenario.cost.battery_per_du
+            battery = e.battery
+        assert trace.final.robots[robot.id].battery == battery
 
 
 def test_placed_bricks_monotone(wall, wall_draft):

@@ -1,3 +1,4 @@
+import hashlib
 import http.server
 import json
 import threading
@@ -16,31 +17,30 @@ from foreman.gateway import (
     supervise_with_llm,
 )
 from foreman.repair import LlmSupervisor, repair_loop
-from foreman.scenario import canonical_context
+from foreman.plan import parse_plan
+from foreman.scenario import load_scenario, load_scenario_dict, serialize_scenario
 from foreman.validator import ALL_CHECKS, validate
 
 
 def test_generator_prompt_contains_invariant_line(wall):
-    prompt = build_generator_prompt(canonical_context(wall))
+    prompt = build_generator_prompt(wall)
     assert "respect precedence; do not duplicate actions; keep battery non-negative" in prompt
     assert "STEP, CURRENT_LOCATION, ACTION, INTERNAL_CARGO, PLACED_BRICKS, REMAINING_BATTERY" in prompt
 
 
 def test_generator_prompt_elides_empty_few_shot(wall):
-    ctx = canonical_context(wall)
-    prompt = build_generator_prompt(ctx)
+    prompt = build_generator_prompt(wall)
     assert "EXAMPLES" not in prompt
 
 
 def test_prompt_determinism(wall, grid):
     for s in (wall, grid):
-        ctx = canonical_context(s)
-        assert build_generator_prompt(ctx) == build_generator_prompt(ctx)
+        assert build_generator_prompt(s) == build_generator_prompt(s)
 
 
 def test_supervisor_prompt_lists_each_violation(wall, wall_draft, grid, grid_draft):
     report = validate(wall, wall_draft, ALL_CHECKS)
-    prompt = build_supervisor_prompt(canonical_context(wall), wall_draft, report)
+    prompt = build_supervisor_prompt(wall, wall_draft, report)
     for violation in report.violations:
         assert violation.render() in prompt
     assert "counterexample" in prompt
@@ -50,8 +50,69 @@ def test_supervisor_prompt_lists_each_violation(wall, wall_draft, grid, grid_dra
 
 def test_supervisor_prompt_confirms_feasible_draft(wall, wall_gemma):
     report = validate(wall, wall_gemma, ALL_CHECKS)
-    prompt = build_supervisor_prompt(canonical_context(wall), wall_gemma, report)
+    prompt = build_supervisor_prompt(wall, wall_gemma, report)
     assert "no violations found" in prompt
+
+
+def test_prompts_carry_the_api_schema_line(wall, wall_draft):
+    schema = "# --- API SCHEMA ---\nSTEP, CURRENT_LOCATION, ACTION, INTERNAL_CARGO, PLACED_BRICKS, REMAINING_BATTERY\n"
+    report = validate(wall, wall_draft, ALL_CHECKS)
+    assert schema in build_generator_prompt(wall)
+    assert schema in build_supervisor_prompt(wall, wall_draft, report)
+
+
+def test_prompts_of_two_loads_are_identical(fix_dir, wall_draft):
+    a, b = (load_scenario(fix_dir / "wall_assembly.scn.json") for _ in range(2))
+    assert build_generator_prompt(a) == build_generator_prompt(b)
+    report = validate(a, wall_draft, ALL_CHECKS)
+    assert build_supervisor_prompt(a, wall_draft, report) == build_supervisor_prompt(b, wall_draft, report)
+
+
+def test_prompts_name_no_go_zones_only_when_the_site_has_some(wall):
+    assert "no-go" not in build_generator_prompt(wall)
+    doc = json.loads(serialize_scenario(wall))
+    doc["site"]["no_go"] = ["B"]
+    assert "no-go zones: B\n" in build_generator_prompt(load_scenario_dict(doc, name="x"))
+
+
+# SHA-256 of every prompt below, recorded before the prompt code moved from
+# scenario.py into this module; a change to any byte of a prompt shows here.
+_PROMPT_SHA256 = {
+    "wall_assembly/generator": "caede4aae60ea0a1b9b5500b177d672118a8227bffb23f6c78a613c2f125a391",
+    "wall_assembly/draft": "6659f8a463ce75ce73945b69ebfce3d9533d10104b0acb9b95b9a57d2619a2a3",
+    "wall_assembly/gemma": "7f89161b0a9b259fb12c49a7d87c2049611cb2fb023abe498d918f68f8e7287c",
+    "wall_assembly/llama": "71f1bcb2f71cf1d92b9a8d622d79f07be8b72195720650c5484b0726e0fa3359",
+    "wall_assembly/mistral": "e9a52a45dec5e2c68c63ed77bde7477e64cbde55d41236cbb59e7a7fe86e41af",
+    "scan_grid/generator": "e91147202e79f75654eafe36c902270c8cfd7a8c8ff4874241ba53e6715542b9",
+    "scan_grid/draft": "364616f7be268cb1f135bdece3ff9284e52e73ced2e461c7bd5827be8771ac45",
+    "scan_grid/gemma": "61b026bec0a1cce869b6b880b74b3a908cecc08c7325f14a03cfcc588aeb21ba",
+    "scan_grid/llama": "37e7d905a7dde0fb0209dc6cc66364fd9a1ae0eff35c68c2892428d610f4e716",
+    "scan_grid/mistral": "173785593517b6379b4a82aba57070644664fb7ed0fa3504185a5172a74bd8aa",
+    "wall_assembly+no_go/generator": "77b0e26ec1cf578625079d8355a72664d77925f4a69c0095f8ec436298e8a682",
+    "wall_assembly+no_go/draft": "efcc882017d5f1c83d802e7450eb5ff1ec3dd838cc1bf785fcaa2fd7f046db3f",
+    "wall_assembly+no_go/gemma": "f8416be7707e4381b27cfec04a98acfbc51ebe8c32197a76882a26b85a679471",
+    "wall_assembly+no_go/llama": "efd29d726ad7c4e333ee955c05d4afc7f0a469d336c63200b76a7906372f0a3b",
+    "wall_assembly+no_go/mistral": "490e1e48a41c37b0a4a4062b51c9c145f98fb29d68681edc954a397fb51111d5",
+}
+
+
+def _prompts(fix_dir, label, s, name):
+    """The generator prompt of ``s``, then the supervisor prompt of each shipped plan of ``name``."""
+    yield f"{label}/generator", build_generator_prompt(s)
+    for which in ("draft", "gemma", "llama", "mistral"):
+        plan = parse_plan((fix_dir / "plans" / f"{name}.{which}.plan").read_text(encoding="utf-8"))
+        yield f"{label}/{which}", build_supervisor_prompt(s, plan, validate(s, plan, ALL_CHECKS))
+
+
+def test_prompt_bytes_are_pinned(fix_dir):
+    prompts = {}
+    for name in ("wall_assembly", "scan_grid"):
+        prompts.update(_prompts(fix_dir, name, load_scenario(fix_dir / f"{name}.scn.json"), name))
+    doc = json.loads(serialize_scenario(load_scenario(fix_dir / "wall_assembly.scn.json")))
+    doc["site"]["no_go"] = ["B"]
+    with_nogo = load_scenario_dict(doc, name="wall_assembly")
+    prompts.update(_prompts(fix_dir, "wall_assembly+no_go", with_nogo, "wall_assembly"))
+    assert {k: hashlib.sha256(p.encode("utf-8")).hexdigest() for k, p in prompts.items()} == _PROMPT_SHA256
 
 
 def test_strip_preamble_and_idempotence():

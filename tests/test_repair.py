@@ -185,6 +185,8 @@ def test_search_rebuilds_only_its_winner(monkeypatch, wall, grid, wall_draft, gr
 
 
 def test_search_supervisor_validates_the_draft_once(monkeypatch, wall, grid, wall_draft, grid_draft):
+    # the loop validates the draft, the search its winner, and the loop reads
+    # the winner's report from the search: no plan is validated twice
     validated = []
 
     def counting_validate(s, plan, checks=ALL_CHECKS, trace=None):
@@ -198,6 +200,8 @@ def test_search_supervisor_validates_the_draft_once(monkeypatch, wall, grid, wal
             result = repair_loop(s, draft, SearchSupervisor(style, 4))
             assert result.feasible and result.iterations_used == 1
             assert validated.count(draft) == 1  # by the loop; the search reuses its report
+            assert validated.count(result.plan) == 1  # by the search; the loop reuses its report
+            assert all(validated.count(plan) == 1 for plan in validated)
 
 
 def test_repair_feasibility_postcondition(wall, grid, wall_draft, grid_draft):
@@ -240,7 +244,7 @@ def test_repair_loop_with_canned_plan_supervisor(wall, wall_draft, wall_llama):
         name = "canned"
 
         def propose(self, s, draft, report, iteration):
-            return wall_llama
+            return wall_llama, validate(s, wall_llama, report.checks_run)
 
     result = repair_loop(wall, wall_draft, Canned(), max_iters=3)
     assert result.feasible

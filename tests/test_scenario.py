@@ -8,13 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from brute_oracle import brute_has_cycle
 from foreman.scenario import (
-    API_SCHEMA_LINE,
     ParseError,
     PrecedenceDag,
     ScanFootprint,
     SiteMap,
     ValidationError,
-    canonical_context,
     cell_id,
     load_scenario,
     load_scenario_dict,
@@ -153,6 +151,14 @@ _MALFORMED = {
     "tasks[0].demand": {"tasks": [{"id": "t1", "type": "NAVIGATE", "location": "A", "demand": 2.5}]},
     "dag[0]": {"dag": [["a"]]},
     "resources.A": {"resources": {"A": "lots"}},
+    "resources.B": {"resources": {"B": -3}},
+    "resources.a": {"resources": {"A": 3, "a": 9}},
+    "robots[0].payload_capacity": {
+        "robots": [{"id": "r1", "skills": ["NAVIGATE"], "start_location": "A", "payload_capacity": -1}]
+    },
+    "robots[0].cargo_init": {
+        "robots": [{"id": "r1", "skills": ["NAVIGATE"], "start_location": "A", "payload_capacity": 3, "cargo_init": -2}]
+    },
 }
 
 
@@ -168,28 +174,6 @@ def test_serialize_round_trip(wall, grid):
         doc = json.loads(serialize_scenario(s))
         again = load_scenario_dict(doc, name=s.name)
         assert again == s
-
-
-def test_canonical_context_contains_schema_line(wall):
-    ctx = canonical_context(wall)
-    assert ctx.api_schema == API_SCHEMA_LINE
-    assert "STEP, CURRENT_LOCATION, ACTION, INTERNAL_CARGO, PLACED_BRICKS, REMAINING_BATTERY" == ctx.api_schema
-
-
-def test_canonical_context_deterministic(fix_dir):
-    a = canonical_context(load_scenario(fix_dir / "wall_assembly.scn.json"))
-    b = canonical_context(load_scenario(fix_dir / "wall_assembly.scn.json"))
-    assert a == b  # two loads of the same file give byte-identical context
-
-
-def test_canonical_context_elides_empty_no_go(wall):
-    ctx = canonical_context(wall)
-    assert "no-go" not in ctx.background
-    nogo = load_scenario_dict(json.loads(serialize_scenario(wall)) | {}, name="x")
-    doc = json.loads(serialize_scenario(wall))
-    doc["site"]["no_go"] = ["B"]
-    with_nogo = canonical_context(load_scenario_dict(doc, name="x"))
-    assert "no-go zones: B" in with_nogo.background
 
 
 def test_id_canonicalization():
