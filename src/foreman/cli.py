@@ -188,7 +188,7 @@ def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
 @main.command("experiment")
 @click.argument("scenario_path", type=click.Path())
 @click.option("--supervisor", "supervisors", multiple=True,
-              help="repeatable; defaults to the three mock supervisor profiles")
+              help="repeatable; defaults to llm:gemma, llm:llama, llm:mistral and search-minimal")
 @click.option("--max-iters", default=3, show_default=True)
 @click.option("--budget", default=4, show_default=True)
 @click.option("--checks", default="all")

@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 import logging
 import os
-import re
 from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
 
-from .plan import Plan, SchemaError, _fmt_num, parse_plan, serialize_plan
-from .scenario import Scenario
+from .plan import STEP_HEAD, Plan, SchemaError, _fmt_num, parse_plan, serialize_plan
+from .scenario import Scenario, cell_id
 from .validator import ViolationReport
 
 
@@ -51,7 +50,8 @@ class LlmProfile:
 
 def load_profiles(path: str | Path) -> dict[str, LlmProfile]:
     """Read a JSON object of profile name -> settings, each with an ``endpoint``;
-    OSError when the file cannot be read, ValueError when it holds no such object."""
+    OSError when the file cannot be read, ValueError when it holds no such
+    object or a setting has the wrong type."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: profiles must be a JSON object")
@@ -59,6 +59,14 @@ def load_profiles(path: str | Path) -> dict[str, LlmProfile]:
     for name, raw in doc.items():
         if not isinstance(raw, dict) or "endpoint" not in raw:
             raise ValueError(f"{path}: profile {name!r} must be an object with an endpoint")
+        for field in ("endpoint", "role", "model_name", "api_key_env"):
+            if not isinstance(raw.get(field, ""), str):
+                raise ValueError(f"{path}: profile {name!r}: {field} must be a string")
+        stop, seed = raw.get("stop_tokens", []), raw.get("seed")
+        if not (isinstance(stop, list) and all(isinstance(t, str) for t in stop)):
+            raise ValueError(f"{path}: profile {name!r}: stop_tokens must be a list of strings")
+        if not (seed is None or type(seed) is int):  # a JSON true is no seed
+            raise ValueError(f"{path}: profile {name!r}: seed must be an integer or null")
         try:
             out[name] = LlmProfile(
                 name=name,
@@ -67,9 +75,9 @@ def load_profiles(path: str | Path) -> dict[str, LlmProfile]:
                 model_name=raw.get("model_name", name),
                 temperature=float(raw.get("temperature", 0.2)),
                 max_tokens=int(raw.get("max_tokens", 1024)),
-                stop_tokens=tuple(raw.get("stop_tokens", [])),
+                stop_tokens=tuple(stop),
                 api_key_env=raw.get("api_key_env", ""),
-                seed=raw.get("seed"),
+                seed=seed,
             )
         except (TypeError, ValueError) as e:
             raise ValueError(f"{path}: profile {name!r}: {e}") from None
@@ -102,7 +110,7 @@ def _context(s: Scenario) -> str:
     if site.is_grid():
         background.append(f"site: {site.width}x{site.height} grid")
         if site.blocked:
-            background.append("blocked cells: " + ", ".join(f"({x},{y})" for x, y in sorted(site.blocked)))
+            background.append("blocked cells: " + ", ".join(cell_id(c) for c in sorted(site.blocked)))
     else:
         background.append("site locations: " + ", ".join(site.nodes))
         background.append("site edges (DU): " + ", ".join(f"{u}-{v}={_fmt_num(w)}" for u, v, w in sorted(site.edges)))
@@ -183,14 +191,12 @@ def build_supervisor_prompt(s: Scenario, draft: Plan, report: ViolationReport) -
 # Response hygiene
 # ---------------------------------------------------------------------------
 
-_STEP_LINE = re.compile(r"^([A-Za-z_][\w+-]*\s*:\s*)?STEP\s+\d+\s*,", re.IGNORECASE)
-
 
 def strip_plan_preamble(text: str) -> str:
     """Drop any prose before the first step line; idempotent."""
     lines = text.splitlines()
     for i, line in enumerate(lines):
-        if _STEP_LINE.match(line.strip()):
+        if STEP_HEAD.match(line.strip()):
             return "\n".join(lines[i:]) + "\n"
     return text
 

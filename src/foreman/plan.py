@@ -132,18 +132,30 @@ class SchemaError(ValueError):
         self.reason = reason
 
 
-# The step-line grammar of docs/GRAMMAR.md.  A location or NAVIGATE target
-# has no whitespace at either end and no comma outside parentheses, which do
-# not nest, so a grid cell "(2,2)" is one value.  Each field after STEP may
-# sit in brackets: "(?P<xb>\[\s*)?" opens them and "(?(xb)\s*\])" closes
-# them when they were opened.
+# One shared Action per kind that takes no argument.
+_PLAIN_ACTIONS = {k.value: Action(k) for k in ActionKind if k is not ActionKind.NAVIGATE}
+
+# The parts of the step-line grammar of docs/GRAMMAR.md.  The accept regex
+# ``_LINE_RE``, the error wording in ``_explain`` and ``STEP_HEAD`` are all
+# built from them.  A location or NAVIGATE target has no whitespace at either
+# end and no comma outside parentheses, which do not nest, so a grid cell
+# "(2,2)" is one value.
+_PREFIX = r"(?P<prefix>[A-Za-z_][\w+-]*)\s*:\s*"
+_INT = r"-?[0-9]+"
+_STEP = rf"(?i:STEP)\s+(?P<step>{_INT})"
 _TEXT = r"(?:[^\s(,]|\([^()]*\))[^(,]*(?:\([^()]*\)[^(,]*)*(?<=\S)"
 _DECIMAL = r"[-+]?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-_NAMES = "|".join(k.value for k in ActionKind if k is not ActionKind.NAVIGATE)
+_NAMES = "|".join(_PLAIN_ACTIONS)
+
+# A step line up to the comma after its index: the line at which
+# ``gateway.strip_plan_preamble`` starts an LLM response's plan.
+STEP_HEAD = re.compile(rf"(?:{_PREFIX})?{_STEP}\s*,")
+
+# Each field after STEP may sit in brackets: "(?P<xb>\[\s*)?" opens them and
+# "(?(xb)\s*\])" closes them when they were opened.
 _LINE_RE = re.compile(
     rf"""
-    (?: (?P<prefix> [A-Za-z_][\w+-]* ) \s*:\s* )?
-    (?i:STEP) \s+ (?P<step> -?[0-9]+ ) \s*,
+    (?:{_PREFIX})? {_STEP} \s*,
     \s* (?P<lb> \[\s* )? (?(lb)|(?!\[\s*\]\s*,))    # a bare "[]" is no location
         (?P<location> {_TEXT} ) (?(lb)\s*\]) \s*,
     \s* (?P<ab> \[\s* )? (?: (?P<name> {_NAMES} ) | NAVIGATE \s+ (?P<target> {_TEXT} ) )
@@ -154,9 +166,6 @@ _LINE_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-# One shared Action per kind that takes no argument.
-_PLAIN_ACTIONS = {k.value: Action(k) for k in ActionKind if k is not ActionKind.NAVIGATE}
 
 
 def _members(prefix: str) -> tuple[str, tuple[str, ...]]:
@@ -198,13 +207,6 @@ def parse_plan(text: str) -> Plan:
     return Plan(tuple(steps))
 
 
-# The field-by-field checks below only word the error for a rejected line.
-_PREFIX_RE = re.compile(r"^([A-Za-z_][\w+-]*)\s*:\s*((?i:STEP)\b.*)$")
-_STEP_RE = re.compile(r"^STEP\s+(-?[0-9]+)$", re.IGNORECASE)
-_INT_RE = re.compile(r"-?[0-9]+")
-_DECIMAL_RE = re.compile(_DECIMAL)
-
-
 def _split_fields(body: str) -> list[str]:
     """Split on commas that are not inside parentheses.
 
@@ -232,68 +234,47 @@ def _unbracket(raw: str) -> str:
     return raw
 
 
-def _parse_int(raw: str, line: int, what: str) -> int:
-    text = _unbracket(raw)
-    if _INT_RE.fullmatch(text):
-        return int(text)
-    raise SchemaError(line, f"{what} is not an integer: {raw!r}")
-
-
-def _check_decimal(raw: str, line: int, what: str) -> None:
-    """A finite decimal such as ``50``, ``87.5`` or ``1e-05`` (what ``_fmt_num`` writes)."""
-    text = _unbracket(raw)
-    if not (_DECIMAL_RE.fullmatch(text) and math.isfinite(float(text))):
-        raise SchemaError(line, f"{what} is not a finite decimal: {raw!r}")
-
-
-def _check_action(raw: str, line: int) -> None:
-    parts = _unbracket(raw).split(None, 1)
-    if not parts:
-        raise SchemaError(line, "empty action")
-    name = parts[0]
-    try:
-        kind = ActionKind(name)
-    except ValueError:
-        raise SchemaError(line, f"unknown action {name}") from None
-    if kind is ActionKind.NAVIGATE:
-        if len(parts) != 2:
-            raise SchemaError(line, "NAVIGATE requires a target location")
-    elif len(parts) != 1:
-        raise SchemaError(line, f"action {name} takes no argument")
-
-
 def _explain(line: str, line_no: int, expected: dict[str | None, int]) -> NoReturn:
     """Raise the SchemaError for a step line that ``parse_plan`` rejects.
 
     Checks the fields in order, so the message names the first bad one.
     """
-    robot = None
-    m = _PREFIX_RE.match(line)
-    if m:
-        robot, _ = _members(m.group(1))
-        line = m.group(2)
-    fields = _split_fields(line)
+    m = re.match(rf"{_PREFIX}(?=(?i:STEP)\b)", line)
+    robot = _members(m["prefix"])[0] if m else None
+    fields = _split_fields(line[m.end():] if m else line)
     if len(fields) != 6:
         raise SchemaError(line_no, f"expected 6 fields, got {len(fields)}")
-    m = _STEP_RE.match(fields[0])
+    step, location, action, *counts, battery = fields
+    m = re.fullmatch(_STEP, step)
     if not m:
-        raise SchemaError(line_no, f"bad step field: {fields[0]!r}")
-    index = int(m.group(1))
+        raise SchemaError(line_no, f"bad step field: {step!r}")
     want = expected.get(robot, 0) + 1
+    index = int(m["step"])
     if index != want:
         raise SchemaError(
             line_no, f"step index {index} (expected {want} for robot {robot or '<default>'})"
         )
-    if not _unbracket(fields[1]):
+    if not _unbracket(location):
         raise SchemaError(line_no, "empty location")
-    _check_action(fields[2], line_no)
-    cargo = _parse_int(fields[3], line_no, "INTERNAL_CARGO")
-    placed = _parse_int(fields[4], line_no, "PLACED_BRICKS")
-    _check_decimal(fields[5], line_no, "REMAINING_BATTERY")
-    if cargo < 0:
-        raise SchemaError(line_no, f"negative cargo {cargo}")
-    if placed < 0:
-        raise SchemaError(line_no, f"negative placed count {placed}")
+    name, *target = _unbracket(action).split(None, 1) or [""]
+    if not name:
+        raise SchemaError(line_no, "empty action")
+    if name == "NAVIGATE":
+        if not target:
+            raise SchemaError(line_no, "NAVIGATE requires a target location")
+    elif name not in _PLAIN_ACTIONS:
+        raise SchemaError(line_no, f"unknown action {name}")
+    elif target:
+        raise SchemaError(line_no, f"action {name} takes no argument")
+    for raw, what in zip(counts, ("INTERNAL_CARGO", "PLACED_BRICKS")):
+        if not re.fullmatch(_INT, _unbracket(raw)):
+            raise SchemaError(line_no, f"{what} is not an integer: {raw!r}")
+    value = _unbracket(battery)
+    if not (re.fullmatch(_DECIMAL, value) and math.isfinite(float(value))):
+        raise SchemaError(line_no, f"REMAINING_BATTERY is not a finite decimal: {battery!r}")
+    for n, what in zip((int(_unbracket(raw)) for raw in counts), ("cargo", "placed count")):
+        if n < 0:
+            raise SchemaError(line_no, f"negative {what} {n}")
     # every field passed, so the line breaks the one rule only _LINE_RE states
     raise SchemaError(line_no, "nested parentheses")
 

@@ -392,6 +392,19 @@ def _skills(raw: list, where: str) -> frozenset[ActionKind]:
     return frozenset(out)
 
 
+def _check_location(site: SiteMap, loc, where: str) -> str:
+    """The id of ``loc``, which must be a declared node or an in-grid cell that is not blocked."""
+    if site.is_grid():
+        cell = parse_cell(str(loc))
+        if cell is None or not site.in_grid(cell) or cell in site.blocked:
+            raise ValidationError(where, f"unknown or blocked grid cell {loc!r}")
+        return cell_id(cell)
+    loc = _canon_id(loc).upper()
+    if loc not in site.nodes:
+        raise ValidationError(where, f"unknown location {loc!r}")
+    return loc
+
+
 def _load_site(raw: dict, where: str) -> SiteMap:
     kind = _require(_typed(raw, dict, where), "kind", where)
     if kind == "named_graph":
@@ -445,19 +458,12 @@ def _load_site(raw: dict, where: str) -> SiteMap:
 def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     if not isinstance(doc, dict):
         raise ParseError("scenario document must be a JSON object")
-    site = _load_site(_require(doc, "site", "site"), "site")
-    locations = site.locations() if not site.is_grid() else None
-
-    def check_location(loc: str, where: str) -> str:
-        if site.is_grid():
-            cell = parse_cell(str(loc))
-            if cell is None or not site.in_grid(cell) or cell in site.blocked:
-                raise ValidationError(where, f"unknown or blocked grid cell {loc!r}")
-            return cell_id(cell)
-        loc = _canon_id(loc).upper()
-        if loc not in locations:
-            raise ValidationError(where, f"unknown location {loc!r}")
-        return loc
+    raw_site = _require(doc, "site", "site")
+    site = _load_site(raw_site, "site")
+    for key in ("no_go", "chargers"):  # each a real location, as the ones below are
+        entries = [cell_id(c) for c in _cells(raw_site, key, "site")] if site.is_grid() else raw_site.get(key, [])
+        for i, loc in enumerate(entries):
+            _check_location(site, loc, f"site.{key}[{i}]")
 
     robots = []
     for i, r in enumerate(_typed(_require(doc, "robots", "robots"), list, "robots")):
@@ -478,7 +484,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
                 payload_capacity=cap,
                 battery_max=battery_max,
                 battery_init=battery_init,
-                start_location=check_location(_require(r, "start_location", where), f"{where}.start_location"),
+                start_location=_check_location(site, _require(r, "start_location", where), f"{where}.start_location"),
                 cargo_init=cargo,
             )
         )
@@ -501,7 +507,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
                 id=_canon_id(_require(t, "id", where)).lower(),
                 type=task_type,
                 required_skills=_skills(t.get("required_skills", []), f"{where}.required_skills"),
-                location=check_location(_require(t, "location", where), f"{where}.location"),
+                location=_check_location(site, _require(t, "location", where), f"{where}.location"),
                 demand=demand,
                 duration=duration,
             )
@@ -538,7 +544,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     stock: dict[str, int] = {}
     for raw_loc, mu in _typed(doc.get("resources", {}), dict, "resources").items():
         where = f"resources.{raw_loc}"
-        loc = check_location(raw_loc, where)
+        loc = _check_location(site, raw_loc, where)
         if loc in stock:
             raise ValidationError(where, f"a second stockpile at {loc!r}")
         stock[loc] = _count(mu, where)

@@ -256,6 +256,15 @@ def test_unreadable_llm_set_up_is_a_one_line_error(runner, fix_dir, tmp_path, co
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
 
 
+def test_profile_field_of_the_wrong_type_is_a_one_line_error(runner, fix_dir, tmp_path):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"x": {"endpoint": 5}}), encoding="utf-8")
+    p = _paths(fix_dir)
+    res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--supervisor", "llm:x", "--profiles", str(path)])
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.output == f"error: {path}: profile 'x': endpoint must be a string\n"
+
+
 @pytest.mark.parametrize("empty", ["candidate", "reference"])
 def test_metrics_on_an_empty_plan_is_a_one_line_error(runner, fix_dir, tmp_path, empty):
     path = tmp_path / "empty.plan"

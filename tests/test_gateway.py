@@ -17,7 +17,7 @@ from foreman.gateway import (
     supervise_with_llm,
 )
 from foreman.repair import LlmSupervisor, repair_loop
-from foreman.plan import parse_plan
+from foreman.plan import SchemaError, parse_plan
 from foreman.scenario import load_scenario, load_scenario_dict, serialize_scenario
 from foreman.validator import ALL_CHECKS, validate
 
@@ -123,6 +123,48 @@ def test_strip_preamble_and_idempotence():
     # robot-prefixed first lines survive too
     text2 = "preamble\nr1: STEP 1, [C], IDLE, [0], 0, [100]\n"
     assert strip_plan_preamble(text2).startswith("r1: STEP 1")
+
+
+def test_strip_preamble_reads_a_step_head_as_the_parser_does():
+    # "STEP -1," is a step line, so the parser gets to name the bad index;
+    # a head with non-ASCII digits is prose, as the parser's grammar has it
+    text = "Plan:\nSTEP -1, [C], IDLE, [0], 0, [100]\n"
+    assert strip_plan_preamble(text) == text.split("\n", 1)[1]
+    with pytest.raises(SchemaError) as exc:
+        parse_plan(strip_plan_preamble(text))
+    assert exc.value.reason == "step index -1 (expected 1 for robot <default>)"
+    text = "STEP \u0661, [C], IDLE, [0], 0, [100]\nr1: STEP 1, [C], IDLE, [0], 0, [100]\n"
+    assert strip_plan_preamble(text) == "r1: STEP 1, [C], IDLE, [0], 0, [100]\n"
+
+
+@pytest.mark.parametrize(
+    "field, value, kind",
+    [
+        ("endpoint", 5, "a string"),
+        ("role", None, "a string"),
+        ("model_name", ["m"], "a string"),
+        ("api_key_env", 1, "a string"),
+        ("stop_tokens", "END", "a list of strings"),
+        ("stop_tokens", ["END", 3], "a list of strings"),
+        ("seed", "7", "an integer or null"),
+        ("seed", 1.5, "an integer or null"),
+        ("seed", True, "an integer or null"),
+    ],
+)
+def test_profile_fields_of_the_wrong_type_are_value_errors(tmp_path, field, value, kind):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"x": {"endpoint": "mock://fixtures", field: value}}), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_profiles(path)
+    assert str(exc.value) == f"{path}: profile 'x': {field} must be {kind}"
+
+
+def test_profile_stop_tokens_and_seed_load_typed(tmp_path):
+    path = tmp_path / "profiles.json"
+    doc = {"x": {"endpoint": "mock://fixtures", "stop_tokens": ["END"], "seed": 7}, "y": {"endpoint": "mock://f", "seed": None}}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    profiles = load_profiles(path)
+    assert (profiles["x"].stop_tokens, profiles["x"].seed, profiles["y"].seed) == (("END",), 7, None)
 
 
 def test_mock_passthrough(fix_dir, wall, wall_draft):

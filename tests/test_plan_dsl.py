@@ -1,8 +1,10 @@
 import ast
+import hashlib
 import json
 import math
 import random
 import re
+from pathlib import Path
 
 import parse_oracle
 import pytest
@@ -138,6 +140,20 @@ def test_fixture_round_trip(fix_dir):
         plan = parse_plan(text)
         assert parse_plan(serialize_plan(plan)) == plan
         assert serialize_plan(plan) == text  # fixtures are stored canonically
+
+
+def test_grammar_doc_lists_the_action_names_in_order():
+    doc = (Path(__file__).parents[1] / "docs" / "GRAMMAR.md").read_text(encoding="utf-8")
+    names = re.search(r"^Action names: `([^`]*)`", doc, re.MULTILINE)[1].split()
+    assert names == [k.value for k in ActionKind]
+
+
+def test_step_index_error_names_the_index_as_a_number():
+    first = "STEP 1, [S], MOVE_S, [0], 0, [75]\n"
+    for index, reason in [("03", "step index 3 (expected 2"), ("-0", "step index 0 (expected 2")]:
+        with pytest.raises(SchemaError) as exc:
+            parse_plan(first + f"STEP {index}, [B], BUILD, [0], 3, [50]")
+        assert exc.value.reason == reason + " for robot <default>)"
 
 
 def test_tokenize_definition():
@@ -410,3 +426,18 @@ def test_lower_case_step_after_a_robot_prefix():
     upper = parse_plan("r1: STEP 1, A, PICK, 3, 0, 50\nr1+r2: STEP 2, [B], CO_CARRY, [3], 0, [25]")
     lower = parse_plan("r1: step 1, A, PICK, 3, 0, 50\nr1+r2 :Step 2, [B], CO_CARRY, [3], 0, [25]")
     assert lower == upper and lower.steps[1].coalition == ("r1", "r2")
+
+
+# The SHA-256 of every parse outcome on the single mutations of the seed
+# lines, recorded on the parser before its patterns were shared with the
+# error wording and the preamble stripper.
+_OUTCOMES_SHA256 = "8a7e896770df3fdc5615e14d9f730cfe984b1ee64d6316fca8075ebdccf1d207"
+
+
+def test_parser_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    texts = [t for line in _SEED_LINES for t in _mutations(line)]
+    for text in texts:
+        digest.update(repr(_outcome(parse_plan, text)).encode("utf-8") + b"\n")
+    assert len(texts) > 8_000
+    assert digest.hexdigest() == _OUTCOMES_SHA256

@@ -141,6 +141,12 @@ def test_malformed_json_is_parse_error(tmp_path):
 
 _MALFORMED = {
     "site.edges[0]": {"site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["A", "B"]]}},
+    "site.no_go[0]": {"site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["A", "B", 1]], "no_go": ["ZZZ"]}},
+    "site.chargers[1]": {
+        "site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["A", "B", 1]], "chargers": ["a", "(0,0)"]}
+    },
+    "site.chargers[0]": {"site": {"kind": "grid", "width": 2, "height": 2, "chargers": [[-1, 0]]}},
+    "site.no_go[1]": {"site": {"kind": "grid", "width": 2, "height": 2, "blocked": [[1, 1]], "no_go": [[0, 0], [1, 1]]}},
     "cost.battery_per_du": {"cost": {"battery_per_du": "fast"}},
     "cost.scan_footprint": {"cost": {"scan_footprint": "wide"}},
     "robots": {"robots": {"r1": {"skills": ["NAVIGATE"], "start_location": "A"}}},
