@@ -127,7 +127,7 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
             profiles_path=Path(profiles_path) if profiles_path else None,
         )
         cfg.validate_config()
-        supervisor = make_supervisor(supervisor_spec, cfg, *llm_access(cfg), s.name)
+        supervisor = make_supervisor(supervisor_spec, cfg, *llm_access(cfg))
     except (SchemaError, ValueError) as e:  # ConfigError included
         click.echo(f"error: {e}", err=True)
         sys.exit(1)

@@ -11,7 +11,7 @@ from a charger, picking at a non-stock location) halt execution.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .plan import ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
@@ -197,52 +197,39 @@ def bind(s: Scenario, labels: Iterable[str | None]) -> dict[str | None, str]:
     return {label: s.sole_robot().id if label is None else label for label in labels}
 
 
-def run(
-    s: Scenario, world: WorldState, steps: Iterable[PlanStep], bound: dict[str | None, str]
-) -> Iterator[TraceEntry]:
-    """Apply ``steps`` to ``world`` in place, yielding one entry per step.
+def execute(s: Scenario, plan: Plan) -> Trace:
+    """Simulate ``plan`` against ``s``; deterministic.
 
-    Each bound robot's steps are queued up front and keep their line order.
-    While two or more robots have steps left they take turns by (elapsed
-    time so far, robot id), so shared stockpiles decrement consistently;
-    then the last robot's queue drains in line order.  So when every label
-    binds to one robot, execution order is line order.  Raises ExecError at
-    the first impossible transition.
+    Each plan label is bound to a robot id once, and each robot's steps
+    keep their line order.  While two or more robots have steps left they
+    take turns by (elapsed time so far, robot id), so shared stockpiles
+    decrement consistently; then the last robot's steps run in line order.
+    So when every label binds to one robot, execution order is line order.
+    On an impossible transition the partial Trace is returned with
+    ``error`` set.
     """
+    world = initial_state(s)
+    steps = plan.steps
+    try:
+        bound = bind(s, {step.robot for step in steps})
+    except ValueError as e:  # an unlabelled step, so there is a first step
+        return Trace(entries=(), final=world, error=ExecError(None, steps[0].step, "bad_action", str(e)))
     queues: dict[str, deque[PlanStep]] = {}
     for step in steps:
         queues.setdefault(bound[step.robot], deque()).append(step)
     elapsed = world.elapsed
-    while len(queues) > 1:
-        robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
-        queue = queues[robot]
-        step = queue.popleft()
-        if not queue:
-            del queues[robot]
-        yield apply_step(s, world, step, robot)
-    for robot, queue in queues.items():
-        for step in queue:
-            yield apply_step(s, world, step, robot)
-
-
-def execute(s: Scenario, plan: Plan) -> Trace:
-    """Simulate ``plan`` against ``s``; deterministic.
-
-    Each plan label is bound to a robot id once and the steps run in
-    ``run``'s order.  On an impossible transition the partial Trace is
-    returned with ``error`` set.
-    """
-    world = initial_state(s)
     entries: list[TraceEntry] = []
     try:
-        bound = bind(s, plan.robots)
-    except ValueError as e:
-        first = plan.steps[0].step if plan.steps else 0
-        err = ExecError(None, first, "bad_action", str(e))
-        return Trace(entries=(), final=world, error=err)
-    try:
-        for entry in run(s, world, plan.steps, bound):
-            entries.append(entry)
+        while len(queues) > 1:
+            robot = min(queues, key=lambda r: (elapsed.get(r, 0.0), r))
+            queue = queues[robot]
+            step = queue.popleft()
+            if not queue:
+                del queues[robot]
+            entries.append(apply_step(s, world, step, robot))
+        for robot, queue in queues.items():
+            for step in queue:
+                entries.append(apply_step(s, world, step, robot))
     except ExecError as e:
         return Trace(entries=tuple(entries), final=world, error=e)
     return Trace(entries=tuple(entries), final=world)

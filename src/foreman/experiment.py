@@ -68,7 +68,7 @@ def llm_access(cfg: ExperimentConfig) -> tuple[Gateway, dict[str, LlmProfile]]:
         raise ConfigError(str(e)) from None
 
 
-def make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles, scenario_name: str):
+def make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles):
     """The supervisor a spec names: search-minimal, search-conservative or llm:<profile>."""
     if spec == "search-minimal":
         return SearchSupervisor("minimal", cfg.budget)
@@ -78,7 +78,7 @@ def make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles
         name = spec.split(":", 1)[1]
         if name not in profiles:
             raise ConfigError(f"unknown LLM profile {name!r}")
-        return LlmSupervisor(gateway, profiles[name], scenario_name)
+        return LlmSupervisor(gateway, profiles[name])
     raise ConfigError(f"unknown supervisor spec {spec!r}")
 
 
@@ -134,7 +134,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     hybrid_rows: list[tuple[str, EvalReport, RepairResult]] = []
     for spec in cfg.supervisors:
-        supervisor = make_supervisor(spec, cfg, gateway, profiles, s.name)
+        supervisor = make_supervisor(spec, cfg, gateway, profiles)
         result = repair_loop(s, draft, supervisor, cfg.max_iters, cfg.checks)
         report = eval_run(s, draft, result)
         label = getattr(supervisor, "name", spec)

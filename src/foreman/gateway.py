@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,20 +68,22 @@ def load_profiles(path: str | Path) -> dict[str, LlmProfile]:
             raise ValueError(f"{path}: profile {name!r}: stop_tokens must be a list of strings")
         if not (seed is None or type(seed) is int):  # a JSON true is no seed
             raise ValueError(f"{path}: profile {name!r}: seed must be an integer or null")
-        try:
-            out[name] = LlmProfile(
-                name=name,
-                role=raw.get("role", "supervisor"),
-                endpoint=raw["endpoint"],
-                model_name=raw.get("model_name", name),
-                temperature=float(raw.get("temperature", 0.2)),
-                max_tokens=int(raw.get("max_tokens", 1024)),
-                stop_tokens=tuple(stop),
-                api_key_env=raw.get("api_key_env", ""),
-                seed=seed,
-            )
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"{path}: profile {name!r}: {e}") from None
+        temperature, max_tokens = raw.get("temperature", 0.2), raw.get("max_tokens", 1024)
+        if not (type(temperature) in (int, float) and math.isfinite(temperature)):
+            raise ValueError(f"{path}: profile {name!r}: temperature must be a finite number")
+        if not (type(max_tokens) is int and max_tokens >= 1):
+            raise ValueError(f"{path}: profile {name!r}: max_tokens must be an integer >= 1")
+        out[name] = LlmProfile(
+            name=name,
+            role=raw.get("role", "supervisor"),
+            endpoint=raw["endpoint"],
+            model_name=raw.get("model_name", name),
+            temperature=float(temperature),
+            max_tokens=max_tokens,
+            stop_tokens=tuple(stop),
+            api_key_env=raw.get("api_key_env", ""),
+            seed=seed,
+        )
     return out
 
 
@@ -207,7 +210,12 @@ def strip_plan_preamble(text: str) -> str:
 
 
 class MockProvider:
-    """Serves canned responses from a manifest keyed 'role::scenario::iteration'."""
+    """Serves canned responses from a manifest keyed 'role::scenario::iteration'.
+
+    The manifest maps each key to a file name under the mocks directory; a
+    manifest of another shape, or a response file that cannot be read as
+    UTF-8 text, is a malformed response.
+    """
 
     def __init__(self, mocks_dir: str | Path):
         self.mocks_dir = Path(mocks_dir)
@@ -215,12 +223,18 @@ class MockProvider:
         if not manifest_path.exists():
             raise GatewayError("malformed-response", f"no mock manifest at {manifest_path}")
         self.manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not (isinstance(self.manifest, dict) and all(isinstance(f, str) for f in self.manifest.values())):
+            raise GatewayError("malformed-response", f"{manifest_path} must map each mock key to a file name")
 
     def complete(self, key: tuple[str, str, int]) -> str:
         role, scenario, iteration = key
         for candidate in (f"{role}::{scenario}::{iteration}", f"{role}::{scenario}::1"):
             if candidate in self.manifest:
-                return (self.mocks_dir / self.manifest[candidate]).read_text(encoding="utf-8")
+                path = self.mocks_dir / self.manifest[candidate]
+                try:
+                    return path.read_text(encoding="utf-8")
+                except (OSError, ValueError) as e:  # missing, unreadable or not UTF-8
+                    raise GatewayError("malformed-response", f"mock response {path}: {e}") from None
         raise GatewayError(
             "malformed-response", f"no mock response for {role}::{scenario}::{iteration}"
         )
@@ -304,7 +318,6 @@ def supervise_with_llm(
     report: ViolationReport,
     gateway: Gateway,
     profile: LlmProfile,
-    scenario_name: str,
     iteration: int = 1,
 ) -> Plan:
     """One supervisor exchange: prompt, complete, strip, parse.
@@ -314,7 +327,7 @@ def supervise_with_llm(
     it as a failed iteration).
     """
     prompt = build_supervisor_prompt(s, draft, report)
-    key = (profile.name, scenario_name, iteration)
+    key = (profile.name, s.name, iteration)
     raw = gateway.complete(profile, prompt, mock_key=key)
     try:
         return parse_plan(strip_plan_preamble(raw))

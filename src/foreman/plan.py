@@ -110,15 +110,6 @@ class PlanStep:
 class Plan:
     steps: tuple[PlanStep, ...]
 
-    @property
-    def robots(self) -> tuple[str | None, ...]:
-        """Roster of robot ids referenced, in first-appearance order."""
-        seen: list[str | None] = []
-        for s in self.steps:
-            if s.robot not in seen:
-                seen.append(s.robot)
-        return tuple(seen)
-
     def __len__(self) -> int:
         return len(self.steps)
 

@@ -345,7 +345,7 @@ def _survivors(
     n = len(steps)
     try:
         # search inserts into an empty draft are unlabelled
-        bound = bind(s, draft.robots or (None,))
+        bound = bind(s, {t.robot for t in steps} or {None})
     except ValueError:
         return lambda cost, n_ins: []
     one_robot = len(set(bound.values())) == 1
@@ -552,10 +552,9 @@ class SearchSupervisor:
 class LlmSupervisor:
     """Supervisor backed by a chat-completion gateway (live or mock)."""
 
-    def __init__(self, gateway, profile, scenario_name: str):
+    def __init__(self, gateway, profile):
         self.gateway = gateway
         self.profile = profile
-        self.scenario_name = scenario_name
 
     @property
     def name(self) -> str:
@@ -568,10 +567,7 @@ class LlmSupervisor:
         from .plan import SchemaError
 
         try:
-            plan = supervise_with_llm(
-                s, draft, report, self.gateway, self.profile,
-                scenario_name=self.scenario_name, iteration=iteration,
-            )
+            plan = supervise_with_llm(s, draft, report, self.gateway, self.profile, iteration=iteration)
         except (GatewayError, SchemaError) as e:
             raise SupervisorError(str(e)) from e
         return plan, validate(s, plan, report.checks_run)

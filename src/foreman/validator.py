@@ -135,6 +135,7 @@ _REPORT_ORDER = (
     ViolationClass.Safety,
     ViolationClass.Coverage,
 )
+_RANK = {cls: i for i, cls in enumerate(_REPORT_ORDER)}
 
 # Task types completed by the first such action at their location.
 _DONE_AT_SITE = frozenset({ActionKind.SCAN, ActionKind.INSPECT, ActionKind.MARK_LAYOUT})
@@ -344,13 +345,10 @@ def validate(
         )
     else:
         monitor, state = Monitor.of(s, checks), CheckState()
-        found: dict[ViolationClass, list[Violation]] = {cls: [] for cls in _REPORT_ORDER}
         for e in trace.entries:
-            for v in monitor.step(state, e):
-                found[v.cls].append(v)
-        for v in monitor.final(state, trace.final):
-            found[v.cls].append(v)
-        violations = [v for vs in found.values() for v in vs]
+            violations += monitor.step(state, e)
+        violations += monitor.final(state, trace.final)
+        violations.sort(key=lambda v: _RANK[v.cls])  # stable: by class, then in the order found
     return _make_report(violations, checks, trace.error is None)
 
 

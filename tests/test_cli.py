@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from foreman import cli, repair
 from foreman.cli import main
+from foreman.gateway import GatewayError, MockProvider
 from foreman.plan import parse_plan
 from foreman.scenario import load_scenario
 from foreman.validator import ALL_CHECKS, validate
@@ -103,6 +104,31 @@ def test_repair_cli_llm_mock(runner, fix_dir):
     assert res.exit_code == 0
     payload = json.loads(res.output)
     assert payload["outcome"] == "feasible"
+
+
+@pytest.mark.parametrize("bad", ["missing", "number", "not_utf8"])
+def test_a_mock_response_that_cannot_be_read_is_a_gateway_error(runner, fix_dir, tmp_path, bad):
+    mocks = tmp_path / "mocks"
+    mocks.mkdir()
+    (mocks / "latin1.txt").write_bytes("STEP 1, [S], MOVE_S, [0], 0, [75] # caf\xe9\n".encode("latin-1"))
+    target = {"missing": "gone.txt", "number": 5, "not_utf8": "latin1.txt"}[bad]
+    (mocks / "manifest.json").write_text(json.dumps({"mistral::wall_assembly::1": target}), encoding="utf-8")
+    p = _paths(fix_dir)
+    args = ["repair", p["wall"], p["wall_draft"], "--supervisor", "llm:mistral", "--mocks-dir", str(mocks)]
+    res = runner.invoke(main, args)
+    if bad == "number":  # the manifest itself is malformed
+        assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+        manifest = mocks / "manifest.json"
+        assert res.output == f"error: malformed-response: {manifest} must map each mock key to a file name\n"
+        return
+    with pytest.raises(GatewayError) as exc:
+        MockProvider(mocks).complete(("mistral", "wall_assembly", 1))
+    assert exc.value.kind == "malformed-response"
+    # inside the loop each failed completion is a spent iteration, as for a missing key
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {
+        "outcome": "infeasible", "iterations_used": 3, "edit_script": None, "edit_profile": None,
+    }
 
 
 def test_fcfs_cli(runner, fix_dir):

@@ -1,12 +1,11 @@
 import collections
-import contextlib
 import json
 import random
 from dataclasses import replace
 
 import pytest
 
-from foreman.executor import ExecError, execute, initial_state, makespan, run
+from foreman.executor import execute, makespan
 from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
 from foreman.scenario import load_scenario_dict, serialize_scenario
 
@@ -287,21 +286,18 @@ def test_two_robots_take_turns_by_elapsed_then_id(wall):
                 counts[r] += 1
                 lines.append(replace(own[r].pop(0), step=counts[r]))
         plan = Plan(tuple(lines))
-        entries = []
-        with pytest.raises(ExecError) if failing else contextlib.nullcontext() as raised:
-            for e in run(three, initial_state(three), plan.steps, {"r1": "r1", "r2": "r2", "r3": "r3"}):
-                entries.append(e)
+        trace = execute(three, plan)
         left = {r: [st for st in plan.steps if st.robot == r] for r in ("r1", "r2")}
         elapsed = dict.fromkeys(left, 0.0)
-        for e in entries:
+        for e in trace.entries:
             turn = min((r for r in left if left[r]), key=lambda r: (elapsed[r], r))
             assert e.robot == turn and e.step == left[turn].pop(0), trial
             elapsed[turn] += e.tu_cost
         if failing:
             turn = min((r for r in left if left[r]), key=lambda r: (elapsed[r], r))
-            assert (raised.value.robot, raised.value.step) == (turn, left[turn][0].step) == (failing.robot, k + 1)
+            assert (trace.error.robot, trace.error.step) == (turn, left[turn][0].step) == (failing.robot, k + 1)
         else:
-            assert not any(left.values())
+            assert trace.error is None and not any(left.values())
 
 
 def _random_steps(rng, robot, n):

@@ -149,6 +149,13 @@ def test_strip_preamble_reads_a_step_head_as_the_parser_does():
         ("seed", "7", "an integer or null"),
         ("seed", 1.5, "an integer or null"),
         ("seed", True, "an integer or null"),
+        ("temperature", True, "a finite number"),
+        ("temperature", "0.5", "a finite number"),
+        ("temperature", float("nan"), "a finite number"),
+        ("max_tokens", True, "an integer >= 1"),
+        ("max_tokens", 2.7, "an integer >= 1"),
+        ("max_tokens", "1024", "an integer >= 1"),
+        ("max_tokens", 0, "an integer >= 1"),
     ],
 )
 def test_profile_fields_of_the_wrong_type_are_value_errors(tmp_path, field, value, kind):
@@ -302,7 +309,7 @@ def test_supervise_with_llm_mock_roundtrip(fix_dir, wall, wall_draft, wall_gemma
     gateway = Gateway(mocks_dir=fix_dir / "mocks")
     profiles = load_profiles(fix_dir / "llm_profiles.json")
     report = validate(wall, wall_draft, ALL_CHECKS)
-    plan = supervise_with_llm(wall, wall_draft, report, gateway, profiles["gemma"], "wall_assembly")
+    plan = supervise_with_llm(wall, wall_draft, report, gateway, profiles["gemma"])
     assert plan == wall_gemma
 
 
@@ -317,9 +324,9 @@ def test_unparseable_mock_twice_surfaces_schema_error(tmp_path, wall, wall_draft
     from foreman.plan import SchemaError
 
     with pytest.raises(SchemaError):
-        supervise_with_llm(wall, wall_draft, report, gateway, profile, "wall_assembly")
+        supervise_with_llm(wall, wall_draft, report, gateway, profile)
     # inside the loop the failure counts as a spent iteration, never a crash
-    supervisor = LlmSupervisor(gateway, profile, "wall_assembly")
+    supervisor = LlmSupervisor(gateway, profile)
     result = repair_loop(wall, wall_draft, supervisor, max_iters=2)
     assert not result.feasible
     assert result.iterations_used == 2
@@ -328,11 +335,11 @@ def test_unparseable_mock_twice_surfaces_schema_error(tmp_path, wall, wall_draft
 def test_llm_supervised_repair_loop_all_three(fix_dir, wall, grid, wall_draft, grid_draft):
     gateway = Gateway(mocks_dir=fix_dir / "mocks")
     profiles = load_profiles(fix_dir / "llm_profiles.json")
-    for scen, draft, name in [(wall, wall_draft, "wall_assembly"), (grid, grid_draft, "scan_grid")]:
+    for scen, draft in [(wall, wall_draft), (grid, grid_draft)]:
         for sup_name in ("gemma", "llama", "mistral"):
-            supervisor = LlmSupervisor(gateway, profiles[sup_name], name)
+            supervisor = LlmSupervisor(gateway, profiles[sup_name])
             result = repair_loop(scen, draft, supervisor, max_iters=3)
-            assert result.feasible, (name, sup_name)
+            assert result.feasible, (scen.name, sup_name)
             assert result.iterations_used == 1
 
 

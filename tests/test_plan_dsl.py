@@ -109,7 +109,6 @@ def test_multi_robot_prefix_and_grouping():
         "r2: STEP 1, [C], IDLE, [0], 0, [100]\n"
     )
     plan = parse_plan(text)
-    assert plan.robots == ("r1", "r2")
     assert [st.robot for st in plan.steps] == ["r1", "r1", "r2"]
     assert serialize_plan(plan) == text
 
