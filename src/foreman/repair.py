@@ -12,17 +12,19 @@ columns are recomputed by the executor, never edited textually.
 
 A candidate is its edit script: a tuple of ``EditOp`` in script order.
 One depth-first walk per cost and insert count enumerates them.  It
-carries the world state and the validator's check state (a
-``validator.Monitor``) through the draft, so the candidates that share a
-prefix share its simulation and its checks.  A step that cannot execute,
+carries an interned state through the draft: the id of what of the world
+and of the validator's check state (a ``validator.Monitor``) can still
+change a verdict.  A table per search maps each state and step to the next
+state, so each distinct transition is simulated and checked once, however
+many candidates and levels reach it.  A step that cannot execute,
 violates a checked class or (with Precedence checked) completes a task
 before a prerequisite prunes every candidate that extends it, and at the
 end of the draft the monitor's final checks decide feasibility: the walk
 keeps only feasible scripts.  A walk state whose continuations held no
 feasible script is remembered for the rest of the search and not explored
-again.  The smallest feasible
-script in tie-break order wins; ``apply_script`` (the one applier of edit
-ops) rebuilds it, and ``validate`` confirms it once.
+again.  The smallest feasible script in tie-break order wins;
+``apply_script`` (the one applier of edit ops) rebuilds it, and
+``validate`` confirms it once.
 """
 
 from __future__ import annotations
@@ -305,6 +307,9 @@ def _candidate_key(ops: tuple[EditOp, ...], rank: dict[Action, int]) -> tuple:
     return (len(inserts), touched, lex, tuple(-rank[a] for a in inserts))
 
 
+FAILS, UNSEEN = -1, -2  # entries of the walk's transition table that name no state
+
+
 def _survivors(
     s: Scenario, draft: Plan, alphabet: list[Action], checks: frozenset[ViolationClass]
 ) -> Callable[[int, int], list[tuple[EditOp, ...]]]:
@@ -318,28 +323,37 @@ def _survivors(
     ops in that order.  At each gap it may insert any action, again and
     again, so every order of same-gap inserts is tried; then it substitutes
     the next step, transposes it with the one after (inserts may go
-    between the swapped pair) or keeps it.  The ops, and the steps they
-    run, come from tables built once per search.
+    between the swapped pair) or keeps it.  The ops, and the codes of the
+    steps they run (one per distinct action and coalition), come from
+    tables built once per search.
 
-    When one robot runs every step, each branch runs its new step on its
-    own copy of the world and of the validator's ``CheckState``.  A step
-    that raises ExecError, violates a checked class or dooms a precedence
-    edge drops the branch with every script that extends it, and at the
-    end of the draft the monitor's ``final`` alone decides feasibility; so
-    the walk keeps exactly the scripts that ``apply_script`` plus
-    ``validate`` find feasible.  Keeping a step runs it in place, so the
-    recursion is only as deep as the edit count.  A walk node is its gap,
-    whether a transposed step is pending, the edits left, the world but for
-    ``elapsed`` and ``scanned`` (which no verdict reads) and the monitor's
-    key; a node whose subtree held no feasible script is remembered, for
-    every level of the search, and skipped when it is reached again.
+    When one robot runs every step, the walk carries an interned state: the
+    id of what of the world and the validator's ``CheckState`` can still
+    change a verdict.  That is the robot's location, battery and cargo, the
+    stock, the placed counts, the discovered cells and the monitor's key;
+    ``elapsed``, ``scanned`` and the check state's step numbers reach only
+    messages and hints.  ``worlds[id]`` holds the first world and check
+    state that reached it, and ``moves`` maps a state and a step code to
+    the next state, or to FAILS when the step raises ExecError, violates a
+    checked class or dooms a precedence edge.  A missing entry is filled by
+    running the step on copies of that pair, so each distinct transition
+    runs once per search; a failed one drops the branch with every script
+    that extends it.  At the end of the draft the monitor's ``final`` on
+    the interned pair alone decides feasibility (a state that is not doomed
+    never fails its order check), so the walk keeps exactly the scripts
+    that ``apply_script`` plus ``validate`` find feasible.  Keeping a step
+    moves the walk's own state, so the recursion is only as deep as the
+    edit count.  A walk node is its gap, whether a transposed step is
+    pending, the edits left and its state; a node whose subtree held no
+    feasible script is remembered, for every level of the search, and
+    skipped when it is reached again.
 
     Labels bound to two or more robots take turns by elapsed time rather
-    than line order, so there no step runs during the walk: each complete
-    script's edited steps, which keep the draft's labels and so bind to the
-    same robots, go whole through ``validate`` under the same checks, and
-    nothing is remembered.  A draft whose labels cannot be bound yields
-    nothing.
+    than line order, so there every step is the identity on the one state
+    and runs nothing: each complete script's edited steps, which keep the
+    draft's labels and so bind to the same robots, go whole through
+    ``validate`` under the same checks, and nothing is remembered.  A
+    draft whose labels cannot be bound yields nothing.
     """
     steps = draft.steps
     n = len(steps)
@@ -354,102 +368,116 @@ def _survivors(
     dead: set[tuple] = set()  # nodes whose subtree holds no feasible script
 
     # Per gap g: the inserts at position g + 1 and the substitutes of step
-    # g + 1, each with the step it runs, and the transpose of steps g + 1
-    # and g + 2 when it is allowed.  Only one robot's walk runs steps, and
-    # apply_step takes that robot as an argument, so labels are left out.
-    runs = {a: PlanStep(0, None, "?", a, 0, 0, 0.0) for a in alphabet}
-    inserts_at = [[(EditOp(EditKind.Insert, g + 1, a), runs[a]) for a in alphabet] for g in range(n + 1)]
+    # g + 1, each with the code of the step it runs, and the transpose of
+    # steps g + 1 and g + 2 when it is allowed.  Only one robot's walk runs
+    # steps, and apply_step takes that robot as an argument, so labels are
+    # left out.
+    codes: dict[tuple[Action, tuple[str, ...]], int] = {}  # numbered in order of first use
+
+    def code(action: Action, coalition: tuple[str, ...] = ()) -> int:
+        return codes.setdefault((action, coalition), len(codes))
+
+    inserts_at = [[(EditOp(EditKind.Insert, g + 1, a), code(a)) for a in alphabet] for g in range(n + 1)]
     subs_at = [
-        [
-            (
-                EditOp(EditKind.Substitute, g + 1, a, t.action),
-                PlanStep(0, None, "?", a, 0, 0, 0.0, t.coalition) if t.coalition else runs[a],
-            )
-            for a in alphabet
-            if a != t.action
-        ]
+        [(EditOp(EditKind.Substitute, g + 1, a, t.action), code(a, t.coalition)) for a in alphabet if a != t.action]
         for g, t in enumerate(steps)
     ]
+    kept = [code(t.action, t.coalition) for t in steps]
     swaps_at = [
         EditOp(EditKind.Transpose, g + 1) if t.robot == u.robot and t.action != u.action else None
         for g, (t, u) in enumerate(zip(steps, steps[1:]))
     ] + [None]  # the last step has no partner
+    runs = [PlanStep(0, None, "?", a, 0, 0, 0.0, coalition) for a, coalition in codes]  # by code, the step it runs
+    width = len(runs)
 
-    def ok(world: WorldState, state: CheckState, plan_step: PlanStep) -> bool:
-        """Run one step on ``world`` and ``state`` in place; false when it
-        fails, violates a checked class or dooms a precedence edge."""
-        if not one_robot:
-            return True
-        try:
-            entry = apply_step(s, world, plan_step, robot)
-        except ExecError:
-            return False
-        return not monitor.step(state, entry) and not state.doomed
+    ids: dict[tuple, int] = {}  # projection -> state id
+    worlds: list[tuple[WorldState, CheckState]] = []  # by id, the first pair that reached it
+    moves = [] if one_robot else [0] * width  # by id * width + code: the next id, FAILS or UNSEEN
 
-    def after(world: WorldState, state: CheckState, plan_step: PlanStep) -> tuple[WorldState, CheckState] | None:
-        """Copies of ``world`` and ``state`` after one step, or None when it fails."""
-        if one_robot:
+    def intern(world: WorldState, state: CheckState) -> int:
+        rs = world.robots[robot]
+        key = (
+            rs.location, rs.battery, rs.cargo, tuple(world.stock.values()),
+            frozenset(world.placed_at.items()), frozenset(world.discovered), monitor.key(state),
+        )
+        sid = ids.get(key)
+        if sid is None:
+            sid = ids[key] = len(worlds)
+            worlds.append((world, state))
+            moves.extend([UNSEEN] * width)
+        return sid
+
+    def move(sid: int, c: int) -> int:
+        """The state after step ``c`` from state ``sid``, or FAILS."""
+        i = sid * width + c
+        nxt = moves[i]
+        if nxt == UNSEEN:
+            world, state = worlds[sid]
             world, state = world.copy(), state.copy()
-        return (world, state) if ok(world, state, plan_step) else None
+            try:
+                entry = apply_step(s, world, runs[c], robot)
+            except ExecError:
+                nxt = FAILS
+            else:
+                nxt = FAILS if monitor.step(state, entry) or state.doomed else intern(world, state)
+            moves[i] = nxt
+        return nxt
 
-    def feasible(world: WorldState, state: CheckState, ops: tuple[EditOp, ...]) -> bool:
-        """Whether the walk's world and state, at the end of the draft, pass
-        the final checks; with robots taking turns, whether ``validate``
-        finds the edited plan feasible."""
+    def feasible(sid: int, ops: tuple[EditOp, ...]) -> bool:
+        """Whether the walk's state, at the end of the draft, passes the
+        final checks; with robots taking turns, whether ``validate`` finds
+        the edited plan feasible."""
         if one_robot:
+            world, state = worlds[sid]
             return not monitor.final(state, world)
         return validate(s, Plan(tuple(_edited(steps, ops))), checks).feasible
 
-    def node(g: int, pending: PlanStep | None, ins_left: int, left: int, world: WorldState, state: CheckState):
-        rs = world.robots[robot]
-        return (
-            g, pending is not None, ins_left, left, rs.location, rs.battery, rs.cargo,
-            tuple(world.stock.values()), frozenset(world.placed_at.items()), frozenset(world.discovered),
-            monitor.key(state),
-        )
+    start = intern(initial_state(s), CheckState()) if one_robot else 0
 
     def level(cost: int, n_ins: int) -> list[tuple[EditOp, ...]]:
         found: list[tuple[EditOp, ...]] = []
 
-        def walk(g, world, state, ops, ins_left, left, pending) -> None:
+        def walk(g, sid, ops, ins_left, left, pending) -> None:
             entered = []  # the nodes this call reached, each with the scripts found before it
             while True:
                 if left > n - g:
                     break  # too few steps left for the other edits
                 if one_robot:
-                    key = node(g, pending, ins_left, left, world, state)
+                    key = (g, pending is not None, ins_left, left, sid)
                     if key in dead:
                         break
                     entered.append((key, len(found)))
                 if ins_left:
-                    for op, new in inserts_at[g]:
-                        branch = after(world, state, new)
-                        if branch is not None:
-                            walk(g, *branch, ops + (op,), ins_left - 1, left, pending)
-                if pending is not None:  # the first step of a transposed pair
-                    if not ok(world, state, pending):
+                    for op, c in inserts_at[g]:
+                        nxt = move(sid, c)
+                        if nxt != FAILS:
+                            walk(g, nxt, ops + (op,), ins_left - 1, left, pending)
+                if pending is not None:  # the code of the first step of a transposed pair
+                    sid = move(sid, pending)
+                    if sid == FAILS:
                         break
                     g, pending = g + 1, None
                     continue
                 if g == n:
-                    if not ins_left and feasible(world, state, ops):
+                    if not ins_left and feasible(sid, ops):
                         found.append(ops)
                     break
                 if left:
-                    for op, new in subs_at[g]:
-                        branch = after(world, state, new)
-                        if branch is not None:
-                            walk(g + 1, *branch, ops + (op,), ins_left, left - 1, None)
+                    for op, c in subs_at[g]:
+                        nxt = move(sid, c)
+                        if nxt != FAILS:
+                            walk(g + 1, nxt, ops + (op,), ins_left, left - 1, None)
                     if swaps_at[g] is not None:
-                        branch = after(world, state, steps[g + 1])
-                        if branch is not None:
-                            walk(g + 1, *branch, ops + (swaps_at[g],), ins_left, left - 1, steps[g])
-                if not ok(world, state, steps[g]):
+                        nxt = move(sid, kept[g + 1])
+                        if nxt != FAILS:
+                            walk(g + 1, nxt, ops + (swaps_at[g],), ins_left, left - 1, kept[g])
+                sid = move(sid, kept[g])
+                if sid == FAILS:
                     break
                 g += 1
             dead.update(key for key, before in entered if len(found) == before)
 
-        walk(0, initial_state(s), CheckState(), (), n_ins, cost - n_ins, None)
+        walk(0, start, (), n_ins, cost - n_ins, None)
         del walk  # it refers to itself: free the cycle now, not at the next collection
         return found
 

@@ -509,6 +509,13 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
     result = minimal_edit_repair(_wall5(wall), wall_draft, budget=4)
     assert time.monotonic() - t0 < 2.0
     assert not result.feasible
+    # six edits repair it: a charge in the second trip and a fifth trip at the end
+    t0 = time.monotonic()
+    result = minimal_edit_repair(_wall5(wall), wall_draft, budget=6)
+    assert time.monotonic() - t0 < 1.0
+    assert result.script.render() == (
+        "S7: MOVE_C (+); S7: CHARGE (+); S19: MOVE_S (+); S19: PICK (+); S19: MOVE_C->MOVE_B; S20: CHARGE->BUILD"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +584,33 @@ def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
     assert result.script is None and result.plan is None
 
 
+# Two stockpiles and two build sites, each a move from either pile: after
+# the same number of trips, which pile is emptier and which site holds more
+# bricks are not told by the robot's cargo or location, so the walk's
+# states must tell them apart
+_TWO_SITES = {
+    "instruction": "build 6 bricks at B and 6 at D from the piles at S and T",
+    "site": {"kind": "named_graph", "nodes": ["S", "T", "B", "D"],
+             "edges": [["S", "B", 1], ["S", "D", 1], ["T", "B", 1], ["T", "D", 1]]},
+    "robots": [{"id": "r1", "skills": ["NAVIGATE", "PICK", "BUILD"], "payload_capacity": 3,
+                "battery_max": 100, "battery_init": 100, "start_location": "S"}],
+    "tasks": [
+        {"id": "b", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 6, "duration": 1},
+        {"id": "d", "type": "BUILD", "required_skills": ["BUILD"], "location": "D", "demand": 6, "duration": 1},
+    ],
+    "dag": [],
+    "cost": {"battery_per_du": 5, "tu_per_du": 1, "pick_build_tu_per_3mu": 1, "recharge_tu": 1},
+    "resources": {"S": 6, "T": 6},
+}
+
+
+def _two_sites_draft(s):
+    """Two trips from S to B, then two from T to D, and an IDLE."""
+    words = "PICK B BUILD S PICK B BUILD T PICK D BUILD T PICK D BUILD IDLE".split()
+    steps = [unnumbered(None, Action(ActionKind.NAVIGATE, w) if len(w) == 1 else Action(ActionKind[w])) for w in words]
+    return reconcile_plan(s, steps)[0]
+
+
 def _screen_cases(wall, grid, wall_draft, grid_draft):
     """(scenario, draft, top cost) whose candidates the walk is checked on."""
     classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
@@ -593,6 +627,9 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     # short drafts with three-edit candidates: up to three inserts share a gap
     cases.append((*_stranded(wall), 3))
     cases.append((wall, Plan(wall_draft.steps[:5]), 3))
+    # a feasible draft whose one-edit candidates take trip 2 from T or build trip 1 at D
+    two_sites = load_scenario_dict(_TWO_SITES, name="two_sites")
+    cases.append((two_sites, _two_sites_draft(two_sites), 1))
     return cases
 
 
@@ -600,7 +637,8 @@ def test_walk_keeps_exactly_the_candidates_that_validate(wall, grid, wall_draft,
     # each check set's walk is asked for its levels in search order, so one
     # memo of dead nodes serves them all, as in the search; every insert
     # count's leaves must be exactly the oracle's candidates of that level
-    # that apply_script + validate find feasible
+    # that apply_script + validate find feasible.  Scripts that edit the
+    # draft into the same steps share the verdicts of the first of them
     check_sets = (ALL_CHECKS, ALL_CHECKS - {VC.Battery}, frozenset({VC.Precedence, VC.Capacity, VC.Coverage}))
     kept = [0] * len(check_sets)
     dropped = [0] * len(check_sets)
@@ -612,13 +650,24 @@ def test_walk_keeps_exactly_the_candidates_that_validate(wall, grid, wall_draft,
             return _candidate_key(ops, rank)
 
         walks = [_survivors(s, draft, alphabet, checks) for checks in check_sets]
+        verdicts = {}  # the edited steps' labels, actions and coalitions -> feasible under each check set
         for cost in range(1, top + 1):
             feasible = [[[] for _ in range(cost + 1)] for _ in check_sets]  # [check set][insert count]
             for subs, inserts, swaps in enumerate_scripts(len(draft), alphabet, draft.steps, cost):
                 ops = as_ops(draft.steps, (subs, inserts, swaps))
-                plan, trace = apply_script(s, draft, ops)
-                for j, checks in enumerate(check_sets):
-                    if trace.error is None and validate(s, plan, checks, trace=trace).feasible:
+                steps = repair._edited(draft.steps, ops)
+                # three flat tuples: a tuple per step would keep the collector busy
+                edited = (
+                    tuple([t.robot for t in steps]), tuple([t.action for t in steps]), tuple([t.coalition for t in steps])
+                )
+                if edited not in verdicts:
+                    plan, trace = reconcile_plan(s, steps)  # apply_script(s, draft, ops), from its edited steps
+                    verdicts[edited] = [
+                        trace.error is None and validate(s, plan, checks, trace=trace).feasible
+                        for checks in check_sets
+                    ]
+                for j, ok in enumerate(verdicts[edited]):
+                    if ok:
                         feasible[j][len(inserts)].append(ops)
                     else:
                         dropped[j] += 1
@@ -712,3 +761,33 @@ def test_search_finds_a_three_edit_repair(wall, actions):
     assert result.script.render() == script
     assert [(p.location, str(p.action), p.cargo, p.placed, p.battery) for p in result.plan.steps] == rows
     assert apply_script(s, draft, result.script.ops)[0] == result.plan
+
+
+def _search_pin_cases(wall, grid, wall_draft, grid_draft):
+    """(scenario, draft, budget) of the searches whose results are pinned."""
+    cases = [(s, d, b) for s, d in [(wall, wall_draft), (grid, grid_draft)] for b in range(1, 5)]
+    cases += [(s, fcfs_schedule(s)[1], 2) for s in battery_pressured_batch(2024, 50)]
+    cases.append((_wall5(wall), wall_draft, 4))
+    cases.append((wall, Plan(wall_draft.steps[:4] + wall_draft.steps[12:]), 4))
+    s = _one_trip(wall)
+    for actions in sorted(_COST_3):
+        draft, _ = reconcile_plan(s, [unnumbered(None, Action(ActionKind[a])) for a in actions.split()])
+        cases.append((s, draft, 3))
+    return cases
+
+
+def test_search_results_are_pinned(wall, grid, wall_draft, grid_draft):
+    # one digest over every byte the search hands out, for both styles
+    digest = hashlib.sha256()
+    for s, draft, budget in _search_pin_cases(wall, grid, wall_draft, grid_draft):
+        for style in ("minimal", "conservative"):
+            r = minimal_edit_repair(s, draft, budget, style=style)
+            out = (
+                r.feasible,
+                r.script.render() if r.script else None,
+                serialize_plan(r.plan) if r.plan else None,
+                r.report.to_dict(),
+                r.to_dict(),
+            )
+            digest.update(repr(out).encode())
+    assert digest.hexdigest() == "11ac68381bfd20b7e8f1fbbd1faf11c1a983f30a1dc265813181958c2273160e"
