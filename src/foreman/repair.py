@@ -11,20 +11,22 @@ insert, substitute and reorder).  After every structural edit the state
 columns are recomputed by the executor, never edited textually.
 
 A candidate is its edit script: a tuple of ``EditOp`` in script order.
-One depth-first walk per cost and insert count enumerates them.  It
-carries an interned state through the draft: the id of what of the world
-and of the validator's check state (a ``validator.Monitor``) can still
-change a verdict.  A table per search maps each state and step to the next
-state, so each distinct transition is simulated and checked once, however
-many candidates and levels reach it.  A step that cannot execute,
-violates a checked class or (with Precedence checked) completes a task
-before a prerequisite prunes every candidate that extends it, and at the
-end of the draft the monitor's final checks decide feasibility: the walk
-keeps only feasible scripts.  A walk state whose continuations held no
-feasible script is remembered for the rest of the search and not explored
-again.  The smallest feasible script in tie-break order wins;
-``apply_script`` (the one applier of edit ops) rebuilds it, and
-``validate`` confirms it once.
+One depth-first walk per cost enumerates them, with inserts, substitutes
+and transposes drawing on one edit budget; it carries each op as a small
+integer and builds ``EditOp``s only for the scripts it keeps.  It carries
+an interned state through the draft: the id of what of the world and of
+the validator's check state (a ``validator.Monitor``) can still change a
+verdict.  A table per search maps each state and step to the next state,
+so each distinct transition is simulated and checked once, however many
+candidates and levels reach it.  A step that cannot execute, violates a
+checked class or (with Precedence checked) completes a task before a
+prerequisite prunes every candidate that extends it, and at the end of the
+draft the monitor's final checks decide feasibility: the walk keeps only
+feasible scripts.  For each walk state the search remembers the most edits
+with which its continuations held no feasible end, and does not explore it
+again with as few edits left.  The smallest feasible script in tie-break
+order wins; ``apply_script`` (the one applier of edit ops) rebuilds it,
+and ``validate`` confirms it once.
 """
 
 from __future__ import annotations
@@ -312,20 +314,22 @@ FAILS, UNSEEN = -1, -2  # entries of the walk's transition table that name no st
 
 def _survivors(
     s: Scenario, draft: Plan, alphabet: list[Action], checks: frozenset[ViolationClass]
-) -> Callable[[int, int], list[tuple[EditOp, ...]]]:
-    """The walk of one search: ``level(cost, n_ins)`` lists every script of
-    ``cost`` edits, ``n_ins`` of them inserts, whose edited plan is feasible
-    under ``checks``.
+) -> Callable[[int], list[tuple[EditOp, ...]]]:
+    """The walk of one search: ``level(cost)`` lists every script of
+    ``cost`` edits whose edited plan is feasible under ``checks``.
 
     Each script is a tuple of ops in script order: by position, and at one
     position the inserts, in plan order, before a substitute or transpose.
     One depth-first walk goes through the draft gap by gap and emits the
-    ops in that order.  At each gap it may insert any action, again and
-    again, so every order of same-gap inserts is tried; then it substitutes
-    the next step, transposes it with the one after (inserts may go
-    between the swapped pair) or keeps it.  The ops, and the codes of the
-    steps they run (one per distinct action and coalition), come from
-    tables built once per search.
+    ops in that order, each drawing on one budget of edits.  At each gap it
+    may insert any action, again and again, so every order of same-gap
+    inserts is tried; then it substitutes the next step, transposes it
+    with the one after (inserts may go between the swapped pair) or keeps
+    it.  The walk carries each op as an integer, ``3 * (gap * len(alphabet)
+    + action index) + kind`` with kind 0 insert, 1 substitute and 2
+    transpose, and builds ``EditOp``s only for the scripts it keeps.  The
+    steps the ops run are numbered once per search, one code per distinct
+    action and coalition.
 
     When one robot runs every step, the walk carries an interned state: the
     id of what of the world and the validator's ``CheckState`` can still
@@ -343,52 +347,73 @@ def _survivors(
     never fails its order check), so the walk keeps exactly the scripts
     that ``apply_script`` plus ``validate`` find feasible.  Keeping a step
     moves the walk's own state, so the recursion is only as deep as the
-    edit count.  A walk node is its gap, whether a transposed step is
-    pending, the edits left and its state; a node whose subtree held no
-    feasible script is remembered, for every level of the search, and
-    skipped when it is reached again.
+    edit count.
+
+    A walk node is its gap, whether a transposed step is pending, and its
+    state.  ``dead`` holds, for every level of the search, the most edits
+    left with which a node's subtree was shown to hold no feasible end, and
+    the node is skipped when it is reached again with at most that many
+    edits left: no feasible end within r edits means none within fewer
+    (iterative deepening with a table of lower bounds; Reinefeld &
+    Marsland, IEEE TPAMI 16(7), 1994).  So with one robot a feasible end
+    reached with edits to spare keeps its nodes off that table, although it
+    is not a script of the level; then ``level(cost)`` lists exactly the
+    scripts of ``cost`` edits even after a lower level held some.
 
     Labels bound to two or more robots take turns by elapsed time rather
     than line order, so there every step is the identity on the one state
     and runs nothing: each complete script's edited steps, which keep the
     draft's labels and so bind to the same robots, go whole through
     ``validate`` under the same checks, and nothing is remembered.  A
-    draft whose labels cannot be bound yields nothing.
+    draft whose labels cannot be bound, or bind to a robot the scenario
+    does not have, yields nothing: every edited plan keeps those labels.
     """
     steps = draft.steps
     n = len(steps)
     try:
         # search inserts into an empty draft are unlabelled
-        bound = bind(s, {t.robot for t in steps} or {None})
+        robots = set(bind(s, {t.robot for t in steps} or {None}).values())
     except ValueError:
-        return lambda cost, n_ins: []
-    one_robot = len(set(bound.values())) == 1
-    robot = next(iter(bound.values()))  # the one robot, when there is one
+        return lambda cost: []
+    if not robots <= {r.id for r in s.robots}:
+        return lambda cost: []
+    one_robot = len(robots) == 1
+    robot = next(iter(robots))  # the one robot, when there is one
     monitor = Monitor.of(s, checks)
-    dead: set[tuple] = set()  # nodes whose subtree holds no feasible script
+    dead: dict[tuple, int] = {}  # node -> the most edits left with which its subtree held no feasible end
+    n_actions = len(alphabet)
 
     # Per gap g: the inserts at position g + 1 and the substitutes of step
-    # g + 1, each with the code of the step it runs, and the transpose of
-    # steps g + 1 and g + 2 when it is allowed.  Only one robot's walk runs
-    # steps, and apply_step takes that robot as an argument, so labels are
-    # left out.
+    # g + 1, each as its op with the code of the step it runs, and the
+    # transpose of steps g + 1 and g + 2 when it is allowed.  Only one
+    # robot's walk runs steps, and apply_step takes that robot as an
+    # argument, so labels are left out.
     codes: dict[tuple[Action, tuple[str, ...]], int] = {}  # numbered in order of first use
 
     def code(action: Action, coalition: tuple[str, ...] = ()) -> int:
         return codes.setdefault((action, coalition), len(codes))
 
-    inserts_at = [[(EditOp(EditKind.Insert, g + 1, a), code(a)) for a in alphabet] for g in range(n + 1)]
+    inserts_at = [[(3 * (g * n_actions + i), code(a)) for i, a in enumerate(alphabet)] for g in range(n + 1)]
     subs_at = [
-        [(EditOp(EditKind.Substitute, g + 1, a, t.action), code(a, t.coalition)) for a in alphabet if a != t.action]
+        [(3 * (g * n_actions + i) + 1, code(a, t.coalition)) for i, a in enumerate(alphabet) if a != t.action]
         for g, t in enumerate(steps)
     ]
     kept = [code(t.action, t.coalition) for t in steps]
     swaps_at = [
-        EditOp(EditKind.Transpose, g + 1) if t.robot == u.robot and t.action != u.action else None
+        3 * g * n_actions + 2 if t.robot == u.robot and t.action != u.action else None
         for g, (t, u) in enumerate(zip(steps, steps[1:]))
     ] + [None]  # the last step has no partner
     runs = [PlanStep(0, None, "?", a, 0, 0, 0.0, coalition) for a, coalition in codes]  # by code, the step it runs
     width = len(runs)
+
+    def edit_op(op: int) -> EditOp:
+        g, i = divmod(op // 3, n_actions)
+        kind = op % 3
+        if kind == 0:
+            return EditOp(EditKind.Insert, g + 1, alphabet[i])
+        if kind == 1:
+            return EditOp(EditKind.Substitute, g + 1, alphabet[i], steps[g].action)
+        return EditOp(EditKind.Transpose, g + 1)
 
     ids: dict[tuple, int] = {}  # projection -> state id
     worlds: list[tuple[WorldState, CheckState]] = []  # by id, the first pair that reached it
@@ -423,35 +448,58 @@ def _survivors(
             moves[i] = nxt
         return nxt
 
-    def feasible(sid: int, ops: tuple[EditOp, ...]) -> bool:
-        """Whether the walk's state, at the end of the draft, passes the
-        final checks; with robots taking turns, whether ``validate`` finds
-        the edited plan feasible."""
-        if one_robot:
+    if one_robot:
+        def feasible(sid: int, ops: tuple[int, ...]) -> bool:
+            """Whether the walk's state, at the end of the draft, passes the final checks."""
             world, state = worlds[sid]
             return not monitor.final(state, world)
-        return validate(s, Plan(tuple(_edited(steps, ops))), checks).feasible
+    else:
+        # by gap and action index, the step an insert or a substitute puts in the plan
+        inserted = [
+            [PlanStep(0, steps[min(g, n - 1)].robot, "?", a, 0, 0, 0.0) for a in alphabet] for g in range(n + 1)
+        ]
+        subbed = [[PlanStep(0, t.robot, "?", a, 0, 0, 0.0, t.coalition) for a in alphabet] for t in steps]
+
+        def feasible(sid: int, ops: tuple[int, ...]) -> bool:
+            """Whether ``validate`` finds the edited plan feasible: ``_edited``
+            on the script's ops, read off the integers."""
+            work = list(steps)
+            out = []
+            done = 0  # the steps of ``work`` already in ``out``
+            for op in ops:
+                g, i = divmod(op // 3, n_actions)
+                kind = op % 3
+                if kind == 0:
+                    out += work[done:g]
+                    out.append(inserted[g][i])
+                    done = g
+                elif kind == 1:
+                    work[g] = subbed[g][i]
+                else:
+                    work[g], work[g + 1] = work[g + 1], work[g]
+            out += work[done:]
+            return validate(s, Plan(tuple(out)), checks).feasible
 
     start = intern(initial_state(s), CheckState()) if one_robot else 0
 
-    def level(cost: int, n_ins: int) -> list[tuple[EditOp, ...]]:
-        found: list[tuple[EditOp, ...]] = []
+    def level(cost: int) -> list[tuple[EditOp, ...]]:
+        found: list[tuple[int, ...]] = []
+        alive = 0  # feasible ends reached, with or without edits to spare
 
-        def walk(g, sid, ops, ins_left, left, pending) -> None:
-            entered = []  # the nodes this call reached, each with the scripts found before it
+        def walk(g, sid, ops, left, pending) -> None:
+            nonlocal alive
+            entered = []  # the nodes this call reached, each with the feasible ends before it
             while True:
-                if left > n - g:
-                    break  # too few steps left for the other edits
                 if one_robot:
-                    key = (g, pending is not None, ins_left, left, sid)
-                    if key in dead:
+                    key = (g, pending is not None, sid)
+                    if dead.get(key, -1) >= left:
                         break
-                    entered.append((key, len(found)))
-                if ins_left:
+                    entered.append((key, alive))
+                if left:
                     for op, c in inserts_at[g]:
                         nxt = move(sid, c)
                         if nxt != FAILS:
-                            walk(g, nxt, ops + (op,), ins_left - 1, left, pending)
+                            walk(g, nxt, ops + (op,), left - 1, pending)
                 if pending is not None:  # the code of the first step of a transposed pair
                     sid = move(sid, pending)
                     if sid == FAILS:
@@ -459,27 +507,32 @@ def _survivors(
                     g, pending = g + 1, None
                     continue
                 if g == n:
-                    if not ins_left and feasible(sid, ops):
-                        found.append(ops)
+                    # with one robot, an end with edits to spare counts for the dead table
+                    if (one_robot or not left) and feasible(sid, ops):
+                        alive += 1
+                        if not left:
+                            found.append(ops)
                     break
                 if left:
                     for op, c in subs_at[g]:
                         nxt = move(sid, c)
                         if nxt != FAILS:
-                            walk(g + 1, nxt, ops + (op,), ins_left, left - 1, None)
+                            walk(g + 1, nxt, ops + (op,), left - 1, None)
                     if swaps_at[g] is not None:
                         nxt = move(sid, kept[g + 1])
                         if nxt != FAILS:
-                            walk(g + 1, nxt, ops + (swaps_at[g],), ins_left, left - 1, kept[g])
+                            walk(g + 1, nxt, ops + (swaps_at[g],), left - 1, kept[g])
                 sid = move(sid, kept[g])
                 if sid == FAILS:
                     break
                 g += 1
-            dead.update(key for key, before in entered if len(found) == before)
+            for key, before in entered:
+                if alive == before:
+                    dead[key] = left
 
-        walk(0, start, (), n_ins, cost - n_ins, None)
+        walk(0, start, (), cost, None)
         del walk  # it refers to itself: free the cycle now, not at the next collection
-        return found
+        return [tuple(map(edit_op, ops)) for ops in found]
 
     return level
 
@@ -496,8 +549,8 @@ def minimal_edit_repair(
 
     Each draft step takes at most one substitute or transpose, and any
     number of inserts, in any order, may go at any gap.  Scripts are tried
-    by increasing cost, a level one insert count at a time, and within the
-    first level that holds a feasible script the deterministic tie-break
+    by increasing cost, and within the first level that holds a feasible
+    script the deterministic tie-break
     (fewest insertions, earliest highest touched step, lexicographic
     actions, then same-gap inserts in reverse alphabet order first) picks
     the canonical argmin.  ``style='conservative'`` additionally appends a
@@ -523,8 +576,8 @@ def minimal_edit_repair(
     alphabet = s.action_alphabet()
     rank = {a: i for i, a in enumerate(alphabet)}
     level = _survivors(s, draft, alphabet, checks)
-    for cost, n_ins in ((c, k) for c in range(1, budget + 1) for k in range(c + 1)):
-        leaves = level(cost, n_ins)
+    for cost in range(1, budget + 1):
+        leaves = level(cost)
         if leaves:
             ops = min(leaves, key=lambda ops: _candidate_key(ops, rank))
             break

@@ -12,7 +12,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,8 +19,6 @@ from functools import cached_property
 from pathlib import Path
 
 from .plan import Action, ActionKind, GRID_MOVES
-
-log = logging.getLogger(__name__)
 
 
 class ParseError(ValueError):
@@ -565,8 +562,10 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     all_skills = frozenset().union(*(r.skills for r in robots)) if robots else frozenset()
     for t in tasks:
         if not t.required_skills <= all_skills:
-            missing = {k.value for k in t.required_skills - all_skills}
-            log.warning("task %s requires skills no robot offers: %s", t.id, sorted(missing))
+            import logging  # here, not at the top: a cold ``foreman validate`` need not load it
+
+            missing = sorted(k.value for k in t.required_skills - all_skills)
+            logging.getLogger(__name__).warning("task %s requires skills no robot offers: %s", t.id, missing)
     return scenario
 
 

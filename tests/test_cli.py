@@ -216,6 +216,20 @@ def test_coalition_member_outside_the_roster_is_no_traceback(runner, fix_dir, tm
     assert json.loads(res.output)["outcome"] == "infeasible"
 
 
+def test_a_draft_of_a_robot_outside_the_roster_is_no_traceback(runner, fix_dir, tmp_path):
+    # every line of the wall draft labelled with a robot the scenario lacks
+    p = _paths(fix_dir)
+    path = tmp_path / "r9.plan"
+    lines = Path(p["wall_draft"]).read_text(encoding="utf-8").splitlines()
+    path.write_text("".join(f"r9: {line}\n" for line in lines), encoding="utf-8")
+    res = runner.invoke(main, ["validate", p["wall"], str(path)])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit)
+    assert json.loads(res.output)["violations"][0]["detail"] == "unexecutable: unknown robot 'r9'"
+    res = runner.invoke(main, ["repair", p["wall"], str(path)])
+    assert res.exit_code == 0 and res.exception is None, res.output
+    assert json.loads(res.output)["outcome"] == "infeasible"
+
+
 def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
     p = _paths(fix_dir)
     res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--max-iters", "0"])
@@ -332,3 +346,11 @@ def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
     cold = _fresh("-m", "foreman.cli", "fcfs", wall)  # imports fcfs inside the command
     assert cold.returncode == 0, cold.stderr
     assert cold.stdout == runner.invoke(main, ["fcfs", wall]).stdout_bytes
+
+
+def test_a_cold_cli_leaves_logging_unimported():
+    # scenario.py imports logging only where it warns: the module alone
+    # costs a cold validate about 2 ms
+    loaded = _fresh("-c", "import sys, foreman.cli; print('logging' in sys.modules)")
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.split() == [b"False"]

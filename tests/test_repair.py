@@ -584,6 +584,14 @@ def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
     assert result.script is None and result.plan is None
 
 
+def test_search_of_a_robot_outside_the_roster_finds_nothing(wall, wall_draft):
+    # every edited plan keeps the draft's labels, so none can execute
+    draft = Plan(tuple(dataclasses.replace(t, robot="r9") for t in wall_draft.steps))
+    result = minimal_edit_repair(wall, draft, budget=2)
+    assert not result.feasible
+    assert result.script is None and result.plan is None
+
+
 # Two stockpiles and two build sites, each a move from either pile: after
 # the same number of trips, which pile is emptier and which site holds more
 # bricks are not told by the robot's cargo or location, so the walk's
@@ -635,10 +643,11 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
 
 def test_walk_keeps_exactly_the_candidates_that_validate(wall, grid, wall_draft, grid_draft):
     # each check set's walk is asked for its levels in search order, so one
-    # memo of dead nodes serves them all, as in the search; every insert
-    # count's leaves must be exactly the oracle's candidates of that level
-    # that apply_script + validate find feasible.  Scripts that edit the
-    # draft into the same steps share the verdicts of the first of them
+    # table of dead nodes serves them all, as in the search; each level's
+    # leaves, sliced by insert count, must be exactly the oracle's
+    # candidates of that cost and insert count that apply_script + validate
+    # find feasible.  Scripts that edit the draft into the same steps share
+    # the verdicts of the first of them
     check_sets = (ALL_CHECKS, ALL_CHECKS - {VC.Battery}, frozenset({VC.Precedence, VC.Capacity, VC.Coverage}))
     kept = [0] * len(check_sets)
     dropped = [0] * len(check_sets)
@@ -672,12 +681,37 @@ def test_walk_keeps_exactly_the_candidates_that_validate(wall, grid, wall_draft,
                     else:
                         dropped[j] += 1
             for j, level in enumerate(walks):
+                leaves = [[] for _ in range(cost + 1)]  # by insert count
+                for ops in level(cost):
+                    leaves[sum(op.kind is EditKind.Insert for op in ops)].append(ops)
                 for n_ins in range(cost + 1):
                     expected = sorted(feasible[j][n_ins], key=key)
-                    assert sorted(level(cost, n_ins), key=key) == expected, (s.name, cost, n_ins, j)
+                    assert sorted(leaves[n_ins], key=key) == expected, (s.name, cost, n_ins, j)
                     kept[j] += len(expected)
     assert all(kept) and all(dropped)
     assert dropped[0] > dropped[1]  # underflows count only while Battery is checked
+
+
+@pytest.mark.parametrize(
+    "payload, draft",
+    [("PICK", "NAVIGATE B, BUILD"), ("CHARGE", "NAVIGATE B, PICK, BUILD")],
+)
+def test_walk_counts_feasible_ends_with_edits_to_spare(payload, draft):
+    # With IDLE among the payloads, a shorter repair pads into a longer one.
+    # Without it, a node whose feasible ends all leave edits to spare must
+    # stay off the dead table, or a later level misses the scripts through
+    # it.  The levels are asked for in order although lower ones hold leaves
+    s = load_scenario_dict(MICRO_WORLD, name="micro")
+    alphabet = [Action(ActionKind[payload])]
+    plan = _plan_of([Action(ActionKind[kind], *target) for kind, *target in map(str.split, draft.split(", "))])
+    level = _survivors(s, plan, alphabet, ALL_CHECKS)
+    for cost in range(1, 4):
+        expected = [
+            ops for ops in (as_ops(plan.steps, c) for c in enumerate_scripts(len(plan), alphabet, plan.steps, cost))
+            if validate(s, apply_script(s, plan, ops)[0]).feasible
+        ]
+        assert expected
+        assert sorted(level(cost), key=repr) == sorted(expected, key=repr), cost
 
 
 def test_oracle_tries_every_order_of_same_gap_inserts(wall):
