@@ -13,12 +13,12 @@ columns are recomputed by the executor, never edited textually.
 A candidate is its edit script: a tuple of ``EditOp`` in script order.
 One depth-first walk per cost enumerates them, with inserts, substitutes
 and transposes drawing on one edit budget; it carries each op as a small
-integer and builds ``EditOp``s only for the scripts it keeps.  It carries
-an interned state through the draft: the id of what of the world and of
-the validator's check state (a ``validator.Monitor``) can still change a
-verdict.  A table per search maps each state and step to the next state,
-so each distinct transition is simulated and checked once, however many
-candidates and levels reach it.  A step that cannot execute, violates a
+integer and builds ``EditOp``s only for the scripts it keeps or validates
+whole.  It carries an interned state through the draft: the id of what
+of the world and of the validator's check state (a ``validator.Monitor``)
+can still change a verdict.  A table per search maps each state and
+step to the next state, so each distinct transition is simulated and
+checked once, however many candidates and levels reach it.  A step that cannot execute, violates a
 checked class or (with Precedence checked) completes a task before a
 prerequisite prunes every candidate that extends it, and at the end of the
 draft the monitor's final checks decide feasibility: the walk keeps only
@@ -35,6 +35,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .executor import ExecError, Trace, WorldState, apply_step, bind, execute, initial_state
 from .plan import Action, ActionKind, Plan, PlanStep
@@ -327,9 +328,10 @@ def _survivors(
     with the one after (inserts may go between the swapped pair) or keeps
     it.  The walk carries each op as an integer, ``3 * (gap * len(alphabet)
     + action index) + kind`` with kind 0 insert, 1 substitute and 2
-    transpose, and builds ``EditOp``s only for the scripts it keeps.  The
-    steps the ops run are numbered once per search, one code per distinct
-    action and coalition.
+    transpose, and builds ``EditOp``s, once per op, only for the scripts
+    it keeps and the two-robot scripts it validates.  The steps the ops
+    run are numbered once per search, one code per distinct action and
+    coalition.
 
     When one robot runs every step, the walk carries an interned state: the
     id of what of the world and the validator's ``CheckState`` can still
@@ -362,11 +364,12 @@ def _survivors(
 
     Labels bound to two or more robots take turns by elapsed time rather
     than line order, so there every step is the identity on the one state
-    and runs nothing: each complete script's edited steps, which keep the
-    draft's labels and so bind to the same robots, go whole through
-    ``validate`` under the same checks, and nothing is remembered.  A
-    draft whose labels cannot be bound, or bind to a robot the scenario
-    does not have, yields nothing: every edited plan keeps those labels.
+    and runs nothing: each complete script's edited steps (``_edited`` on
+    its ops), which keep the draft's labels and so bind to the same robots,
+    go whole through ``validate`` under the same checks, and nothing is
+    remembered.  A draft whose labels cannot be bound, or bind to a robot
+    the scenario does not have, yields nothing: every edited plan keeps
+    those labels.
     """
     steps = draft.steps
     n = len(steps)
@@ -406,6 +409,7 @@ def _survivors(
     runs = [PlanStep(0, None, "?", a, 0, 0, 0.0, coalition) for a, coalition in codes]  # by code, the step it runs
     width = len(runs)
 
+    @cache  # two-robot leaves decode the same few ops again and again
     def edit_op(op: int) -> EditOp:
         g, i = divmod(op // 3, n_actions)
         kind = op % 3
@@ -448,37 +452,14 @@ def _survivors(
             moves[i] = nxt
         return nxt
 
-    if one_robot:
-        def feasible(sid: int, ops: tuple[int, ...]) -> bool:
-            """Whether the walk's state, at the end of the draft, passes the final checks."""
+    def feasible(sid: int, ops: tuple[int, ...]) -> bool:
+        """Whether the edited plan, at the end of the draft, is feasible:
+        with one robot the final checks on the walk's state decide; with
+        more, ``validate`` on the script's edited steps."""
+        if one_robot:
             world, state = worlds[sid]
             return not monitor.final(state, world)
-    else:
-        # by gap and action index, the step an insert or a substitute puts in the plan
-        inserted = [
-            [PlanStep(0, steps[min(g, n - 1)].robot, "?", a, 0, 0, 0.0) for a in alphabet] for g in range(n + 1)
-        ]
-        subbed = [[PlanStep(0, t.robot, "?", a, 0, 0, 0.0, t.coalition) for a in alphabet] for t in steps]
-
-        def feasible(sid: int, ops: tuple[int, ...]) -> bool:
-            """Whether ``validate`` finds the edited plan feasible: ``_edited``
-            on the script's ops, read off the integers."""
-            work = list(steps)
-            out = []
-            done = 0  # the steps of ``work`` already in ``out``
-            for op in ops:
-                g, i = divmod(op // 3, n_actions)
-                kind = op % 3
-                if kind == 0:
-                    out += work[done:g]
-                    out.append(inserted[g][i])
-                    done = g
-                elif kind == 1:
-                    work[g] = subbed[g][i]
-                else:
-                    work[g], work[g + 1] = work[g + 1], work[g]
-            out += work[done:]
-            return validate(s, Plan(tuple(out)), checks).feasible
+        return validate(s, Plan(tuple(_edited(steps, [edit_op(op) for op in ops]))), checks).feasible
 
     start = intern(initial_state(s), CheckState()) if one_robot else 0
 
