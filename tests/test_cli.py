@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -314,6 +315,56 @@ def test_metrics_on_an_empty_plan_is_a_one_line_error(runner, fix_dir, tmp_path,
     res = runner.invoke(main, ["metrics", *args])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+# The exit code and the SHA-256 of stdout of one run per command and fixture;
+# the paths name the keys of ``_paths``, and ``experiment`` writes under tmp_path.
+_PINNED = [
+    ("validate wall wall_draft", 3, "d3caef105ce85ad4bfc0a750d986ac03aed6e287f2cdef11d994cdbb9ca2ab32"),
+    ("validate grid grid_draft", 3, "56ca87679d69395c6dc02be291f236b57a9de5a568ed7070742f92580fb4ac17"),
+    ("validate wall wall_gemma", 0, "13910ef18c7a9c897ababb750b9d70c8b006077f45b4dfbbdc49ec25e6d48ff6"),
+    ("simulate wall wall_draft", 0, "d9ec168d1eaef88cd58a8aa21c77dc463c71583fffad8981ef6f83909a1c4aee"),
+    ("simulate grid grid_draft", 0, "38b343072cd3c9e7d0f1b17a10ef6cd9ca130d88d1687a0e9ee4f6675fd52cea"),
+    ("repair wall wall_draft --supervisor search-minimal", 0, "275ebcd4faec2600770f43c12b747d06348c9c626f5023616abecc0f410061f6"),
+    ("repair wall wall_draft --supervisor search-conservative", 0, "275ebcd4faec2600770f43c12b747d06348c9c626f5023616abecc0f410061f6"),
+    ("repair wall wall_draft --supervisor llm:mistral", 0, "5d882973613609b7faad37faf59c615edcbe85c916544deeedf56dd1ab091776"),
+    ("repair grid grid_draft --supervisor search-minimal", 0, "d05ccf0e54adc063ba8657f5c07a01f6d11c42435d6ae3ba6c77d5bade5482aa"),
+    ("repair grid grid_draft --supervisor search-conservative", 0, "932d3c5c8260ea02d4187879807310e35613580c6c9e35f756a838b16616148d"),
+    ("repair grid grid_draft --supervisor llm:mistral", 0, "21364be0429e025ac0dbeb6f4fbbfeab700b4942b5f1269eba5d9b357a0cdcb0"),
+    ("fcfs wall", 0, "6edb8432f1237e625b45792ee9a55a7c44d007fe982be1ee0afb4c5e29d91304"),
+    ("fcfs grid", 0, "6b561c2abfc30b82bf9dac293f70e36834cfdf6424245fb27168ffa3f152444f"),
+    ("metrics grid_llama grid_draft", 0, "ecfdb02815fe06e7aa90599121bad9bce4708ba26b6e1686c7fd855e3412cfdd"),
+    ("metrics grid_llama grid_draft --full-tokens", 0, "4c8b291f0c580dda4f31d71e54dd2f7b103143b6629074df08eabe739cc0caec"),
+    ("metrics grid_llama grid_draft --smoothing add-one", 0, "15aefa57cf4eb9bb7e8902bdbb24522ca3db9d44ae9ede3e59d7800c9e69755e"),
+    ("experiment wall", 0, "f26d66de0ca5aac7a034912bbdfc380553638e22b9965c6e616d1e8c9a54c509"),
+]
+
+
+@pytest.mark.parametrize("command, code, digest", _PINNED, ids=[c for c, _, _ in _PINNED])
+def test_cli_output_is_pinned(runner, fix_dir, tmp_path, command, code, digest):
+    p = _paths(fix_dir)
+    args = [p.get(a, a) for a in command.split()]
+    if args[0] == "experiment":
+        args += ["--out-dir", str(tmp_path / "out")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == code, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "repair wall wall_draft --budget x",
+        "metrics grid_llama grid_draft --smoothing x",
+        "validate wall",
+        "bogus wall",
+        "",
+    ],
+    ids=["budget-not-an-int", "unknown-smoothing", "missing-argument", "unknown-subcommand", "no-subcommand"],
+)
+def test_usage_errors_exit_2(runner, fix_dir, command):
+    p = _paths(fix_dir)
+    assert runner.invoke(main, [p.get(a, a) for a in command.split()]).exit_code == 2
 
 
 def _fresh(*args: str) -> subprocess.CompletedProcess:
