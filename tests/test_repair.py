@@ -492,7 +492,7 @@ def _wall5(wall):
     return load_scenario_dict(doc, name="wall5")
 
 
-def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
+def test_runtime_budgets(wall, grid, wall_draft, grid_draft, monkeypatch):
     t0 = time.monotonic()
     minimal_edit_repair(wall, wall_draft, budget=4)
     assert time.monotonic() - t0 < 5.0
@@ -510,9 +510,22 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft):
     assert time.monotonic() - t0 < 2.0
     assert not result.feasible
     # six edits repair it: a charge in the second trip and a fifth trip at the end
+    finals = 0
+    final = validator.Monitor.final
+
+    def counted(*args):
+        nonlocal finals
+        finals += 1
+        return final(*args)
+
+    monkeypatch.setattr(validator.Monitor, "final", counted)
     t0 = time.monotonic()
     result = minimal_edit_repair(_wall5(wall), wall_draft, budget=6)
-    assert time.monotonic() - t0 < 1.0
+    elapsed = time.monotonic() - t0
+    # the walk's work without a clock: re-walking subtrees already shown dead
+    # (a `>` for `>=` in the dead check) calls `final` 73,438 times instead
+    assert finals == 275
+    assert elapsed < 1.0
     assert result.script.render() == (
         "S7: MOVE_C (+); S7: CHARGE (+); S19: MOVE_S (+); S19: PICK (+); S19: MOVE_C->MOVE_B; S20: CHARGE->BUILD"
     )
