@@ -1,8 +1,8 @@
 """Command-line entry point: validate / repair / simulate / fcfs / metrics / experiment.
 
-Exit codes: 0 = ran to completion, 1 = config or I/O error, 2 = internal
-invariant breach.  ``validate`` additionally exits 3 when the plan is
-infeasible (so scripts can branch on feasibility without parsing JSON).
+Exit codes: 0 = ran to completion, 1 = config or I/O error, 2 = usage error
+or internal invariant breach.  ``validate`` additionally exits 3 when the
+plan is infeasible (so scripts can branch on feasibility without parsing JSON).
 
 Each command imports the modules it runs inside its body, so a cold
 ``validate`` or ``simulate`` loads only plan, scenario, executor and validator.
@@ -10,11 +10,11 @@ Each command imports the modules it runs inside its body, so a cold
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
-
-import click
+from typing import NoReturn
 
 from .executor import execute, makespan
 from .plan import SchemaError, parse_plan, serialize_plan, tokenize_plan, tokenize_plan_full
@@ -22,73 +22,51 @@ from .scenario import ParseError, ValidationError, load_scenario
 from .validator import parse_check_names, validate_text
 
 
+def _fail(message: str, code: int = 1) -> NoReturn:
+    print(message, file=sys.stderr)
+    sys.exit(code)
+
+
 def _load(scenario_path: str):
     try:
         return load_scenario(scenario_path)
     except (ParseError, ValidationError, OSError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
 
 
 def _read_plan_text(plan_path: str) -> str:
     try:
         return Path(plan_path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
 
 
-@click.group()
-def main():
-    """Schedule feasibility toolkit for construction robot scenarios."""
-
-
-@main.command("validate")
-@click.argument("scenario_path", type=click.Path())
-@click.argument("plan_path", type=click.Path())
-@click.option("--checks", default="all", help="comma list of check classes (ablation)")
 def cmd_validate(scenario_path, plan_path, checks):
     """Validate PLAN against SCENARIO; exit 0 iff feasible (3 otherwise)."""
     s = _load(scenario_path)
     try:
         wanted = parse_check_names(checks)
     except ValueError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
     report = validate_text(s, _read_plan_text(plan_path), wanted)
-    click.echo(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    sys.exit(0 if report.feasible else 3)
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    return 0 if report.feasible else 3
 
 
-@main.command("simulate")
-@click.argument("scenario_path", type=click.Path())
-@click.argument("plan_path", type=click.Path())
 def cmd_simulate(scenario_path, plan_path):
     """Replay PLAN against SCENARIO, one JSON record per step plus a summary."""
     s = _load(scenario_path)
     try:
         plan = parse_plan(_read_plan_text(plan_path))
     except SchemaError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
     trace = execute(s, plan)
     for e in trace.entries:
-        click.echo(
-            json.dumps(
-                {
-                    "step": e.step.step,
-                    "robot": e.robot,
-                    "action": str(e.step.action),
-                    "location": e.location,
-                    "battery": e.battery,
-                    "cargo": e.cargo,
-                    "placed": e.placed_total,
-                    "tu_cost": e.tu_cost,
-                    "du_cost": e.du_cost,
-                },
-                sort_keys=True,
-            )
-        )
+        record = {
+            "step": e.step.step, "robot": e.robot, "action": str(e.step.action), "location": e.location,
+            "battery": e.battery, "cargo": e.cargo, "placed": e.placed_total, "tu_cost": e.tu_cost, "du_cost": e.du_cost,
+        }
+        print(json.dumps(record, sort_keys=True))
     summary = {
         "makespan_tu": makespan(trace),
         "placed": trace.final.placed_total,
@@ -96,20 +74,10 @@ def cmd_simulate(scenario_path, plan_path):
         "scanned": sorted(map(list, trace.final.scanned)),
         "discovered": sorted(map(list, trace.final.discovered)),
     }
-    click.echo(json.dumps({"summary": summary}, sort_keys=True))
-    sys.exit(0)
+    print(json.dumps({"summary": summary}, sort_keys=True))
+    return 0
 
 
-@main.command("repair")
-@click.argument("scenario_path", type=click.Path())
-@click.argument("plan_path", type=click.Path())
-@click.option("--supervisor", "supervisor_spec", default="search-minimal",
-              help="search-minimal | search-conservative | llm:<profile>")
-@click.option("--max-iters", default=3, show_default=True)
-@click.option("--budget", default=4, show_default=True, help="edit budget for the search supervisor")
-@click.option("--checks", default="all")
-@click.option("--profiles", "profiles_path", type=click.Path(), default=None)
-@click.option("--mocks-dir", type=click.Path(), default=None)
 def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, checks, profiles_path, mocks_dir):
     """Run the bounded validate->repair loop on PLAN."""
     from .experiment import ExperimentConfig, llm_access, make_supervisor
@@ -129,22 +97,18 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
         cfg.validate_config()
         supervisor = make_supervisor(supervisor_spec, cfg, *llm_access(cfg))
     except (SchemaError, ValueError) as e:  # ConfigError included
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
     try:
         result = repair_loop(s, plan, supervisor, max_iters, cfg.checks)
     except AssertionError as e:  # internal invariant breach
-        click.echo(f"internal error: {e}", err=True)
-        sys.exit(2)
+        _fail(f"internal error: {e}", 2)
     payload = result.to_dict()
     if result.feasible and result.plan is not None:
         payload["plan"] = serialize_plan(result.plan)
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
-    sys.exit(0)
+    print(json.dumps(payload, indent=2, sort_keys=True))
+    return 0
 
 
-@main.command("fcfs")
-@click.argument("scenario_path", type=click.Path())
 def cmd_fcfs(scenario_path):
     """Schedule SCENARIO with the FCFS baseline; plan text plus assignment JSON."""
     from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
@@ -153,18 +117,12 @@ def cmd_fcfs(scenario_path):
     try:
         assignment, plan = fcfs_schedule(s)
     except (UnassignableTask, RealizationError) as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-    click.echo(serialize_plan(plan).rstrip("\n"))
-    click.echo(json.dumps(assignment.to_dict(), indent=2, sort_keys=True))
-    sys.exit(0)
+        _fail(f"error: {e}")
+    print(serialize_plan(plan).rstrip("\n"))
+    print(json.dumps(assignment.to_dict(), indent=2, sort_keys=True))
+    return 0
 
 
-@main.command("metrics")
-@click.argument("candidate_path", type=click.Path())
-@click.argument("reference_path", type=click.Path())
-@click.option("--smoothing", type=click.Choice(["add-one"]), default=None)
-@click.option("--full-tokens", is_flag=True, help="include numeric state fields in tokens")
 def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
     """Similarity scores between two plan files (candidate vs reference)."""
     from .metrics import EmptyInput, EmptyReference, similarity
@@ -173,39 +131,24 @@ def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
         cand = parse_plan(_read_plan_text(candidate_path))
         ref = parse_plan(_read_plan_text(reference_path))
     except SchemaError as e:
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
     tok = tokenize_plan_full if full_tokens else tokenize_plan
     try:
         scores = similarity(tok(cand), tok(ref), smoothing)
     except (EmptyReference, EmptyInput) as e:  # a plan file without steps
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
-    click.echo(json.dumps(scores.to_dict(), indent=2, sort_keys=True))
-    sys.exit(0)
+        _fail(f"error: {e}")
+    print(json.dumps(scores.to_dict(), indent=2, sort_keys=True))
+    return 0
 
 
-@main.command("experiment")
-@click.argument("scenario_path", type=click.Path())
-@click.option("--supervisor", "supervisors", multiple=True,
-              help="repeatable; defaults to llm:gemma, llm:llama, llm:mistral and search-minimal")
-@click.option("--max-iters", default=3, show_default=True)
-@click.option("--budget", default=4, show_default=True)
-@click.option("--checks", default="all")
-@click.option("--out-dir", default="out", show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--profiles", "profiles_path", type=click.Path(), default=None)
-@click.option("--mocks-dir", type=click.Path(), default=None)
 def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_dir, seed, profiles_path, mocks_dir):
     """Run generator-only, hybrid and FCFS arms; write CSV/JSON reports."""
     from .experiment import ExperimentConfig, run_experiment
 
-    if not supervisors:
-        supervisors = ("llm:gemma", "llm:llama", "llm:mistral", "search-minimal")
     try:
         cfg = ExperimentConfig(
             scenario_path=Path(scenario_path),
-            supervisors=tuple(supervisors),
+            supervisors=tuple(supervisors or ("llm:gemma", "llm:llama", "llm:mistral", "search-minimal")),
             max_iters=max_iters,
             budget=budget,
             checks=parse_check_names(checks),
@@ -216,13 +159,56 @@ def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_di
         )
         summary = run_experiment(cfg)
     except (ValueError, OSError) as e:  # ConfigError included; OSError from writing the reports
-        click.echo(f"error: {e}", err=True)
-        sys.exit(1)
+        _fail(f"error: {e}")
     except AssertionError as e:  # internal invariant breach
-        click.echo(f"internal error: {e}", err=True)
-        sys.exit(2)
-    click.echo(json.dumps(summary, indent=2, sort_keys=True))
-    sys.exit(0)
+        _fail(f"internal error: {e}", 2)
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    return 0
+
+
+def main(argv=None) -> NoReturn:
+    """Schedule feasibility toolkit for construction robot scenarios."""
+    # `--help` is the one help option (no `-h`), and no option may be abbreviated
+    plain = {"add_help": False, "allow_abbrev": False}
+    parser = argparse.ArgumentParser(prog="foreman", description=main.__doc__, **plain)
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    def command(run, *paths):
+        sub = commands.add_parser(run.__name__[4:], help=run.__doc__, description=run.__doc__, **plain)
+        sub.add_argument("--help", action="help", help="show this message and exit")
+        sub.set_defaults(run=run)
+        for path in paths:
+            sub.add_argument(path)
+        return sub
+
+    def loop_options(sub):  # repair's and experiment's
+        sub.add_argument("--max-iters", type=int, default=3, help="default: 3")
+        sub.add_argument("--budget", type=int, default=4, help="edit budget for the search supervisor (default: 4)")
+        sub.add_argument("--checks", default="all")
+        sub.add_argument("--profiles", dest="profiles_path")
+        sub.add_argument("--mocks-dir")
+
+    sub = command(cmd_validate, "scenario_path", "plan_path")
+    sub.add_argument("--checks", default="all", help="comma list of check classes (ablation)")
+    command(cmd_simulate, "scenario_path", "plan_path")
+    sub = command(cmd_repair, "scenario_path", "plan_path")
+    sub.add_argument("--supervisor", dest="supervisor_spec", default="search-minimal",
+                     help="search-minimal | search-conservative | llm:<profile>")
+    loop_options(sub)
+    command(cmd_fcfs, "scenario_path")
+    sub = command(cmd_metrics, "candidate_path", "reference_path")
+    sub.add_argument("--smoothing", choices=["add-one"])
+    sub.add_argument("--full-tokens", action="store_true", help="include numeric state fields in tokens")
+    sub = command(cmd_experiment, "scenario_path")
+    sub.add_argument("--supervisor", dest="supervisors", action="append",
+                     help="repeatable; defaults to llm:gemma, llm:llama, llm:mistral and search-minimal")
+    loop_options(sub)
+    sub.add_argument("--out-dir", default="out", help="default: out")
+    sub.add_argument("--seed", type=int, default=0, help="default: 0")
+
+    args = vars(parser.parse_args(argv))
+    sys.exit(args.pop("run")(**args))
 
 
 if __name__ == "__main__":

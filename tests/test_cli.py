@@ -5,9 +5,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 
 from foreman import cli, repair
 from foreman.cli import main
@@ -19,8 +19,22 @@ from test_scenario import _MALFORMED, _minimal_doc
 
 
 @pytest.fixture
-def runner():
-    return CliRunner()
+def runner(capsys):
+    """``runner.invoke(main, args)`` runs the CLI in this process and returns its
+    ``exit_code``, ``output`` (stdout then stderr), ``stdout_bytes`` and
+    ``exception`` (the ``SystemExit`` of a nonzero exit, else None)."""
+
+    def invoke(main, args):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as done:
+            main(args)
+        out, err = capsys.readouterr()
+        code = done.value.code
+        return SimpleNamespace(
+            exit_code=code, output=out + err, stdout_bytes=out.encode(), exception=done.value if code else None
+        )
+
+    return SimpleNamespace(invoke=invoke)
 
 
 def _paths(fix_dir):
@@ -375,8 +389,12 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_a_cold_cli_imports_only_what_validate_runs(runner, fix_dir):
+    # what the import adds beyond what `site` loaded first, by top-level name,
+    # outside the standard library and foreman
     code = (
-        "import sys, foreman.cli; print('logging' in sys.modules,"
+        "import sys; before = set(sys.modules); import foreman.cli;"
+        " added = {m.split('.')[0] for m in set(sys.modules) - before};"
+        " print('logging' in sys.modules, sorted(added - sys.stdlib_module_names - {'foreman'}),"
         " ' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'foreman')))"
     )
     loaded = _fresh("-c", code)
@@ -385,6 +403,7 @@ def test_a_cold_cli_imports_only_what_validate_runs(runner, fix_dir):
     # costs a cold validate about 2 ms
     assert loaded.stdout.split() == [
         b"False",
+        b"[]",
         b"foreman", b"foreman.cli", b"foreman.executor", b"foreman.plan", b"foreman.scenario", b"foreman.validator",
     ]
     p = _paths(fix_dir)
@@ -398,7 +417,7 @@ def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
     for command in ["validate", "simulate", "repair", "fcfs", "metrics", "experiment"]:
         res = _fresh("-m", "foreman.cli", command, "--help")
         assert res.returncode == 0, (command, res.stderr)
-        assert res.stdout.startswith(b"Usage: "), command
+        assert res.stdout.startswith(b"usage: "), command
     wall = _paths(fix_dir)["wall"]
     cold = _fresh("-m", "foreman.cli", "fcfs", wall)  # imports fcfs inside the command
     assert cold.returncode == 0, cold.stderr
