@@ -63,8 +63,15 @@ def cmd_simulate(scenario_path, plan_path):
     trace = execute(s, plan)
     for e in trace.entries:
         record = {
-            "step": e.step.step, "robot": e.robot, "action": str(e.step.action), "location": e.location,
-            "battery": e.battery, "cargo": e.cargo, "placed": e.placed_total, "tu_cost": e.tu_cost, "du_cost": e.du_cost,
+            "step": e.step.step,
+            "robot": e.robot,
+            "action": str(e.step.action),
+            "location": e.location,
+            "battery": e.battery,
+            "cargo": e.cargo,
+            "placed": e.placed_total,
+            "tu_cost": e.tu_cost,
+            "du_cost": e.du_cost,
         }
         print(json.dumps(record, sort_keys=True))
     summary = {

@@ -373,8 +373,13 @@ def test_cli_output_is_pinned(runner, fix_dir, tmp_path, command, code, digest):
         "validate wall",
         "bogus wall",
         "",
+        "repair wall wall_draft --max 3",
+        "validate -h",
     ],
-    ids=["budget-not-an-int", "unknown-smoothing", "missing-argument", "unknown-subcommand", "no-subcommand"],
+    ids=[
+        "budget-not-an-int", "unknown-smoothing", "missing-argument", "unknown-subcommand", "no-subcommand",
+        "abbreviated-option", "short-help",
+    ],
 )
 def test_usage_errors_exit_2(runner, fix_dir, command):
     p = _paths(fix_dir)
