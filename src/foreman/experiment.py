@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .executor import execute, makespan
-from .fcfs import fcfs_schedule
+from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
 from .gateway import Gateway, GatewayError, LlmProfile, build_generator_prompt, load_profiles, strip_plan_preamble
-from .metrics import EvalReport, eval_run
+from .metrics import eval_run
 from .plan import Plan, parse_plan
-from .repair import LlmSupervisor, RepairResult, SearchSupervisor, repair_loop
+from .repair import LlmSupervisor, SearchSupervisor, repair_loop
 from .scenario import Scenario, load_scenario
 from .validator import ALL_CHECKS, ViolationClass, validate
 
@@ -97,15 +97,19 @@ def _fetch_draft(s: Scenario, cfg: ExperimentConfig, gateway: Gateway, profiles)
     return parse_plan(draft_file.read_text(encoding="utf-8"))
 
 
-@dataclass
-class ArmResult:
-    name: str
-    feasible: bool
-    psi: int
-    makespan_tu: float
-    t_rep: int
-    edited_steps: str = ""
-    error: str = ""
+def _arm(feasible: bool, psi: int, makespan_tu: float, t_rep: int = 0, edited_steps: str = "", error: str = "") -> dict:
+    """One arm's entry in ``summary.json``; FR and FPR both read feasibility."""
+    fr = 1.0 if feasible else 0.0
+    return {
+        "fr": fr, "fpr": fr, "psi": psi, "makespan_tu": makespan_tu, "t_rep": t_rep,
+        "edited_steps": edited_steps, "error": error,
+    }
+
+
+def _write_csv(path: Path, rows: list[list]) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    path.write_text(buf.getvalue())
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -120,54 +124,41 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     draft_trace = execute(s, draft)
     draft_report = validate(s, draft, cfg.checks, trace=draft_trace)
     draft_ms = makespan(draft_trace)
+    arms = {"generator-only": _arm(draft_report.feasible, draft_report.psi, draft_ms)}
 
-    arms: list[ArmResult] = []
-    arms.append(
-        ArmResult(
-            name="generator-only",
-            feasible=draft_report.feasible,
-            psi=draft_report.psi,
-            makespan_tu=draft_ms,
-            t_rep=0,
-        )
-    )
-
-    hybrid_rows: list[tuple[str, EvalReport, RepairResult]] = []
+    include_r2 = s.site.is_grid()  # grid runs report R-2; wall runs omit the column
+    similarity = [["Supervisor", "BLEU", "ROUGE-1"] + (["ROUGE-2"] if include_r2 else []) + ["ROUGE-L", "METEOR"]]
+    edit_profile = [
+        ["Supervisor", "Substitutions", "Insertions", "Reorders", "EditedSteps", "DeltaMakespanTU", "FR", "Strategy"]
+    ]
     for spec in cfg.supervisors:
         supervisor = make_supervisor(spec, cfg, gateway, profiles)
         result = repair_loop(s, draft, supervisor, cfg.max_iters, cfg.checks)
         report = eval_run(s, draft, result)
-        label = getattr(supervisor, "name", spec)
-        hybrid_rows.append((label, report, result))
-        arms.append(
-            ArmResult(
-                name=f"hybrid/{label}",
-                feasible=result.feasible,
-                psi=result.report.psi,
-                makespan_tu=report.makespan_tu,
-                t_rep=result.iterations_used,
-                edited_steps=result.script.render() if result.script else "",
-            )
+        label = supervisor.name
+        script = result.script.render() if result.script else ""
+        arms[f"hybrid/{label}"] = _arm(
+            result.feasible, result.report.psi, report.makespan_tu, result.iterations_used, script
         )
+        sc = report.scores
+        if sc is not None:
+            r2 = ["--" if sc.rouge2 is None else f"{sc.rouge2:.4f}"] if include_r2 else []
+            similarity.append(
+                [label, f"{sc.bleu:.4f}", f"{sc.rouge1:.4f}", *r2, f"{sc.rougeL:.4f}", f"{sc.meteor:.4f}"]
+            )
+        edits, delta, fr = report.edits, f"{report.makespan_delta:g}", f"{report.fr:.1f}"
+        edit_profile.append([label, edits.substitutions, edits.insertions, edits.reorders, script, delta, fr, label])
     try:
         _, fcfs_plan = fcfs_schedule(s)
-    except Exception as e:  # an unschedulable baseline is a result, not a crash
-        arms.append(ArmResult(name="fcfs", feasible=False, psi=-1, makespan_tu=0.0, t_rep=0, error=str(e)))
+    except (UnassignableTask, RealizationError) as e:  # an unschedulable baseline is a result, not a crash
+        arms["fcfs"] = _arm(False, -1, 0.0, error=str(e))
     else:
         fcfs_trace = execute(s, fcfs_plan)
         fcfs_report = validate(s, fcfs_plan, cfg.checks, trace=fcfs_trace)
-        arms.append(
-            ArmResult(
-                name="fcfs",
-                feasible=fcfs_report.feasible,
-                psi=fcfs_report.psi,
-                makespan_tu=makespan(fcfs_trace),
-                t_rep=0,
-            )
-        )
+        arms["fcfs"] = _arm(fcfs_report.feasible, fcfs_report.psi, makespan(fcfs_trace))
 
-    _write_similarity_csv(out_dir / "similarity.csv", s, hybrid_rows)
-    _write_edit_profile_csv(out_dir / "edit_profile.csv", hybrid_rows, draft_ms)
+    _write_csv(out_dir / "similarity.csv", similarity)
+    _write_csv(out_dir / "edit_profile.csv", edit_profile)
     summary = {
         "scenario": s.name,
         "checks": sorted(c.value for c in cfg.checks),
@@ -175,62 +166,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "budget": cfg.budget,
         "seed": cfg.seed,
         "draft": {"feasible": draft_report.feasible, "psi": draft_report.psi, "makespan_tu": draft_ms},
-        "arms": {
-            a.name: {
-                "fr": 1.0 if a.feasible else 0.0,
-                "fpr": 1.0 if a.feasible else 0.0,
-                "psi": a.psi,
-                "makespan_tu": a.makespan_tu,
-                "t_rep": a.t_rep,
-                "edited_steps": a.edited_steps,
-                "error": a.error,
-            }
-            for a in arms
-        },
+        "arms": arms,
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
-
-
-def _write_similarity_csv(path: Path, s: Scenario, rows):
-    include_r2 = s.site.is_grid()  # grid runs report R-2; wall runs omit the column
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["Supervisor", "BLEU", "ROUGE-1"] + (["ROUGE-2"] if include_r2 else []) + ["ROUGE-L", "METEOR"]
-    writer.writerow(header)
-    for label, report, _ in rows:
-        if report.scores is None:
-            continue
-        sc = report.scores
-        row = [label, f"{sc.bleu:.4f}", f"{sc.rouge1:.4f}"]
-        if include_r2:
-            row.append("--" if sc.rouge2 is None else f"{sc.rouge2:.4f}")
-        row += [f"{sc.rougeL:.4f}", f"{sc.meteor:.4f}"]
-        writer.writerow(row)
-    path.write_text(buf.getvalue())
-
-
-def _write_edit_profile_csv(path: Path, rows, draft_ms: float):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["Supervisor", "Substitutions", "Insertions", "Reorders", "EditedSteps", "DeltaMakespanTU", "FR", "Strategy"]
-    )
-    for label, report, result in rows:
-        profile = report.edits
-        writer.writerow(
-            [
-                label,
-                profile.substitutions,
-                profile.insertions,
-                profile.reorders,
-                result.script.render() if result.script else "",
-                f"{report.makespan_delta:g}",
-                f"{report.fr:.1f}",
-                label,
-            ]
-        )
-    path.write_text(buf.getvalue())
 
 
 # ---------------------------------------------------------------------------

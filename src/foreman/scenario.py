@@ -345,10 +345,13 @@ def _typed(raw, kind: type, where: str):
 
 
 def _number(raw, where: str, kind: type = float):
-    """``raw`` as a finite float, or as an int when ``kind`` is int."""
+    """``raw`` as a finite float, or as an int when ``kind`` is int.
+
+    Only a JSON number is one: a string such as ``"50"`` or a ``true`` is not.
+    """
     try:
-        value = float(raw)
-    except (TypeError, ValueError, OverflowError):
+        value = float(raw) if type(raw) in (int, float) else math.nan  # bool is a subclass of int
+    except OverflowError:  # an integer too large for a float
         value = math.nan
     if not math.isfinite(value) or (kind is int and not value.is_integer()):
         raise ValidationError(where, f"expected a finite {'integer' if kind is int else 'number'}, got {raw!r}")
@@ -577,64 +580,3 @@ def load_scenario(path: str | Path) -> Scenario:
     except ValueError as e:  # malformed JSON or text that is not UTF-8
         raise ParseError(f"{path}: {e}") from None
     return load_scenario_dict(doc, name=path.name.split(".")[0])
-
-
-def serialize_scenario(s: Scenario) -> str:
-    """Dump a Scenario back to its JSON document form (round-trips)."""
-    if s.site.is_grid():
-        site: dict = {
-            "kind": "grid",
-            "width": s.site.width,
-            "height": s.site.height,
-            "blocked": sorted(list(c) for c in s.site.blocked),
-            "no_go": sorted(list(parse_cell(c)) for c in s.site.no_go),
-            "chargers": sorted(list(parse_cell(c)) for c in s.site.chargers),
-        }
-    else:
-        site = {
-            "kind": "named_graph",
-            "nodes": list(s.site.nodes),
-            "edges": [[u, v, w] for u, v, w in s.site.edges],
-            "no_go": sorted(s.site.no_go),
-            "chargers": sorted(s.site.chargers),
-        }
-    doc = {
-        "instruction": s.instruction,
-        "site": site,
-        "robots": [
-            {
-                "id": r.id,
-                "skills": sorted(k.value for k in r.skills),
-                "payload_capacity": r.payload_capacity,
-                "battery_max": r.battery_max,
-                "battery_init": r.battery_init,
-                "start_location": r.start_location,
-                "cargo_init": r.cargo_init,
-            }
-            for r in s.robots
-        ],
-        "tasks": [
-            {
-                "id": t.id,
-                "type": t.type.value,
-                "required_skills": sorted(k.value for k in t.required_skills),
-                "location": t.location,
-                "demand": t.demand,
-                "duration": t.duration,
-            }
-            for t in s.tasks
-        ],
-        "dag": sorted([a, b] for a, b in s.dag.edges),
-        "cost": {
-            "battery_per_du": s.cost.battery_per_du,
-            "tu_per_du": s.cost.tu_per_du,
-            "pick_build_tu_per_3mu": s.cost.pick_build_tu_per_3mu,
-            "recharge_tu": s.cost.recharge_tu,
-            "scan_tu_per_su": s.cost.scan_tu_per_su,
-            "scan_footprint": s.cost.scan_footprint.value,
-        },
-        "resources": {loc: mu for loc, mu in s.resources},
-        "safety_rules": list(s.safety_rules),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-

@@ -1,8 +1,16 @@
+import json
+
 import pytest
 
 from foreman.experiment import fixtures_dir
 from foreman.plan import parse_plan
 from foreman.scenario import load_scenario
+
+
+def scenario_doc(name: str) -> dict:
+    """A fresh copy of the JSON document of the shipped scenario ``name``:
+    what ``load_scenario`` parses, for a test to edit and load."""
+    return json.loads((fixtures_dir() / f"{name}.scn.json").read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="session")

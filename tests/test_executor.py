@@ -1,13 +1,13 @@
 import collections
-import json
 import random
 from dataclasses import replace
 
 import pytest
 
+from conftest import scenario_doc
 from foreman.executor import execute, makespan
 from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
-from foreman.scenario import load_scenario_dict, serialize_scenario
+from foreman.scenario import load_scenario_dict
 
 
 def test_figure_trace_prefix_through_step_4(wall, wall_draft):
@@ -250,7 +250,7 @@ def test_interleaved_one_robot_plan_reads_back_with_the_same_trace(wall):
 
 def test_two_robots_take_turns_by_elapsed_then_id(wall):
     # equal elapsed time breaks by robot id, whatever the line order
-    doc = json.loads(serialize_scenario(wall))
+    doc = scenario_doc("wall_assembly")
     doc["robots"].append(dict(doc["robots"][0], id="r2"))
     two = load_scenario_dict(doc, name="two")
     plan = parse_plan(

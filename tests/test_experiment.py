@@ -61,3 +61,13 @@ def test_report_bytes_are_pinned(fix_dir, tmp_path, case):
     digests = tuple(_sha256((out / name).read_bytes()) for name in _REPORTS)
     digests += (_sha256(json.dumps(summary, sort_keys=True).encode()),)
     assert digests == _PINNED[case]
+
+
+def test_an_fcfs_error_outside_its_documented_ones_propagates(monkeypatch, fix_dir, tmp_path):
+    def broken(s):
+        raise KeyError("defect")
+
+    monkeypatch.setattr(experiment, "fcfs_schedule", broken)
+    cfg = ExperimentConfig(fix_dir / "wall_assembly.scn.json", supervisors=(), out_dir=tmp_path)
+    with pytest.raises(KeyError):
+        run_experiment(cfg)

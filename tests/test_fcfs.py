@@ -1,6 +1,5 @@
 import hashlib
 import itertools
-import json
 import random
 
 import pytest
@@ -10,7 +9,7 @@ from foreman.executor import execute
 from foreman.experiment import battery_pressured_batch, fcfs_vs_hybrid
 from foreman.fcfs import RealizationError, UnassignableTask, fcfs_schedule
 from foreman.plan import ActionKind, serialize_plan
-from foreman.scenario import ValidationError, load_scenario_dict, serialize_scenario
+from foreman.scenario import ValidationError, load_scenario_dict
 from foreman.validator import ALL_CHECKS, ViolationClass as VC, validate
 
 
@@ -34,31 +33,33 @@ def test_exp2_fcfs_no_scans_fails_coverage(grid):
     assert not report.feasible
 
 
+def _world_doc(tasks, dag, robots=None, stock=9):
+    return {
+        "instruction": "x",
+        "site": {
+            "kind": "named_graph",
+            "nodes": ["S", "B", "C"],
+            "edges": [["S", "B", 1], ["B", "C", 1], ["C", "S", 1]],
+            "chargers": ["C"],
+        },
+        "robots": robots
+        or [
+            {
+                "id": "r1",
+                "skills": ["MOVE_S", "MOVE_B", "MOVE_C", "PICK", "BUILD", "CHARGE", "NAVIGATE", "INSPECT"],
+                "payload_capacity": 3,
+                "start_location": "C",
+            }
+        ],
+        "tasks": tasks,
+        "dag": dag,
+        "cost": {},
+        "resources": {"S": stock},
+    }
+
+
 def _world(tasks, dag, robots=None, stock=9):
-    return load_scenario_dict(
-        {
-            "instruction": "x",
-            "site": {
-                "kind": "named_graph",
-                "nodes": ["S", "B", "C"],
-                "edges": [["S", "B", 1], ["B", "C", 1], ["C", "S", 1]],
-                "chargers": ["C"],
-            },
-            "robots": robots
-            or [
-                {
-                    "id": "r1",
-                    "skills": ["MOVE_S", "MOVE_B", "MOVE_C", "PICK", "BUILD", "CHARGE", "NAVIGATE", "INSPECT"],
-                    "payload_capacity": 3,
-                    "start_location": "C",
-                }
-            ],
-            "tasks": tasks,
-            "dag": dag,
-            "cost": {},
-            "resources": {"S": stock},
-        }
-    )
+    return load_scenario_dict(_world_doc(tasks, dag, robots, stock))
 
 
 def test_single_navigate_task_theta_is_travel_time():
@@ -156,14 +157,13 @@ def test_theta_respects_dag_durations(wall):
 def test_theta_is_the_executed_arrival_when_a_pair_is_listed_twice():
     # S-B is listed at 2 DU, then at 1 DU: the route takes the 1-DU hop, but
     # MOVE_B and MOVE_S run on the first-listed 2 DU, so B is reached at 4 and 10
-    s = _world(
+    doc = _world_doc(
         [
             {"id": "t1", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 3},
             {"id": "t2", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 3},
         ],
         [],
     )
-    doc = json.loads(serialize_scenario(s))
     doc["site"]["edges"].insert(0, ["S", "B", 2])
     s = load_scenario_dict(doc)
     assignment, plan = fcfs_schedule(s)

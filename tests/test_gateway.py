@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import scenario_doc
 from foreman.gateway import (
     Gateway,
     GatewayError,
@@ -18,7 +19,7 @@ from foreman.gateway import (
 )
 from foreman.repair import LlmSupervisor, repair_loop
 from foreman.plan import SchemaError, parse_plan
-from foreman.scenario import load_scenario, load_scenario_dict, serialize_scenario
+from foreman.scenario import load_scenario, load_scenario_dict
 from foreman.validator import ALL_CHECKS, validate
 
 
@@ -70,7 +71,7 @@ def test_prompts_of_two_loads_are_identical(fix_dir, wall_draft):
 
 def test_prompts_name_no_go_zones_only_when_the_site_has_some(wall):
     assert "no-go" not in build_generator_prompt(wall)
-    doc = json.loads(serialize_scenario(wall))
+    doc = scenario_doc("wall_assembly")
     doc["site"]["no_go"] = ["B"]
     assert "no-go zones: B\n" in build_generator_prompt(load_scenario_dict(doc, name="x"))
 
@@ -108,7 +109,7 @@ def test_prompt_bytes_are_pinned(fix_dir):
     prompts = {}
     for name in ("wall_assembly", "scan_grid"):
         prompts.update(_prompts(fix_dir, name, load_scenario(fix_dir / f"{name}.scn.json"), name))
-    doc = json.loads(serialize_scenario(load_scenario(fix_dir / "wall_assembly.scn.json")))
+    doc = scenario_doc("wall_assembly")
     doc["site"]["no_go"] = ["B"]
     with_nogo = load_scenario_dict(doc, name="wall_assembly")
     prompts.update(_prompts(fix_dir, "wall_assembly+no_go", with_nogo, "wall_assembly"))

@@ -1,6 +1,5 @@
 import ast
 import hashlib
-import json
 import math
 import random
 import re
@@ -21,9 +20,10 @@ from foreman.plan import (
     tokenize_plan,
     tokenize_plan_full,
 )
+from conftest import scenario_doc
 from edit_oracle import unnumbered
 from foreman.repair import reconcile_plan
-from foreman.scenario import load_scenario_dict, serialize_scenario
+from foreman.scenario import load_scenario_dict
 from foreman.validator import validate
 
 
@@ -247,7 +247,7 @@ _RATES = st.one_of(
 def test_executor_generated_plans_round_trip(wall, rate, weight, kinds):
     # state columns written by the executor under fractional rates and edge
     # weights parse back to the same plan, which validates the same way
-    doc = json.loads(serialize_scenario(wall))
+    doc = scenario_doc("wall_assembly")
     doc["cost"]["battery_per_du"] = rate
     doc["site"]["edges"][0][2] = weight
     s = load_scenario_dict(doc, name="rates")

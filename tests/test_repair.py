@@ -2,13 +2,13 @@ import dataclasses
 import gc
 import hashlib
 import itertools
-import json
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import scenario_doc
 from edit_oracle import as_ops, bfs_min_cost, enumerate_scripts, unnumbered
 from foreman import fcfs, repair, validator
 from foreman.executor import WorldState, execute, makespan
@@ -28,7 +28,7 @@ from foreman.repair import (
     reconcile_plan,
     repair_loop,
 )
-from foreman.scenario import load_scenario_dict, serialize_scenario
+from foreman.scenario import load_scenario_dict
 from foreman.validator import ALL_CHECKS, ViolationClass as VC, validate
 from test_acceptance import MICRO_WORLD
 
@@ -75,9 +75,9 @@ def test_already_feasible_plan_is_fixed_point(wall, wall_gemma):
     assert looped.script.cost == 0
 
 
-def _stranded(wall):
+def _stranded():
     """A robot on 10% battery and the 2-step start of the wall draft."""
-    doc = json.loads(serialize_scenario(wall))
+    doc = scenario_doc("wall_assembly")
     doc["robots"][0]["battery_init"] = 10
     doc["robots"][0]["battery_max"] = 10
     weak = load_scenario_dict(doc, name="weak")
@@ -90,7 +90,7 @@ def _stranded(wall):
 def test_stranded_robot_is_infeasible_within_budget(wall):
     # 10% battery cannot afford any move (25%/DU) and the dock is a move
     # away: exhaustive search over small scripts proves infeasibility
-    weak, prefix = _stranded(wall)
+    weak, prefix = _stranded()
     result = minimal_edit_repair(weak, prefix, budget=3)
     assert not result.feasible
     looped = repair_loop(weak, prefix, SearchSupervisor("minimal", 3), max_iters=3)
@@ -175,8 +175,8 @@ def test_search_rebuilds_only_its_winner(monkeypatch, wall, grid, wall_draft, gr
         (wall, wall_draft, "minimal", True, 1),
         (grid, grid_draft, "minimal", True, 1),
         (grid, grid_draft, "conservative", True, 2),  # with the terminal IDLE
-        (*_stranded(wall), "minimal", False, 0),
-        (_wall5(wall), wall_draft, "minimal", False, 0),
+        (*_stranded(), "minimal", False, 0),
+        (_wall5(), wall_draft, "minimal", False, 0),
     ]
     for s, draft, style, repaired, rebuilds in cases:
         rebuilt.clear()
@@ -433,7 +433,7 @@ def test_apply_script_is_pinned_on_random_op_lists(wall, grid, wall_draft, grid_
     # 500 seeded op lists in any order; the digest of each edited plan's
     # text and replay error was recorded when subs, inserts and transposes
     # were applied as separate lists
-    cases = [(wall, wall_draft), (grid, grid_draft), (_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT))]
+    cases = [(wall, wall_draft), (grid, grid_draft), (_two_robot_wall(25), parse_plan(_TWO_ROBOT_DRAFT))]
     rng = random.Random(20261018)
     digest = hashlib.sha256()
     for i in range(500):
@@ -473,7 +473,7 @@ def test_shared_steps_are_never_mutated(wall, grid, wall_draft, grid_draft, monk
         assert _snapshot(draft.steps) == before
     assert lowered == [True, True]  # the FCFS lowering's steps, through reconcile_plan
     # the seeded op lists of the apply_script pin
-    cases = [(wall, wall_draft), (grid, grid_draft), (_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT))]
+    cases = [(wall, wall_draft), (grid, grid_draft), (_two_robot_wall(25), parse_plan(_TWO_ROBOT_DRAFT))]
     befores = [_snapshot(draft.steps) for _, draft in cases]
     rng = random.Random(20261018)
     for i in range(500):
@@ -482,9 +482,9 @@ def test_shared_steps_are_never_mutated(wall, grid, wall_draft, grid_draft, monk
         assert _snapshot(draft.steps) == befores[i % len(cases)], i
 
 
-def _wall5(wall):
+def _wall5():
     """The wall with two more 3-brick tasks chained after it, and the bricks."""
-    doc = json.loads(serialize_scenario(wall))
+    doc = scenario_doc("wall_assembly")
     last = doc["tasks"][-1]
     doc["tasks"] += [dict(last, id="build_4"), dict(last, id="build_5")]
     doc["dag"] += [["build_3", "build_4"], ["build_4", "build_5"]]
@@ -506,7 +506,7 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft, monkeypatch):
     assert result.script.render() == "S11: MOVE_S (+); S11: PICK (+); S11: MOVE_C->MOVE_B; S12: CHARGE->BUILD"
     # the shipped draft builds three of wall5's five tasks: no repair within four edits
     t0 = time.monotonic()
-    result = minimal_edit_repair(_wall5(wall), wall_draft, budget=4)
+    result = minimal_edit_repair(_wall5(), wall_draft, budget=4)
     assert time.monotonic() - t0 < 2.0
     assert not result.feasible
     # six edits repair it: a charge in the second trip and a fifth trip at the end
@@ -520,7 +520,7 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft, monkeypatch):
 
     monkeypatch.setattr(validator.Monitor, "final", counted)
     t0 = time.monotonic()
-    result = minimal_edit_repair(_wall5(wall), wall_draft, budget=6)
+    result = minimal_edit_repair(_wall5(), wall_draft, budget=6)
     elapsed = time.monotonic() - t0
     # the walk's work without a clock: re-walking subtrees already shown dead
     # (a `>` for `>=` in the dead check) calls `final` 73,438 times instead
@@ -552,8 +552,8 @@ r1: STEP 8, [B], BUILD, [0], 9, [0]
 """
 
 
-def _two_robot_wall(wall, r2_battery, r2_battery_max=100):
-    doc = json.loads(serialize_scenario(wall))
+def _two_robot_wall(r2_battery, r2_battery_max=100):
+    doc = scenario_doc("wall_assembly")
     r2 = dict(doc["robots"][0], id="r2", battery_init=r2_battery, battery_max=r2_battery_max)
     doc["robots"].append(r2)
     return load_scenario_dict(doc, name="two")
@@ -564,7 +564,7 @@ def _rows(plan):
 
 
 def test_search_repairs_a_two_robot_plan(wall):
-    s = _two_robot_wall(wall, 25)
+    s = _two_robot_wall(25)
     draft = parse_plan(_TWO_ROBOT_DRAFT)
     result = minimal_edit_repair(s, draft, budget=2)
     assert result.feasible
@@ -591,7 +591,7 @@ def test_search_repairs_a_two_robot_plan(wall):
 def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
     # r2's 10% battery never affords a move, and taking its trip over
     # costs more than two edits
-    s = _two_robot_wall(wall, 10, r2_battery_max=10)
+    s = _two_robot_wall(10, r2_battery_max=10)
     result = minimal_edit_repair(s, parse_plan(_TWO_ROBOT_DRAFT), budget=2)
     assert not result.feasible
     assert result.script is None and result.plan is None
@@ -637,7 +637,7 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     classes = {(len(s.tasks), s.robots[0].battery_init): s for s in battery_pressured_batch(2024, 50)}
     cases = [(wall, wall_draft), (grid, grid_draft)]
     cases += [(classes[k], fcfs_schedule(classes[k])[1]) for k in [(3, 100.0), (3, 50.0)]]
-    cases.append((_two_robot_wall(wall, 25), parse_plan(_TWO_ROBOT_DRAFT)))
+    cases.append((_two_robot_wall(25), parse_plan(_TWO_ROBOT_DRAFT)))
     # a CHARGE at B, which has no charger, halts the draft at step 5
     halting = list(wall_draft.steps[:9])
     halting[4] = unnumbered(None, Action(ActionKind.CHARGE))
@@ -646,7 +646,7 @@ def _screen_cases(wall, grid, wall_draft, grid_draft):
     cases.append((wall, plan))
     cases = [(s, draft, 2) for s, draft in cases]
     # short drafts with three-edit candidates: up to three inserts share a gap
-    cases.append((*_stranded(wall), 3))
+    cases.append((*_stranded(), 3))
     cases.append((wall, Plan(wall_draft.steps[:5]), 3))
     # a feasible draft whose one-edit candidates take trip 2 from T or build trip 1 at D
     two_sites = load_scenario_dict(_TWO_SITES, name="two_sites")
@@ -746,16 +746,16 @@ def test_search_leaves_no_world_state_for_the_cycle_collector(wall, wall_draft):
     assert left == before
 
 
-def _one_trip(wall):
+def _one_trip():
     """The wall's first trip alone: 3 bricks from S to B."""
-    doc = json.loads(serialize_scenario(wall))
+    doc = scenario_doc("wall_assembly")
     doc["tasks"], doc["dag"] = doc["tasks"][:1], []
     return load_scenario_dict(doc, name="one_trip")
 
 
 def test_search_inserts_a_whole_trip_in_plan_order(wall):
     # four inserts at one gap, in an order that is not reverse alphabet order
-    result = minimal_edit_repair(_one_trip(wall), Plan(()), budget=4)
+    result = minimal_edit_repair(_one_trip(), Plan(()), budget=4)
     assert result.feasible
     assert result.script.render() == "S1: MOVE_S (+); S1: PICK (+); S1: MOVE_B (+); S1: BUILD (+)"
 
@@ -765,7 +765,7 @@ def test_search_inserts_a_whole_trip_in_plan_order(wall):
     [("micro", 2), ("one_trip", 1)],
 )
 def test_search_agrees_with_a_breadth_first_search_over_plans(wall, world, longest):
-    s = load_scenario_dict(MICRO_WORLD, name="micro") if world == "micro" else _one_trip(wall)
+    s = load_scenario_dict(MICRO_WORLD, name="micro") if world == "micro" else _one_trip()
     alphabet = tuple(s.action_alphabet())
     verdicts = {}
 
@@ -799,7 +799,7 @@ _COST_3 = {
 
 @pytest.mark.parametrize("actions", sorted(_COST_3))
 def test_search_finds_a_three_edit_repair(wall, actions):
-    s = _one_trip(wall)
+    s = _one_trip()
     draft, _ = reconcile_plan(s, [unnumbered(None, Action(ActionKind[a])) for a in actions.split()])
     assert not minimal_edit_repair(s, draft, budget=2).feasible
     result = minimal_edit_repair(s, draft, budget=3)
@@ -814,9 +814,9 @@ def _search_pin_cases(wall, grid, wall_draft, grid_draft):
     """(scenario, draft, budget) of the searches whose results are pinned."""
     cases = [(s, d, b) for s, d in [(wall, wall_draft), (grid, grid_draft)] for b in range(1, 5)]
     cases += [(s, fcfs_schedule(s)[1], 2) for s in battery_pressured_batch(2024, 50)]
-    cases.append((_wall5(wall), wall_draft, 4))
+    cases.append((_wall5(), wall_draft, 4))
     cases.append((wall, Plan(wall_draft.steps[:4] + wall_draft.steps[12:]), 4))
-    s = _one_trip(wall)
+    s = _one_trip()
     for actions in sorted(_COST_3):
         draft, _ = reconcile_plan(s, [unnumbered(None, Action(ActionKind[a])) for a in actions.split()])
         cases.append((s, draft, 3))

@@ -5,6 +5,7 @@ import json
 import random
 
 from brute_oracle import brute_feasible
+from conftest import scenario_doc
 from edit_oracle import unnumbered
 from foreman.plan import Action, ActionKind, parse_plan
 from foreman.repair import minimal_edit_repair, reconcile_plan
@@ -82,11 +83,7 @@ def test_coverage_groups_under_safety_for_psi(grid, grid_draft):
     assert merged.psi == 1  # no safety violation to collide with
     # force a collision: a no-go cell on the draft path, so the plan now has
     # one Safety and one Coverage violation
-    import json
-
-    from foreman.scenario import load_scenario_dict, serialize_scenario
-
-    doc = json.loads(serialize_scenario(grid))
+    doc = scenario_doc("scan_grid")
     doc["site"]["no_go"] = [[0, 1]]
     risky = load_scenario_dict(doc, name="risky")
     m = validate(risky, grid_draft, ALL_CHECKS)
@@ -190,12 +187,8 @@ def test_misplaced_build_is_capacity_violation(wall):
     assert report.by_class(VC.Capacity)
 
 
-def test_overbuild_is_capacity_violation(wall):
-    import json
-
-    from foreman.scenario import load_scenario_dict, serialize_scenario
-
-    doc = json.loads(serialize_scenario(wall))
+def test_overbuild_is_capacity_violation():
+    doc = scenario_doc("wall_assembly")
     doc["resources"]["S"] = 12  # spare bricks allow a fourth delivery
     rich = load_scenario_dict(doc, name="rich")
     actions = [ActionKind.MOVE_S, ActionKind.PICK, ActionKind.MOVE_B, ActionKind.BUILD,
@@ -205,12 +198,8 @@ def test_overbuild_is_capacity_violation(wall):
     assert any("exceeds demand" in v.detail for v in report.violations)
 
 
-def test_safety_no_go_zone(grid, grid_draft):
-    import json
-
-    from foreman.scenario import load_scenario_dict, serialize_scenario
-
-    doc = json.loads(serialize_scenario(grid))
+def test_safety_no_go_zone(grid_draft):
+    doc = scenario_doc("scan_grid")
     doc["site"]["no_go"] = [[0, 1]]
     risky = load_scenario_dict(doc, name="risky")
     report = validate(risky, grid_draft, {VC.Safety})
@@ -267,10 +256,6 @@ def _report_dict(checks, completed, psi, rows):
 
 def test_whole_reports_are_pinned(grid, grid_draft):
     """Every violation text, in report order, under all checks and a subset."""
-    import json
-
-    from foreman.scenario import load_scenario_dict, serialize_scenario
-
     def task(id, kind, loc, demand=0):
         return {"id": id, "type": kind, "required_skills": [kind], "location": loc, "demand": demand, "duration": 1}
 
@@ -341,7 +326,7 @@ def test_whole_reports_are_pinned(grid, grid_draft):
     for checks in (ALL_CHECKS, subset):
         assert validate(s, bad_charge, checks).to_dict() == _report_dict(checks, False, 1, unexecutable)
 
-    doc = json.loads(serialize_scenario(grid))
+    doc = scenario_doc("scan_grid")
     doc["site"]["no_go"] = [[0, 1]]
     risky = load_scenario_dict(doc, name="risky")
     grid_rows = [
