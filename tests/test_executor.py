@@ -248,7 +248,7 @@ def test_interleaved_one_robot_plan_reads_back_with_the_same_trace(wall):
     assert trace.final.placed_total == 3
 
 
-def test_two_robots_take_turns_by_elapsed_then_id(wall):
+def test_two_robots_take_turns_by_elapsed_then_id():
     # equal elapsed time breaks by robot id, whatever the line order
     doc = scenario_doc("wall_assembly")
     doc["robots"].append(dict(doc["robots"][0], id="r2"))

@@ -244,7 +244,7 @@ _RATES = st.one_of(
 )
 @example(rate=12.5, weight=1.0, kinds=[ActionKind.MOVE_S, ActionKind.PICK, ActionKind.MOVE_B])
 @settings(max_examples=150, deadline=None)
-def test_executor_generated_plans_round_trip(wall, rate, weight, kinds):
+def test_executor_generated_plans_round_trip(rate, weight, kinds):
     # state columns written by the executor under fractional rates and edge
     # weights parse back to the same plan, which validates the same way
     doc = scenario_doc("wall_assembly")

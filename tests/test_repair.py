@@ -87,7 +87,7 @@ def _stranded():
     return weak, prefix
 
 
-def test_stranded_robot_is_infeasible_within_budget(wall):
+def test_stranded_robot_is_infeasible_within_budget():
     # 10% battery cannot afford any move (25%/DU) and the dock is a move
     # away: exhaustive search over small scripts proves infeasibility
     weak, prefix = _stranded()
@@ -563,7 +563,7 @@ def _rows(plan):
     return [(p.robot, p.step, p.location, str(p.action), p.cargo, p.placed, p.battery) for p in plan.steps]
 
 
-def test_search_repairs_a_two_robot_plan(wall):
+def test_search_repairs_a_two_robot_plan():
     s = _two_robot_wall(25)
     draft = parse_plan(_TWO_ROBOT_DRAFT)
     result = minimal_edit_repair(s, draft, budget=2)
@@ -588,7 +588,7 @@ def test_search_repairs_a_two_robot_plan(wall):
     assert apply_script(s, draft, result.script.ops)[0] == result.plan
 
 
-def test_search_exhausts_its_budget_on_a_two_robot_plan(wall):
+def test_search_exhausts_its_budget_on_a_two_robot_plan():
     # r2's 10% battery never affords a move, and taking its trip over
     # costs more than two edits
     s = _two_robot_wall(10, r2_battery_max=10)
@@ -753,7 +753,7 @@ def _one_trip():
     return load_scenario_dict(doc, name="one_trip")
 
 
-def test_search_inserts_a_whole_trip_in_plan_order(wall):
+def test_search_inserts_a_whole_trip_in_plan_order():
     # four inserts at one gap, in an order that is not reverse alphabet order
     result = minimal_edit_repair(_one_trip(), Plan(()), budget=4)
     assert result.feasible
@@ -764,7 +764,7 @@ def test_search_inserts_a_whole_trip_in_plan_order(wall):
     "world, longest",
     [("micro", 2), ("one_trip", 1)],
 )
-def test_search_agrees_with_a_breadth_first_search_over_plans(wall, world, longest):
+def test_search_agrees_with_a_breadth_first_search_over_plans(world, longest):
     s = load_scenario_dict(MICRO_WORLD, name="micro") if world == "micro" else _one_trip()
     alphabet = tuple(s.action_alphabet())
     verdicts = {}
@@ -798,7 +798,7 @@ _COST_3 = {
 
 
 @pytest.mark.parametrize("actions", sorted(_COST_3))
-def test_search_finds_a_three_edit_repair(wall, actions):
+def test_search_finds_a_three_edit_repair(actions):
     s = _one_trip()
     draft, _ = reconcile_plan(s, [unnumbered(None, Action(ActionKind[a])) for a in actions.split()])
     assert not minimal_edit_repair(s, draft, budget=2).feasible

@@ -254,7 +254,7 @@ def _report_dict(checks, completed, psi, rows):
     }
 
 
-def test_whole_reports_are_pinned(grid, grid_draft):
+def test_whole_reports_are_pinned(grid_draft):
     """Every violation text, in report order, under all checks and a subset."""
     def task(id, kind, loc, demand=0):
         return {"id": id, "type": kind, "required_skills": [kind], "location": loc, "demand": demand, "duration": 1}
