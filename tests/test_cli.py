@@ -428,3 +428,42 @@ def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
     assert cold.returncode == 0, cold.stderr
     assert cold.stdout == runner.invoke(main, ["fcfs", wall]).stdout_bytes
 
+
+
+_CHECKS_BOGUS = "error: unknown check class 'bogus' (valid: precedence, capability, capacity, battery, safety, schema, coverage)"
+
+
+# (command, last line of stderr) for error paths that exit 1; the paths name the
+# keys of ``_paths`` or files that the test writes under tmp_path: ``bad.plan``
+# fails the grammar, ``a_dir`` is a directory and ``scan_b.scn.json`` is the
+# wall document plus a SCAN task at B that no robot can do.
+_ERRORS = [
+    ("simulate wall bad.plan", "error: line 1: expected 6 fields, got 2"),
+    ("simulate wall missing.plan", "error: [Errno 2] No such file or directory: '{missing}'"),
+    ("metrics bad.plan grid_draft", "error: line 1: expected 6 fields, got 2"),
+    ("validate wall wall_draft --checks bogus", _CHECKS_BOGUS),
+    ("validate wall a_dir", "error: [Errno 21] Is a directory: '{a_dir}'"),
+    ("fcfs scan_b.scn.json", "error: no single robot covers the skills of task 'scan_b'"),
+    ("repair wall wall_draft --supervisor nope", "error: unknown supervisor spec 'nope'"),
+    ("repair wall wall_draft --supervisor llm:nope", "error: unknown LLM profile 'nope'"),
+    ("experiment wall --checks bogus", _CHECKS_BOGUS),
+]
+
+
+@pytest.mark.parametrize("command, last_line", _ERRORS, ids=[c for c, _ in _ERRORS])
+def test_error_paths_exit_1_with_one_error_line(runner, fix_dir, tmp_path, command, last_line):
+    (tmp_path / "bad.plan").write_text("STEP 1, garbage\n", encoding="utf-8")
+    (tmp_path / "a_dir").mkdir()
+    doc = json.loads(Path(_paths(fix_dir)["wall"]).read_text(encoding="utf-8"))
+    doc["tasks"].append({"id": "scan_b", "type": "SCAN", "required_skills": ["SCAN"], "location": "B"})
+    (tmp_path / "scan_b.scn.json").write_text(json.dumps(doc), encoding="utf-8")
+    written = ("bad.plan", "missing.plan", "a_dir", "scan_b.scn.json")
+    names = dict(_paths(fix_dir), **{n: str(tmp_path / n) for n in written})
+    args = [names.get(a, a) for a in command.split()]
+    if args[0] == "experiment":
+        args += ["--out-dir", str(tmp_path / "out")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
+    assert res.stdout_bytes == b""
+    # only the last line: the loader's logging warning may also reach stderr
+    assert res.output.splitlines()[-1] == last_line.format(missing=names["missing.plan"], a_dir=names["a_dir"])
