@@ -3,6 +3,10 @@
 Exit codes: 0 = ran to completion, 1 = config or I/O error, 2 = usage error
 or internal invariant breach.  ``validate`` additionally exits 3 when the
 plan is infeasible (so scripts can branch on feasibility without parsing JSON).
+``main`` alone turns a failure into its exit code: a ``ValueError`` (every
+documented foreman error is one) or an ``OSError`` prints ``error: <message>``
+and exits 1, and an ``AssertionError`` prints ``internal error: <message>``
+and exits 2.  The commands themselves catch nothing.
 
 Each command imports the modules it runs inside its body, so a cold
 ``validate`` or ``simulate`` loads only plan, scenario, executor and validator.
@@ -17,49 +21,24 @@ from pathlib import Path
 from typing import NoReturn
 
 from .executor import execute, makespan
-from .plan import SchemaError, parse_plan, serialize_plan, tokenize_plan, tokenize_plan_full
-from .scenario import ParseError, ValidationError, load_scenario
+from .plan import parse_plan, serialize_plan, tokenize_plan, tokenize_plan_full
+from .scenario import load_scenario
 from .validator import parse_check_names, validate_text
-
-
-def _fail(message: str, code: int = 1) -> NoReturn:
-    print(message, file=sys.stderr)
-    sys.exit(code)
-
-
-def _load(scenario_path: str):
-    try:
-        return load_scenario(scenario_path)
-    except (ParseError, ValidationError, OSError) as e:
-        _fail(f"error: {e}")
-
-
-def _read_plan_text(plan_path: str) -> str:
-    try:
-        return Path(plan_path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
-        _fail(f"error: {e}")
 
 
 def cmd_validate(scenario_path, plan_path, checks):
     """Validate PLAN against SCENARIO; exit 0 iff feasible (3 otherwise)."""
-    s = _load(scenario_path)
-    try:
-        wanted = parse_check_names(checks)
-    except ValueError as e:
-        _fail(f"error: {e}")
-    report = validate_text(s, _read_plan_text(plan_path), wanted)
+    s = load_scenario(scenario_path)
+    wanted = parse_check_names(checks)
+    report = validate_text(s, Path(plan_path).read_text(encoding="utf-8"), wanted)
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0 if report.feasible else 3
 
 
 def cmd_simulate(scenario_path, plan_path):
     """Replay PLAN against SCENARIO, one JSON record per step plus a summary."""
-    s = _load(scenario_path)
-    try:
-        plan = parse_plan(_read_plan_text(plan_path))
-    except SchemaError as e:
-        _fail(f"error: {e}")
+    s = load_scenario(scenario_path)
+    plan = parse_plan(Path(plan_path).read_text(encoding="utf-8"))
     trace = execute(s, plan)
     for e in trace.entries:
         record = {
@@ -90,27 +69,21 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
     from .experiment import ExperimentConfig, llm_access, make_supervisor
     from .repair import repair_loop
 
-    s = _load(scenario_path)
-    try:
-        plan = parse_plan(_read_plan_text(plan_path))
-        cfg = ExperimentConfig(
-            scenario_path=Path(scenario_path),
-            max_iters=max_iters,
-            budget=budget,
-            checks=parse_check_names(checks),
-            mocks_dir=Path(mocks_dir) if mocks_dir else None,
-            profiles_path=Path(profiles_path) if profiles_path else None,
-        )
-        cfg.validate_config()
-        supervisor = make_supervisor(supervisor_spec, cfg, *llm_access(cfg))
-    except (SchemaError, ValueError) as e:  # ConfigError included
-        _fail(f"error: {e}")
-    try:
-        result = repair_loop(s, plan, supervisor, max_iters, cfg.checks)
-    except AssertionError as e:  # internal invariant breach
-        _fail(f"internal error: {e}", 2)
+    s = load_scenario(scenario_path)
+    plan = parse_plan(Path(plan_path).read_text(encoding="utf-8"))
+    cfg = ExperimentConfig(
+        scenario_path=Path(scenario_path),
+        max_iters=max_iters,
+        budget=budget,
+        checks=parse_check_names(checks),
+        mocks_dir=Path(mocks_dir) if mocks_dir else None,
+        profiles_path=Path(profiles_path) if profiles_path else None,
+    )
+    cfg.validate_config()
+    supervisor = make_supervisor(supervisor_spec, cfg, *llm_access(cfg))
+    result = repair_loop(s, plan, supervisor, max_iters, cfg.checks)
     payload = result.to_dict()
-    if result.feasible and result.plan is not None:
+    if result.feasible:
         payload["plan"] = serialize_plan(result.plan)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
@@ -118,13 +91,9 @@ def cmd_repair(scenario_path, plan_path, supervisor_spec, max_iters, budget, che
 
 def cmd_fcfs(scenario_path):
     """Schedule SCENARIO with the FCFS baseline; plan text plus assignment JSON."""
-    from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
+    from .fcfs import fcfs_schedule
 
-    s = _load(scenario_path)
-    try:
-        assignment, plan = fcfs_schedule(s)
-    except (UnassignableTask, RealizationError) as e:
-        _fail(f"error: {e}")
+    assignment, plan = fcfs_schedule(load_scenario(scenario_path))
     print(serialize_plan(plan).rstrip("\n"))
     print(json.dumps(assignment.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -132,18 +101,12 @@ def cmd_fcfs(scenario_path):
 
 def cmd_metrics(candidate_path, reference_path, smoothing, full_tokens):
     """Similarity scores between two plan files (candidate vs reference)."""
-    from .metrics import EmptyInput, EmptyReference, similarity
+    from .metrics import similarity
 
-    try:
-        cand = parse_plan(_read_plan_text(candidate_path))
-        ref = parse_plan(_read_plan_text(reference_path))
-    except SchemaError as e:
-        _fail(f"error: {e}")
+    cand = parse_plan(Path(candidate_path).read_text(encoding="utf-8"))
+    ref = parse_plan(Path(reference_path).read_text(encoding="utf-8"))
     tok = tokenize_plan_full if full_tokens else tokenize_plan
-    try:
-        scores = similarity(tok(cand), tok(ref), smoothing)
-    except (EmptyReference, EmptyInput) as e:  # a plan file without steps
-        _fail(f"error: {e}")
+    scores = similarity(tok(cand), tok(ref), smoothing)
     print(json.dumps(scores.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -152,23 +115,18 @@ def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_di
     """Run generator-only, hybrid and FCFS arms; write CSV/JSON reports."""
     from .experiment import ExperimentConfig, run_experiment
 
-    try:
-        cfg = ExperimentConfig(
-            scenario_path=Path(scenario_path),
-            supervisors=tuple(supervisors or ("llm:gemma", "llm:llama", "llm:mistral", "search-minimal")),
-            max_iters=max_iters,
-            budget=budget,
-            checks=parse_check_names(checks),
-            out_dir=Path(out_dir),
-            seed=seed,
-            mocks_dir=Path(mocks_dir) if mocks_dir else None,
-            profiles_path=Path(profiles_path) if profiles_path else None,
-        )
-        summary = run_experiment(cfg)
-    except (ValueError, OSError) as e:  # ConfigError included; OSError from writing the reports
-        _fail(f"error: {e}")
-    except AssertionError as e:  # internal invariant breach
-        _fail(f"internal error: {e}", 2)
+    cfg = ExperimentConfig(
+        scenario_path=Path(scenario_path),
+        supervisors=tuple(supervisors or ("llm:gemma", "llm:llama", "llm:mistral", "search-minimal")),
+        max_iters=max_iters,
+        budget=budget,
+        checks=parse_check_names(checks),
+        out_dir=Path(out_dir),
+        seed=seed,
+        mocks_dir=Path(mocks_dir) if mocks_dir else None,
+        profiles_path=Path(profiles_path) if profiles_path else None,
+    )
+    summary = run_experiment(cfg)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -215,7 +173,15 @@ def main(argv=None) -> NoReturn:
     sub.add_argument("--seed", type=int, default=0, help="default: 0")
 
     args = vars(parser.parse_args(argv))
-    sys.exit(args.pop("run")(**args))
+    try:
+        code = args.pop("run")(**args)
+    except (ValueError, OSError) as e:  # every documented foreman error is a ValueError
+        print(f"error: {e}", file=sys.stderr)
+        code = 1
+    except AssertionError as e:  # internal invariant breach
+        print(f"internal error: {e}", file=sys.stderr)
+        code = 2
+    sys.exit(code)
 
 
 if __name__ == "__main__":
