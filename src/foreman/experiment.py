@@ -82,7 +82,7 @@ def make_supervisor(spec: str, cfg: ExperimentConfig, gateway: Gateway, profiles
     raise ConfigError(f"unknown supervisor spec {spec!r}")
 
 
-def _fetch_draft(s: Scenario, cfg: ExperimentConfig, gateway: Gateway, profiles) -> Plan:
+def _fetch_draft(s: Scenario, gateway: Gateway, profiles) -> Plan:
     """Generator arm input: mock/live completion, else the shipped draft fixture."""
     if "generator" in profiles:
         prompt = build_generator_prompt(s)
@@ -120,7 +120,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     gateway, profiles = llm_access(cfg)
-    draft = _fetch_draft(s, cfg, gateway, profiles)
+    draft = _fetch_draft(s, gateway, profiles)
     draft_trace = execute(s, draft)
     draft_report = validate(s, draft, cfg.checks, trace=draft_trace)
     draft_ms = makespan(draft_trace)

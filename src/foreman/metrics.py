@@ -210,7 +210,7 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
     violations.
     """
     draft_tokens = tokenize_plan(draft)
-    final = result.plan if result.feasible and result.plan is not None else draft
+    final = result.plan if result.feasible else draft
     scores = similarity(tokenize_plan(final), draft_tokens) if draft_tokens else None
     ms_final = makespan(execute(s, final))
     ms_draft = ms_final if final is draft else makespan(execute(s, draft))

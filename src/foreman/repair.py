@@ -94,9 +94,6 @@ class EditProfile:
     substitutions: int = 0  # includes substitutions-to-nothing (deletes)
     reorders: int = 0
 
-    def total(self) -> int:
-        return self.insertions + self.substitutions + self.reorders
-
     def to_dict(self) -> dict:
         return {
             "insertions": self.insertions,
@@ -606,7 +603,7 @@ class SearchSupervisor:
         self, s: Scenario, draft: Plan, report: ViolationReport, iteration: int
     ) -> tuple[Plan, ViolationReport]:
         result = minimal_edit_repair(s, draft, self.budget, report.checks_run, self.style, report)
-        if not result.feasible or result.plan is None:
+        if not result.feasible:
             raise SupervisorError(f"no feasible plan within {self.budget} edits")
         return result.plan, result.report
 

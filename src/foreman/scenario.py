@@ -327,8 +327,16 @@ class Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _canon_id(raw: str) -> str:
-    return "_".join(str(raw).split())
+def _string(raw, where: str, i: int | None = None) -> str:
+    """``raw`` itself when it is a JSON string; ``i`` indexes the array at ``where``."""
+    if not isinstance(raw, str):
+        raise ValidationError(where if i is None else f"{where}[{i}]", f"expected a JSON string, got {raw!r}")
+    return raw
+
+
+def _canon_id(raw, where: str, i: int | None = None) -> str:
+    """The JSON string ``raw`` with each run of whitespace made one ``_``."""
+    return "_".join((raw if isinstance(raw, str) else _string(raw, where, i)).split())
 
 
 def _require(obj: dict, key: str, where: str):
@@ -382,6 +390,12 @@ def _cells(raw: dict, key: str, where: str) -> list[Cell]:
     return out
 
 
+def _names(raw: dict, key: str, where: str) -> frozenset[str]:
+    """The upper-cased node ids listed under ``raw[key]`` (empty when absent)."""
+    at = f"{where}.{key}"
+    return frozenset(_canon_id(n, at, i).upper() for i, n in enumerate(_typed(raw.get(key, []), list, at)))
+
+
 def _skills(raw: list, where: str) -> frozenset[ActionKind]:
     out = set()
     for i, name in enumerate(_typed(raw, list, where)):
@@ -399,7 +413,7 @@ def _check_location(site: SiteMap, loc, where: str) -> str:
         if cell is None or not site.in_grid(cell) or cell in site.blocked:
             raise ValidationError(where, f"unknown or blocked grid cell {loc!r}")
         return cell_id(cell)
-    loc = _canon_id(loc).upper()
+    loc = _canon_id(loc, where).upper()
     if loc not in site.nodes:
         raise ValidationError(where, f"unknown location {loc!r}")
     return loc
@@ -408,24 +422,27 @@ def _check_location(site: SiteMap, loc, where: str) -> str:
 def _load_site(raw: dict, where: str) -> SiteMap:
     kind = _require(_typed(raw, dict, where), "kind", where)
     if kind == "named_graph":
-        nodes = tuple(_canon_id(n).upper() for n in _typed(_require(raw, "nodes", where), list, f"{where}.nodes"))
+        at = f"{where}.nodes"
+        raw_nodes = _typed(_require(raw, "nodes", where), list, at)
+        nodes = tuple(_canon_id(n, at, i).upper() for i, n in enumerate(raw_nodes))
         if len(set(nodes)) != len(nodes):
-            raise ValidationError(f"{where}.nodes", "duplicate node ids")
+            raise ValidationError(at, "duplicate node ids")
         edges = []
         for i, e in enumerate(_typed(_require(raw, "edges", where), list, f"{where}.edges")):
-            u, v, w = _row(e, 3, f"{where}.edges[{i}]")
-            u, v, w = _canon_id(u).upper(), _canon_id(v).upper(), _number(w, f"{where}.edges[{i}]")
+            at = f"{where}.edges[{i}]"
+            u, v, w = _row(e, 3, at)
+            u, v, w = _canon_id(u, at).upper(), _canon_id(v, at).upper(), _number(w, at)
             if u not in nodes or v not in nodes:
-                raise ValidationError(f"{where}.edges[{i}]", f"edge references undeclared node {u!r}/{v!r}")
+                raise ValidationError(at, f"edge references undeclared node {u!r}/{v!r}")
             if w <= 0:
-                raise ValidationError(f"{where}.edges[{i}]", f"edge weight {w} must be > 0 DU")
+                raise ValidationError(at, f"edge weight {w} must be > 0 DU")
             edges.append((u, v, w))
         site = SiteMap(
             kind="named_graph",
             nodes=nodes,
             edges=tuple(edges),
-            no_go=frozenset(_canon_id(n).upper() for n in _typed(raw.get("no_go", []), list, f"{where}.no_go")),
-            chargers=frozenset(_canon_id(n).upper() for n in _typed(raw.get("chargers", []), list, f"{where}.chargers")),
+            no_go=_names(raw, "no_go", where),
+            chargers=_names(raw, "chargers", where),
         )
         if nodes and len(site._search(nodes[0])) != len(nodes):
             raise ValidationError(f"{where}", "site graph is not connected")
@@ -468,7 +485,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     robots = []
     for i, r in enumerate(_typed(_require(doc, "robots", "robots"), list, "robots")):
         where = f"robots[{i}]"
-        rid = _canon_id(_require(_typed(r, dict, where), "id", where)).lower()
+        rid = _canon_id(_require(_typed(r, dict, where), "id", where), f"{where}.id").lower()
         battery_max = _number(r.get("battery_max", 100), f"{where}.battery_max")
         battery_init = _number(r.get("battery_init", battery_max), f"{where}.battery_init")
         cap = _count(r.get("payload_capacity", 0), f"{where}.payload_capacity")
@@ -498,13 +515,14 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         demand = _count(t.get("demand", 0), f"{where}.demand")
         if duration <= 0:
             raise ValidationError(where, f"duration {duration} must be > 0")
+        raw_type = _require(t, "type", where)
         try:
-            task_type = ActionKind(str(_require(t, "type", where)))
+            task_type = ActionKind(str(raw_type))
         except ValueError:
-            raise ValidationError(f"{where}.type", f"unknown action name {t.get('type')!r}") from None
+            raise ValidationError(f"{where}.type", f"unknown action name {raw_type!r}") from None
         tasks.append(
             TaskSpec(
-                id=_canon_id(_require(t, "id", where)).lower(),
+                id=_canon_id(_require(t, "id", where), f"{where}.id").lower(),
                 type=task_type,
                 required_skills=_skills(t.get("required_skills", []), f"{where}.required_skills"),
                 location=_check_location(site, _require(t, "location", where), f"{where}.location"),
@@ -519,7 +537,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     dag_edges = set()
     for i, e in enumerate(_typed(doc.get("dag", []), list, "dag")):
         where = f"dag[{i}]"
-        a, b = (_canon_id(x).lower() for x in _row(e, 2, where))
+        a, b = (_canon_id(x, where).lower() for x in _row(e, 2, where))
         if a not in task_ids or b not in task_ids:
             raise ValidationError(where, f"edge ({a!r}, {b!r}) references undeclared task")
         dag_edges.add((a, b))
@@ -552,14 +570,17 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
 
     scenario = Scenario(
         name=name,
-        instruction=str(doc.get("instruction", "")),
+        instruction=_string(doc.get("instruction", ""), "instruction"),
         site=site,
         robots=tuple(robots),
         tasks=tuple(tasks),
         dag=dag,
         cost=cost,
         resources=resources,
-        safety_rules=tuple(str(r) for r in _typed(doc.get("safety_rules", []), list, "safety_rules")),
+        safety_rules=tuple(
+            _string(r, "safety_rules", i)
+            for i, r in enumerate(_typed(doc.get("safety_rules", []), list, "safety_rules"))
+        ),
     )
 
     all_skills = frozenset().union(*(r.skills for r in robots)) if robots else frozenset()

@@ -430,7 +430,9 @@ def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
 
 
 
-_CHECKS_BOGUS = "error: unknown check class 'bogus' (valid: precedence, capability, capacity, battery, safety, schema, coverage)"
+_CHECKS_BOGUS = (
+    "error: unknown check class 'bogus' (valid: precedence, capability, capacity, battery, safety, schema, coverage)"
+)
 
 
 # (command, last line of stderr) for error paths that exit 1; the paths name the

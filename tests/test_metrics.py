@@ -178,7 +178,7 @@ def test_eval_run_feasible_draft_scores_one(wall, wall_gemma):
     assert report.fr == 1.0
     assert report.scores.bleu == 1.0
     assert report.scores.meteor >= 0.99  # identical plans, long token sequence
-    assert report.edits.total() == 0
+    assert report.edits == EditProfile()
     assert report.makespan_delta == 0.0
 
 

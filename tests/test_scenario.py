@@ -183,10 +183,36 @@ _NOT_NUMBERS = [
 ]
 
 
+def _three_nodes(**fields):
+    """A site of nodes A, B and "3" (a string), plus ``fields``."""
+    site = {"kind": "named_graph", "nodes": ["A", "B", "3"], "edges": [["A", "B", 1], ["B", "3", 1]]}
+    return {"site": dict(site, **fields)}
+
+
+# Ids, location names, the instruction and safety rules that are not JSON
+# strings, and a task without a type: (path, test id suffix, overrides).
+_NOT_STRINGS = [
+    ("robots[0].id", "array", _robot(id=["r", "1"])),
+    ("instruction", "array", {"instruction": ["a", 1]}),
+    ("safety_rules[0]", "number", {"safety_rules": [1, None]}),
+    ("tasks[0].id", "true", {"tasks": [{"id": True, "type": "NAVIGATE", "location": "A"}]}),
+    ("site.nodes[2]", "number", _three_nodes(nodes=["A", "B", 3], edges=[["A", "B", 1], ["B", 3, 1]])),
+    ("site.edges[1]", "number", _three_nodes(edges=[["A", "B", 1], ["B", 3, 1]])),
+    ("site.chargers[0]", "number", _three_nodes(chargers=[3])),
+    ("robots[0].start_location", "number", dict(_three_nodes(), **_robot(start_location=3))),
+    ("dag[0]", "number", {
+        "tasks": [{"id": "1", "type": "NAVIGATE", "location": "A"}, {"id": "t2", "type": "NAVIGATE", "location": "B"}],
+        "dag": [[1, "t2"]],
+    }),
+    ("tasks[0]", "no-type", {"tasks": [{"id": "t1", "location": "A"}]}),
+]
+
+
 @pytest.mark.parametrize(
     "where, overrides",
-    [(where, _MALFORMED[where]) for where in sorted(_MALFORMED)] + [(where, o) for where, _, o in _NOT_NUMBERS],
-    ids=sorted(_MALFORMED) + [f"{where}-{suffix}" for where, suffix, _ in _NOT_NUMBERS],
+    [(where, _MALFORMED[where]) for where in sorted(_MALFORMED)]
+    + [(where, o) for where, _, o in _NOT_NUMBERS + _NOT_STRINGS],
+    ids=sorted(_MALFORMED) + [f"{where}-{suffix}" for where, suffix, _ in _NOT_NUMBERS + _NOT_STRINGS],
 )
 def test_malformed_value_is_validation_error_at_its_path(where, overrides):
     with pytest.raises(ValidationError) as exc:
