@@ -116,10 +116,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """Run all three arms; returns the summary dict and writes report files."""
     cfg.validate_config()
     s = load_scenario(cfg.scenario_path)
+    gateway, profiles = llm_access(cfg)
+    supervisors = [make_supervisor(spec, cfg, gateway, profiles) for spec in cfg.supervisors]  # before any write
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    gateway, profiles = llm_access(cfg)
     draft = _fetch_draft(s, gateway, profiles)
     draft_trace = execute(s, draft)
     draft_report = validate(s, draft, cfg.checks, trace=draft_trace)
@@ -131,8 +132,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     edit_profile = [
         ["Supervisor", "Substitutions", "Insertions", "Reorders", "EditedSteps", "DeltaMakespanTU", "FR", "Strategy"]
     ]
-    for spec in cfg.supervisors:
-        supervisor = make_supervisor(spec, cfg, gateway, profiles)
+    for supervisor in supervisors:
         result = repair_loop(s, draft, supervisor, cfg.max_iters, cfg.checks)
         report = eval_run(s, draft, result)
         label = supervisor.name

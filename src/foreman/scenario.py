@@ -67,7 +67,17 @@ def parse_cell(loc: str) -> Cell | None:
 
 @dataclass(frozen=True)
 class SiteMap:
-    """Either a named location graph or a rectangular grid."""
+    """Either a named location graph or a rectangular grid.
+
+    ``_hops`` is the site's one table of one-hop moves, built with the site:
+    ``_hops[loc]`` maps each location one move from ``loc`` to its DU.  An
+    edge listed more than once counts at its lightest weight.  A grid lists
+    neighbours in L, R, U, D move order, which breaks its route ties; a named
+    graph lists them as its edges do, since its ties go by node id.
+    ``edge_weight``, ``locations`` and the memoised searches of ``_tree``
+    read it, and ``route`` and ``shortest_path_du`` read those.  A move or
+    a route starts from one of ``locations()``.
+    """
 
     kind: str  # "named_graph" | "grid"
     nodes: tuple[str, ...] = ()
@@ -78,13 +88,26 @@ class SiteMap:
     no_go: frozenset[str] = frozenset()
     chargers: frozenset[str] = frozenset()
 
+    def __post_init__(self):
+        if self.is_grid():
+            free = self.traversable_cells()
+            hops = {
+                cell_id((x, y)): {cell_id(n): 1.0 for dx, dy in GRID_MOVES.values() if (n := (x + dx, y + dy)) in free}
+                for x, y in sorted(free)  # so the loader searches from the lowest cell
+            }
+        else:
+            hops = {n: {} for n in self.nodes}
+            for u, v, w in self.edges:
+                if w < hops[u].get(v, math.inf):
+                    hops[u][v] = hops[v][u] = w
+        object.__setattr__(self, "_hops", hops)  # frozen, and neither is a field
+        object.__setattr__(self, "_trees", {})
+
     def is_grid(self) -> bool:
         return self.kind == "grid"
 
     def locations(self) -> frozenset[str]:
-        if self.is_grid():
-            return frozenset(cell_id(c) for c in self.traversable_cells())
-        return frozenset(self.nodes)
+        return frozenset(self._hops)
 
     def traversable_cells(self) -> frozenset[Cell]:
         return frozenset(
@@ -97,93 +120,57 @@ class SiteMap:
     def in_grid(self, cell: Cell) -> bool:
         return 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
 
-    @cached_property
-    def _edge_weights(self) -> dict[tuple[str, str], float]:
-        """Both directions of each edge; a repeated pair keeps its first weight."""
-        weights: dict[tuple[str, str], float] = {}
-        for u, v, w in self.edges:
-            weights.setdefault((u, v), w)
-            weights.setdefault((v, u), w)
-        return weights
-
     def edge_weight(self, a: str, b: str) -> float | None:
-        return self._edge_weights.get((a, b))
+        """DU of the one move from ``a`` to ``b``; None when there is none."""
+        return self._hops[a].get(b)
 
-    def _steps(self, loc: str) -> list[tuple[str, float]]:
-        """Locations one hop from ``loc`` with their DU, in tie-break order."""
-        out = []
-        if not self.is_grid():
-            for u, v, w in self.edges:
-                if u == loc:
-                    out.append((v, w))
-                elif v == loc:
-                    out.append((u, w))
-            return sorted(out)
-        cell = parse_cell(loc)
-        if cell is None:
-            return out
-        for dx, dy in GRID_MOVES.values():  # L, R, U, D
-            n = (cell[0] + dx, cell[1] + dy)
-            if self.in_grid(n) and n not in self.blocked:
-                out.append((cell_id(n), 1.0))
-        return out
+    def _tree(self, a: str) -> dict[str, tuple[str | None, float]]:
+        """Dijkstra from ``a``, memoised per source: each reachable location's
+        previous location on its route and its DU from ``a``.
 
-    def _search(self, a: str, goal: str | None = None) -> dict[str, tuple[str, float] | None]:
-        """Dijkstra from ``a``: the hop into each settled location.
-
-        Stops once ``goal`` is settled.  Named graphs pop the frontier by
-        (distance, node id); grids pop equal distances first in, first out,
-        which is breadth-first in L, R, U, D move order.
+        Named graphs pop the frontier by (distance, node id); grids pop equal
+        distances first in, first out, which is breadth-first in L, R, U, D
+        move order.  Each DU adds the hops up left to right.
         """
+        tree = self._trees.get(a)
+        if tree is not None:
+            return tree
         grid = self.is_grid()
         tick = itertools.count()
         dist = {a: 0.0}
-        settled: dict[str, tuple[str, float] | None] = {}
+        tree = self._trees[a] = {}
         heap = [(0.0, next(tick) if grid else a, a, None)]
         while heap:
-            d, _, loc, hop = heapq.heappop(heap)
-            if loc in settled:
+            d, _, loc, prev = heapq.heappop(heap)
+            if loc in tree:
                 continue
-            settled[loc] = hop
-            if loc == goal:
-                break
-            for nbr, w in self._steps(loc):
+            tree[loc] = (prev, d)
+            for nbr, w in self._hops[loc].items():
                 nd = d + w
                 if nd < dist.get(nbr, math.inf):
                     dist[nbr] = nd
-                    heapq.heappush(heap, (nd, next(tick) if grid else nbr, nbr, (loc, w)))
-        return settled
+                    heapq.heappush(heap, (nd, next(tick) if grid else nbr, nbr, loc))
+        return tree
 
     def route(self, a: str, b: str) -> list[tuple[str, float]] | None:
         """Shortest route from ``a`` to ``b`` as (location, DU) hops.
 
         Empty when ``a == b``; None when ``b`` cannot be reached.
         """
-        settled = self._search(a, b)
-        if b not in settled:
+        tree = self._tree(a)
+        if b not in tree:
             return None
         hops = []
-        while settled[b] is not None:
-            prev, w = settled[b]
-            hops.append((b, w))
+        while b != a:
+            prev = tree[b][0]
+            hops.append((b, self._hops[prev][b]))
             b = prev
         return hops[::-1]
 
-    @cached_property
-    def _du_memo(self) -> dict[tuple[str, str], float | None]:
-        return {}
-
     def shortest_path_du(self, a: str, b: str) -> float | None:
-        """Length of ``route(a, b)`` in DU; None when unreachable.  Memoised per pair."""
-        memo = self._du_memo
-        if (a, b) not in memo:
-            hops = self.route(a, b)
-            du = None if hops is None else 0.0
-            # left to right, as the search added them: sum() may round differently
-            for _, w in hops or ():
-                du += w
-            memo[a, b] = du
-        return memo[a, b]
+        """Length of ``route(a, b)`` in DU, its hops added left to right; None when unreachable."""
+        reached = self._tree(a).get(b)
+        return None if reached is None else reached[1]
 
     def scan_footprint(self, cell: Cell, mode: ScanFootprint) -> frozenset[Cell]:
         """Cells a SCAN performed at ``cell`` reveals."""
@@ -237,28 +224,24 @@ class TaskSpec:
 class PrecedenceDag:
     edges: frozenset[tuple[str, str]]  # (before, after)
 
-    def successors(self, task_id: str) -> set[str]:
-        return {b for a, b in self.edges if a == task_id}
-
     def topological_order(self, task_ids: list[str]) -> list[str] | None:
-        """Kahn's algorithm, declaration order among ready tasks; None on cycle."""
-        indeg = {t: 0 for t in task_ids}
+        """Kahn's algorithm, lowest declaration index first among ready tasks; None on cycle."""
+        index = {t: i for i, t in enumerate(task_ids)}
+        after: list[list[int]] = [[] for _ in task_ids]
+        indeg = [0] * len(task_ids)
         for a, b in self.edges:
-            indeg[b] += 1
+            after[index[a]].append(index[b])
+            indeg[index[b]] += 1
+        ready = [i for i, n in enumerate(indeg) if n == 0]  # ascending, so already a heap
         order = []
-        ready = [t for t in task_ids if indeg[t] == 0]
         while ready:
-            t = ready.pop(0)
-            order.append(t)
-            for s in sorted(self.successors(t), key=task_ids.index):
-                indeg[s] -= 1
-                if indeg[s] == 0:
-                    # keep declaration order among newly ready tasks
-                    ready.append(s)
-                    ready.sort(key=task_ids.index)
-        if len(order) != len(task_ids):
-            return None
-        return order
+            i = heapq.heappop(ready)
+            order.append(task_ids[i])
+            for j in after[i]:
+                indeg[j] -= 1
+                if indeg[j] == 0:
+                    heapq.heappush(ready, j)
+        return order if len(order) == len(task_ids) else None
 
 
 @dataclass(frozen=True)
@@ -444,10 +427,8 @@ def _load_site(raw: dict, where: str) -> SiteMap:
             no_go=_names(raw, "no_go", where),
             chargers=_names(raw, "chargers", where),
         )
-        if nodes and len(site._search(nodes[0])) != len(nodes):
-            raise ValidationError(f"{where}", "site graph is not connected")
-        return site
-    if kind == "grid":
+        disconnected = "site graph is not connected"
+    elif kind == "grid":
         width = _number(_require(raw, "width", where), f"{where}.width", int)
         height = _number(_require(raw, "height", where), f"{where}.height", int)
         if width <= 0 or height <= 0:
@@ -465,11 +446,13 @@ def _load_site(raw: dict, where: str) -> SiteMap:
             no_go=frozenset(cell_id(c) for c in _cells(raw, "no_go", where)),
             chargers=frozenset(cell_id(c) for c in _cells(raw, "chargers", where)),
         )
-        cells = site.traversable_cells()
-        if cells and len(site._search(cell_id(min(cells)))) != len(cells):
-            raise ValidationError(where, "grid is not connected over traversable cells")
-        return site
-    raise ValidationError(f"{where}.kind", f"unknown site kind {kind!r}")
+        disconnected = "grid is not connected over traversable cells"
+    else:
+        raise ValidationError(f"{where}.kind", f"unknown site kind {kind!r}")
+    locs = site._hops
+    if locs and len(site._tree(next(iter(locs)))) != len(locs):
+        raise ValidationError(where, disconnected)
+    return site
 
 
 def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from foreman import cli, repair
+from foreman import cli, experiment, repair
 from foreman.cli import main
 from foreman.gateway import GatewayError, MockProvider
 from foreman.plan import parse_plan
@@ -205,6 +205,30 @@ def test_experiment_out_dir_that_cannot_be_created_is_a_one_line_error(runner, f
     res = runner.invoke(main, ["experiment", _paths(fix_dir)["wall"], "--out-dir", str(blocker / "out")])
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
     assert res.output.startswith("error: ") and res.output.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--supervisor", "search-minimal", "--supervisor", "nope"], ["--mocks-dir", "missing"]],
+    ids=["unknown_second_supervisor", "missing_mocks"],
+)
+def test_experiment_set_up_error_runs_nothing_and_writes_nothing(runner, fix_dir, tmp_path, monkeypatch, options):
+    # every supervisor is built before the output directory is made and the
+    # draft fetched, so a bad one runs no repair and leaves no directory
+    repairs = []
+    repair_loop = experiment.repair_loop
+
+    def counted(*args):
+        repairs.append(args)
+        return repair_loop(*args)
+
+    monkeypatch.setattr(experiment, "repair_loop", counted)
+    out = tmp_path / "out"
+    options = [str(tmp_path / o) if o == "missing" else o for o in options]
+    res = runner.invoke(main, ["experiment", _paths(fix_dir)["wall"], "--out-dir", str(out), *options])
+    assert res.exit_code == 1 and res.output.startswith("error: "), res.output
+    assert repairs == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["repair", "experiment"])

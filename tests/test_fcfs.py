@@ -9,7 +9,7 @@ from foreman.executor import execute
 from foreman.experiment import battery_pressured_batch, fcfs_vs_hybrid
 from foreman.fcfs import RealizationError, UnassignableTask, fcfs_schedule
 from foreman.plan import ActionKind, serialize_plan
-from foreman.scenario import ValidationError, load_scenario_dict
+from foreman.scenario import SiteMap, ValidationError, load_scenario, load_scenario_dict
 from foreman.validator import ALL_CHECKS, ViolationClass as VC, validate
 
 
@@ -155,8 +155,8 @@ def test_theta_respects_dag_durations(wall):
 
 
 def test_theta_is_the_executed_arrival_when_a_pair_is_listed_twice():
-    # S-B is listed at 2 DU, then at 1 DU: the route takes the 1-DU hop, but
-    # MOVE_B and MOVE_S run on the first-listed 2 DU, so B is reached at 4 and 10
+    # S-B is listed at 2 DU, then at 1 DU: the route, MOVE_B and MOVE_S all
+    # cost the lighter 1 DU, so B is reached at 3 and 7
     doc = _world_doc(
         [
             {"id": "t1", "type": "BUILD", "required_skills": ["BUILD"], "location": "B", "demand": 3},
@@ -167,10 +167,10 @@ def test_theta_is_the_executed_arrival_when_a_pair_is_listed_twice():
     doc["site"]["edges"].insert(0, ["S", "B", 2])
     s = load_scenario_dict(doc)
     assignment, plan = fcfs_schedule(s)
-    assert dict(assignment.theta) == {"t1": 4.0, "t2": 10.0}
+    assert dict(assignment.theta) == {"t1": 3.0, "t2": 7.0}
     trace = execute(s, plan)
     arrivals = list(itertools.accumulate(e.tu_cost for e in trace.entries))
-    assert [t for t, e in zip(arrivals, trace.entries) if e.step.action.kind is ActionKind.MOVE_B] == [4.0, 10.0]
+    assert [t for t, e in zip(arrivals, trace.entries) if e.step.action.kind is ActionKind.MOVE_B] == [3.0, 7.0]
 
 
 _NODES = ["S", "B", "C", "D", "E"]
@@ -273,9 +273,10 @@ def _seeded_scenarios(wall, grid):
 
 
 # SHA-256 of every seeded scenario's FCFS plan text (or error), recorded when
-# the lowering still kept its own copy of each step's rules: running the steps
-# on the executor must not change a single plan
-_SEEDED_PLANS_SHA256 = "dd3230d00f31aae4941516fcbd77bffb5f8eec98a02502fe5f7a379511f8ce30"
+# a pair listed twice came to cost its lightest weight for moves as for routes
+# (32 plans changed, each over a pair listed heavy first, and only in their
+# battery column)
+_SEEDED_PLANS_SHA256 = "ddc92cc3b75338589ed48c19386a0501980d08294b3fa905fdc1e2485f197252"
 
 
 def test_fcfs_theta_is_a_prefix_sum_of_the_executed_costs(wall, grid):
@@ -327,3 +328,36 @@ def test_fcfs_vs_hybrid_runs_each_fcfs_plan_once(monkeypatch, seed, expected):
     monkeypatch.setattr(experiment, "fcfs_schedule", recording_schedule)
     assert fcfs_vs_hybrid(battery_pressured_batch(seed, 50)) == {"n": 50, **expected}
     assert [n for _, n in runs] == [1] * 50
+
+
+def test_fcfs_searches_each_source_once(monkeypatch, fix_dir):
+    # the routing work without a clock: the loader's connectivity checks and
+    # every route and distance FCFS asks for share one search per site and
+    # source, 140 in all; one search per (from, to) pair would run 52 + 140
+    # times
+    trees, sources, asked = {}, set(), set()  # a search builds a new tree
+    tree, route, distance = SiteMap._tree, SiteMap.route, SiteMap.shortest_path_du
+
+    def counted_tree(site, a):
+        found = tree(site, a)
+        trees[id(found)] = found  # kept alive, so no id is reused
+        sources.add((id(site), a))
+        return found
+
+    def asked_route(site, a, b):
+        asked.add((id(site), a, b))
+        return route(site, a, b)
+
+    def asked_distance(site, a, b):
+        asked.add((id(site), a, b))
+        return distance(site, a, b)
+
+    monkeypatch.setattr(SiteMap, "_tree", counted_tree)
+    monkeypatch.setattr(SiteMap, "route", asked_route)
+    monkeypatch.setattr(SiteMap, "shortest_path_du", asked_distance)
+    scenarios = [load_scenario(fix_dir / f"{name}.scn.json") for name in ("wall_assembly", "scan_grid")]
+    scenarios += battery_pressured_batch(2024, 50)  # kept alive too
+    for s in scenarios:
+        fcfs_schedule(s)
+    assert len(trees) == len(sources) == 140
+    assert len(asked) == 140  # distinct (site, from, to) pairs

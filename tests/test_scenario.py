@@ -262,6 +262,27 @@ def test_dag_acyclicity_matches_brute_force():
         assert kahn_says_acyclic == (not brute_has_cycle(n, edges))
 
 
+def _lowest_ready_first(ids, edges):
+    """Reference order: place the lowest-index task whose predecessors are all placed; None if none is."""
+    order = []
+    while len(order) < len(ids):
+        ready = [t for t in ids if t not in order and all(a in order for a, b in edges if b == t)]
+        if not ready:
+            return None
+        order.append(ready[0])
+    return order
+
+
+def test_topological_order_matches_lowest_ready_index_first():
+    rng = random.Random(11)
+    for trial in range(400):
+        n = rng.randint(1, 9)
+        ids = [f"t{i}" for i in rng.sample(range(20), n)]  # declaration order is not id order
+        edges = {(rng.choice(ids), rng.choice(ids)) for _ in range(rng.randint(0, 2 * n))}
+        edges = {(a, b) for a, b in edges if a != b and (trial % 2 or ids.index(a) < ids.index(b))}
+        assert PrecedenceDag(frozenset(edges)).topological_order(ids) == _lowest_ready_first(ids, edges)
+
+
 # ---------------------------------------------------------------------------
 # Routing against an all-pairs reference
 # ---------------------------------------------------------------------------
@@ -280,13 +301,17 @@ def test_route_tie_order():
     assert grid.route("(1,1)", "(1,1)") == []
 
 
-def test_repeated_edge_keeps_its_first_weight_both_ways():
+def test_repeated_edge_keeps_its_lightest_weight_both_ways():
+    # A-B is listed lightest first, C-D heaviest first: a move and a route
+    # over either pair both cost its lightest weight
     site = SiteMap(
         kind="named_graph",
-        nodes=("A", "B", "C"),
-        edges=(("A", "B", 2.0), ("B", "A", 5.0), ("A", "B", 7.0), ("B", "C", 1.0)),
+        nodes=("A", "B", "C", "D"),
+        edges=(("A", "B", 2.0), ("B", "A", 5.0), ("A", "B", 7.0), ("B", "C", 1.0), ("C", "D", 5.0), ("D", "C", 2.0)),
     )
     assert site.edge_weight("A", "B") == site.edge_weight("B", "A") == 2.0
+    assert site.edge_weight("C", "D") == site.edge_weight("D", "C") == 2.0
+    assert site.route("C", "D") == [("D", 2.0)] and site.shortest_path_du("D", "C") == 2.0
     assert site.edge_weight("C", "B") == 1.0
     assert site.edge_weight("A", "C") is None
     assert site.edge_weight("A", "A") is None
@@ -354,6 +379,7 @@ def test_route_is_a_shortest_walk_over_real_moves(site):
             here, total = a, 0.0
             for loc, w in hops:
                 assert (here, loc, w) in moves
+                assert site.edge_weight(here, loc) == w  # a move costs what the route does
                 here, total = loc, total + w
             assert here == b
             assert total == dist[a, b] == site.shortest_path_du(a, b)
