@@ -15,6 +15,11 @@ root holds only ``__version__``:
 - ``metrics``: similarity metrics over plan tokens;
 - ``experiment``: the end-to-end experiment pipeline (``run_experiment``);
 - ``cli``: the ``foreman`` command, which imports only what a command runs.
+
+Each record is a plain class with ``__slots__`` and its own ``__init__``, so
+that no import pays for ``dataclasses``.  Records are read-only by convention,
+except what a run updates in place: ``WorldState`` and its ``RobotState``s,
+``CheckState``, and the ``PlanStep``s that ``repair.reconcile_plan`` fills in.
 """
 
 __version__ = "0.1.0"

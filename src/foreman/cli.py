@@ -6,7 +6,9 @@ plan is infeasible (so scripts can branch on feasibility without parsing JSON).
 ``main`` alone turns a failure into its exit code: a ``ValueError`` (every
 documented foreman error is one) or an ``OSError`` prints ``error: <message>``
 and exits 1, and an ``AssertionError`` prints ``internal error: <message>``
-and exits 2.  The commands themselves catch nothing.
+and exits 2.  The commands themselves catch nothing.  A warning raised while
+a command runs, such as the loader's note on a task no robot can do, prints
+``warning: <message>``.
 
 Each command imports the modules it runs inside its body, so a cold
 ``validate`` or ``simulate`` loads only plan, scenario, executor and validator.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 from typing import NoReturn
 
@@ -131,6 +134,10 @@ def cmd_experiment(scenario_path, supervisors, max_iters, budget, checks, out_di
     return 0
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> NoReturn:
     """Schedule feasibility toolkit for construction robot scenarios."""
     # `--help` is the one help option (no `-h`), and no option may be abbreviated
@@ -173,14 +180,16 @@ def main(argv=None) -> NoReturn:
     sub.add_argument("--seed", type=int, default=0, help="default: 0")
 
     args = vars(parser.parse_args(argv))
-    try:
-        code = args.pop("run")(**args)
-    except (ValueError, OSError) as e:  # every documented foreman error is a ValueError
-        print(f"error: {e}", file=sys.stderr)
-        code = 1
-    except AssertionError as e:  # internal invariant breach
-        print(f"internal error: {e}", file=sys.stderr)
-        code = 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            code = args.pop("run")(**args)
+        except (ValueError, OSError) as e:  # every documented foreman error is a ValueError
+            print(f"error: {e}", file=sys.stderr)
+            code = 1
+        except AssertionError as e:  # internal invariant breach
+            print(f"internal error: {e}", file=sys.stderr)
+            code = 2
     sys.exit(code)
 
 

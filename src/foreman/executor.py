@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .plan import ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
 from .scenario import Cell, Scenario, cell_id, parse_cell
@@ -29,58 +28,115 @@ class ExecError(Exception):
         self.reason = reason
 
 
-@dataclass
 class RobotState:
-    location: str
-    battery: float
-    cargo: int
+    __slots__ = ("location", "battery", "cargo")
+
+    def __init__(self, location: str, battery: float, cargo: int):
+        self.location = location
+        self.battery = battery
+        self.cargo = cargo
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.location, self.battery, self.cargo) == (other.location, other.battery, other.cargo)
 
 
-@dataclass
 class WorldState:
     """Mutable simulation state; snapshots of it appear in the Trace."""
 
-    robots: dict[str, RobotState]
-    stock: dict[str, int]
-    placed_at: dict[str, int] = field(default_factory=dict)
-    scanned: set[Cell] = field(default_factory=set)
-    discovered: set[Cell] = field(default_factory=set)
-    elapsed: dict[str, float] = field(default_factory=dict)
-    placed_total: int = 0  # running sum of placed_at
+    __slots__ = ("robots", "stock", "placed_at", "scanned", "discovered", "elapsed", "placed_total")
+
+    def __init__(
+        self,
+        robots: dict[str, RobotState],
+        stock: dict[str, int],
+        placed_at: dict[str, int],
+        scanned: set[Cell],
+        discovered: set[Cell],
+        elapsed: dict[str, float],
+        placed_total: int,  # running sum of placed_at
+    ):
+        self.robots = robots
+        self.stock = stock
+        self.placed_at = placed_at
+        self.scanned = scanned
+        self.discovered = discovered
+        self.elapsed = elapsed
+        self.placed_total = placed_total
+
+    def _fields(self) -> tuple:
+        return (self.robots, self.stock, self.placed_at, self.scanned, self.discovered, self.elapsed,
+                self.placed_total)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def copy(self) -> WorldState:
         """An independent snapshot; later steps on either leave the other alone."""
         return WorldState(
-            robots={r: RobotState(rs.location, rs.battery, rs.cargo) for r, rs in self.robots.items()},
-            stock=dict(self.stock),
-            placed_at=dict(self.placed_at),
-            scanned=set(self.scanned),
-            discovered=set(self.discovered),
-            elapsed=dict(self.elapsed),
-            placed_total=self.placed_total,
+            {r: RobotState(rs.location, rs.battery, rs.cargo) for r, rs in self.robots.items()},
+            dict(self.stock),
+            dict(self.placed_at),
+            set(self.scanned),
+            set(self.discovered),
+            dict(self.elapsed),
+            self.placed_total,
         )
 
 
-@dataclass(slots=True)
 class TraceEntry:
     """One executed step with its post-state and costs; read-only by convention."""
 
-    step: PlanStep
-    robot: str
-    location: str
-    battery: float
-    cargo: int
-    placed_total: int
-    placed_here: int  # bricks placed by this step (0 unless BUILD)
-    tu_cost: float
-    du_cost: float
+    __slots__ = ("step", "robot", "location", "battery", "cargo", "placed_total", "placed_here", "tu_cost",
+                 "du_cost")
+
+    def __init__(
+        self,
+        step: PlanStep,
+        robot: str,
+        location: str,
+        battery: float,
+        cargo: int,
+        placed_total: int,
+        placed_here: int,  # bricks placed by this step (0 unless BUILD)
+        tu_cost: float,
+        du_cost: float,
+    ):
+        self.step = step
+        self.robot = robot
+        self.location = location
+        self.battery = battery
+        self.cargo = cargo
+        self.placed_total = placed_total
+        self.placed_here = placed_here
+        self.tu_cost = tu_cost
+        self.du_cost = du_cost
+
+    def _fields(self) -> tuple:
+        return (self.step, self.robot, self.location, self.battery, self.cargo, self.placed_total,
+                self.placed_here, self.tu_cost, self.du_cost)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
 
 
-@dataclass(frozen=True)
 class Trace:
-    entries: tuple[TraceEntry, ...]
-    final: WorldState
-    error: ExecError | None = None
+    __slots__ = ("entries", "final", "error")
+
+    def __init__(self, entries: tuple[TraceEntry, ...], final: WorldState, error: ExecError | None = None):
+        self.entries = entries
+        self.final = final
+        self.error = error
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entries, self.final, self.error) == (other.entries, other.final, other.error)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -90,7 +146,11 @@ def initial_state(s: Scenario) -> WorldState:
     return WorldState(
         robots={r.id: RobotState(r.start_location, r.battery_init, r.cargo_init) for r in s.robots},
         stock=s.stock(),
+        placed_at={},
+        scanned=set(),
+        discovered=set(),
         elapsed={r.id: 0.0 for r in s.robots},
+        placed_total=0,
     )
 
 

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass
 from pathlib import Path
 
 from .executor import execute, makespan
@@ -35,17 +34,31 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    scenario_path: Path
-    supervisors: tuple[str, ...] = ("search-minimal",)
-    max_iters: int = 3
-    budget: int = 4
-    checks: frozenset[ViolationClass] = ALL_CHECKS
-    out_dir: Path = Path("out")
-    seed: int = 0
-    mocks_dir: Path | None = None
-    profiles_path: Path | None = None
+    __slots__ = ("scenario_path", "supervisors", "max_iters", "budget", "checks", "out_dir", "seed", "mocks_dir",
+                 "profiles_path")
+
+    def __init__(
+        self,
+        scenario_path: Path,
+        supervisors: tuple[str, ...] = ("search-minimal",),
+        max_iters: int = 3,
+        budget: int = 4,
+        checks: frozenset[ViolationClass] = ALL_CHECKS,
+        out_dir: Path = Path("out"),
+        seed: int = 0,
+        mocks_dir: Path | None = None,
+        profiles_path: Path | None = None,
+    ):
+        self.scenario_path = scenario_path
+        self.supervisors = supervisors
+        self.max_iters = max_iters
+        self.budget = budget
+        self.checks = checks
+        self.out_dir = out_dir
+        self.seed = seed
+        self.mocks_dir = mocks_dir
+        self.profiles_path = profiles_path
 
     def validate_config(self):
         if not Path(self.scenario_path).exists():

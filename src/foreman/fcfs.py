@@ -9,8 +9,6 @@ coverage reasoning, no post-hoc edits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .executor import TraceEntry, apply_step, initial_state
 from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
 from .repair import reconcile_plan
@@ -27,10 +25,24 @@ class RealizationError(ValueError):
     """An assigned task cannot be lowered to executable plan steps."""
 
 
-@dataclass(frozen=True)
 class Assignment:
-    alpha: tuple[tuple[str, tuple[str, ...]], ...]  # task id -> robot ids
-    theta: tuple[tuple[str, float], ...]  # task id -> start TU
+    __slots__ = ("alpha", "theta")
+
+    def __init__(
+        self,
+        alpha: tuple[tuple[str, tuple[str, ...]], ...],  # task id -> robot ids
+        theta: tuple[tuple[str, float], ...],  # task id -> start TU
+    ):
+        self.alpha = alpha
+        self.theta = theta
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.alpha, self.theta) == (other.alpha, other.theta)
+
+    def __hash__(self):
+        return hash((self.alpha, self.theta))
 
     def to_dict(self) -> dict:
         return {

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -33,17 +32,31 @@ class GatewayError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
 class LlmProfile:
-    name: str
-    role: str  # "generator" | "supervisor"
-    endpoint: str
-    model_name: str
-    temperature: float = 0.2
-    max_tokens: int = 1024
-    stop_tokens: tuple[str, ...] = ()
-    api_key_env: str = ""
-    seed: int | None = None
+    __slots__ = ("name", "role", "endpoint", "model_name", "temperature", "max_tokens", "stop_tokens",
+                 "api_key_env", "seed")
+
+    def __init__(
+        self,
+        name: str,
+        role: str,  # "generator" | "supervisor"
+        endpoint: str,
+        model_name: str,
+        temperature: float = 0.2,
+        max_tokens: int = 1024,
+        stop_tokens: tuple[str, ...] = (),
+        api_key_env: str = "",
+        seed: int | None = None,
+    ):
+        self.name = name
+        self.role = role
+        self.endpoint = endpoint
+        self.model_name = model_name
+        self.temperature = temperature
+        self.max_tokens = max_tokens
+        self.stop_tokens = stop_tokens
+        self.api_key_env = api_key_env
+        self.seed = seed
 
     def is_mock(self) -> bool:
         return self.endpoint.startswith("mock://")

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .executor import execute, makespan
 from .plan import Plan, tokenize_plan
@@ -163,13 +162,15 @@ def meteor(candidate: Tokens, reference: Tokens) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SimilarityScores:
-    bleu: float
-    rouge1: float
-    rouge2: float | None
-    rougeL: float
-    meteor: float
+    __slots__ = ("bleu", "rouge1", "rouge2", "rougeL", "meteor")
+
+    def __init__(self, bleu: float, rouge1: float, rouge2: float | None, rougeL: float, meteor: float):
+        self.bleu = bleu
+        self.rouge1 = rouge1
+        self.rouge2 = rouge2
+        self.rougeL = rougeL
+        self.meteor = meteor
 
     def to_dict(self) -> dict:
         return {
@@ -191,13 +192,17 @@ def similarity(candidate: Tokens, reference: Tokens, smoothing: str | None = Non
     )
 
 
-@dataclass(frozen=True)
 class EvalReport:
-    scores: SimilarityScores | None
-    fr: float
-    edits: EditProfile
-    makespan_tu: float
-    makespan_delta: float
+    __slots__ = ("scores", "fr", "edits", "makespan_tu", "makespan_delta")
+
+    def __init__(
+        self, scores: SimilarityScores | None, fr: float, edits: EditProfile, makespan_tu: float, makespan_delta: float
+    ):
+        self.scores = scores
+        self.fr = fr
+        self.edits = edits
+        self.makespan_tu = makespan_tu
+        self.makespan_delta = makespan_delta
 
 
 def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:

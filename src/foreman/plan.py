@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from typing import NoReturn
 
@@ -60,12 +59,25 @@ GRID_MOVES = {
 }
 
 
-@dataclass(frozen=True)
 class Action:
     """An action kind plus the target location for NAVIGATE."""
 
-    kind: ActionKind
-    target: str | None = None
+    __slots__ = ("kind", "target")
+
+    def __init__(self, kind: ActionKind, target: str | None = None):
+        self.kind = kind
+        self.target = target
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.kind, self.target) == (other.kind, other.target)
+
+    def __hash__(self):
+        return hash((self.kind, self.target))
+
+    def __repr__(self):
+        return f"Action(kind={self.kind!r}, target={self.target!r})"
 
     def token(self) -> str:
         return self.kind.value
@@ -76,7 +88,6 @@ class Action:
         return self.kind.value
 
 
-@dataclass(slots=True)
 class PlanStep:
     """One six-field command record; numeric fields are the *claimed* state.
 
@@ -89,26 +100,64 @@ class PlanStep:
     candidates and edited step lists hold the draft's own steps.  So a step
     is read-only by convention, like ``TraceEntry``.  The one writer is
     ``repair.reconcile_plan``: it fills in the state columns of the steps
-    it has just built and run, before any caller sees them.  A step is not
-    frozen because a frozen init sets each field through
-    ``object.__setattr__``, about five times the cost of a plain one (2.3
-    against 0.45 µs, ``timeit``, 2-core VM), and parsing builds one step
-    per line.
+    it has just built and run, before any caller sees them, which is why a
+    step is mutable.  Two steps are equal when their fields are, and a
+    step has no hash.
     """
 
-    step: int
-    robot: str | None
-    location: str
-    action: Action
-    cargo: int
-    placed: int
-    battery: float
-    coalition: tuple[str, ...] = ()
+    __slots__ = ("step", "robot", "location", "action", "cargo", "placed", "battery", "coalition")
+
+    def __init__(
+        self,
+        step: int,
+        robot: str | None,
+        location: str,
+        action: Action,
+        cargo: int,
+        placed: int,
+        battery: float,
+        coalition: tuple[str, ...] = (),
+    ):
+        self.step = step
+        self.robot = robot
+        self.location = location
+        self.action = action
+        self.cargo = cargo
+        self.placed = placed
+        self.battery = battery
+        self.coalition = coalition
+
+    def _fields(self) -> tuple:
+        return (self.step, self.robot, self.location, self.action, self.cargo, self.placed, self.battery,
+                self.coalition)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        return (
+            f"PlanStep(step={self.step!r}, robot={self.robot!r}, location={self.location!r}, "
+            f"action={self.action!r}, cargo={self.cargo!r}, placed={self.placed!r}, "
+            f"battery={self.battery!r}, coalition={self.coalition!r})"
+        )
 
 
-@dataclass(frozen=True)
 class Plan:
-    steps: tuple[PlanStep, ...]
+    __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[PlanStep, ...]):
+        self.steps = steps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+
+    def __repr__(self):
+        return f"Plan(steps={self.steps!r})"
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cache
 
@@ -60,7 +59,6 @@ class EditKind(Enum):
     Transpose = "transpose"
 
 
-@dataclass(frozen=True)
 class EditOp:
     """One unit-cost edit.
 
@@ -71,10 +69,30 @@ class EditOp:
     never emits those.
     """
 
-    kind: EditKind
-    position: int
-    payload: Action | None = None
-    replaced: Action | None = None
+    __slots__ = ("kind", "position", "payload", "replaced")
+
+    def __init__(self, kind: EditKind, position: int, payload: Action | None = None, replaced: Action | None = None):
+        self.kind = kind
+        self.position = position
+        self.payload = payload
+        self.replaced = replaced
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.position, self.payload, self.replaced)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (
+            f"EditOp(kind={self.kind!r}, position={self.position!r}, "
+            f"payload={self.payload!r}, replaced={self.replaced!r})"
+        )
 
     def render(self) -> str:
         if self.kind is EditKind.Insert:
@@ -88,11 +106,24 @@ class EditOp:
         return f"S{self.position}: ->{self.payload}"
 
 
-@dataclass(frozen=True)
 class EditProfile:
-    insertions: int = 0
-    substitutions: int = 0  # includes substitutions-to-nothing (deletes)
-    reorders: int = 0
+    __slots__ = ("insertions", "substitutions", "reorders")
+
+    def __init__(self, insertions: int = 0, substitutions: int = 0, reorders: int = 0):
+        self.insertions = insertions
+        self.substitutions = substitutions  # includes substitutions-to-nothing (deletes)
+        self.reorders = reorders
+
+    def _fields(self) -> tuple:
+        return (self.insertions, self.substitutions, self.reorders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def to_dict(self) -> dict:
         return {
@@ -102,9 +133,11 @@ class EditProfile:
         }
 
 
-@dataclass(frozen=True)
 class EditScript:
-    ops: tuple[EditOp, ...]
+    __slots__ = ("ops",)
+
+    def __init__(self, ops: tuple[EditOp, ...]):
+        self.ops = ops
 
     @property
     def cost(self) -> int:
@@ -122,13 +155,22 @@ class EditScript:
 EMPTY_SCRIPT = EditScript(())
 
 
-@dataclass(frozen=True)
 class RepairResult:
-    feasible: bool
-    plan: Plan | None
-    script: EditScript | None
-    iterations_used: int  # T_rep
-    report: ViolationReport  # report of the final plan
+    __slots__ = ("feasible", "plan", "script", "iterations_used", "report")
+
+    def __init__(
+        self,
+        feasible: bool,
+        plan: Plan | None,
+        script: EditScript | None,
+        iterations_used: int,  # T_rep
+        report: ViolationReport,  # report of the final plan
+    ):
+        self.feasible = feasible
+        self.plan = plan
+        self.script = script
+        self.iterations_used = iterations_used
+        self.report = report
 
     def to_dict(self) -> dict:
         return {

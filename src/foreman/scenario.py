@@ -13,9 +13,8 @@ import heapq
 import itertools
 import json
 import math
-from dataclasses import dataclass
+import warnings
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 from .plan import Action, ActionKind, GRID_MOVES
@@ -65,7 +64,6 @@ def parse_cell(loc: str) -> Cell | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SiteMap:
     """Either a named location graph or a rectangular grid.
 
@@ -79,16 +77,27 @@ class SiteMap:
     a route starts from one of ``locations()``.
     """
 
-    kind: str  # "named_graph" | "grid"
-    nodes: tuple[str, ...] = ()
-    edges: tuple[tuple[str, str, float], ...] = ()  # undirected, weight in DU
-    width: int = 0
-    height: int = 0
-    blocked: frozenset[Cell] = frozenset()
-    no_go: frozenset[str] = frozenset()
-    chargers: frozenset[str] = frozenset()
+    __slots__ = ("kind", "nodes", "edges", "width", "height", "blocked", "no_go", "chargers", "_hops", "_trees")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        kind: str,  # "named_graph" | "grid"
+        nodes: tuple[str, ...] = (),
+        edges: tuple[tuple[str, str, float], ...] = (),  # undirected, weight in DU
+        width: int = 0,
+        height: int = 0,
+        blocked: frozenset[Cell] = frozenset(),
+        no_go: frozenset[str] = frozenset(),
+        chargers: frozenset[str] = frozenset(),
+    ):
+        self.kind = kind
+        self.nodes = nodes
+        self.edges = edges
+        self.width = width
+        self.height = height
+        self.blocked = blocked
+        self.no_go = no_go
+        self.chargers = chargers
         if self.is_grid():
             free = self.traversable_cells()
             hops = {
@@ -100,8 +109,8 @@ class SiteMap:
             for u, v, w in self.edges:
                 if w < hops[u].get(v, math.inf):
                     hops[u][v] = hops[v][u] = w
-        object.__setattr__(self, "_hops", hops)  # frozen, and neither is a field
-        object.__setattr__(self, "_trees", {})
+        self._hops = hops
+        self._trees = {}
 
     def is_grid(self) -> bool:
         return self.kind == "grid"
@@ -199,30 +208,53 @@ class SiteMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class RobotSpec:
-    id: str
-    skills: frozenset[ActionKind]
-    payload_capacity: int
-    battery_max: float
-    battery_init: float
-    start_location: str
-    cargo_init: int = 0
+    __slots__ = ("id", "skills", "payload_capacity", "battery_max", "battery_init", "start_location", "cargo_init")
+
+    def __init__(
+        self,
+        id: str,
+        skills: frozenset[ActionKind],
+        payload_capacity: int,
+        battery_max: float,
+        battery_init: float,
+        start_location: str,
+        cargo_init: int = 0,
+    ):
+        self.id = id
+        self.skills = skills
+        self.payload_capacity = payload_capacity
+        self.battery_max = battery_max
+        self.battery_init = battery_init
+        self.start_location = start_location
+        self.cargo_init = cargo_init
 
 
-@dataclass(frozen=True)
 class TaskSpec:
-    id: str
-    type: ActionKind
-    required_skills: frozenset[ActionKind]
-    location: str
-    demand: int
-    duration: float
+    __slots__ = ("id", "type", "required_skills", "location", "demand", "duration")
+
+    def __init__(
+        self,
+        id: str,
+        type: ActionKind,
+        required_skills: frozenset[ActionKind],
+        location: str,
+        demand: int,
+        duration: float,
+    ):
+        self.id = id
+        self.type = type
+        self.required_skills = required_skills
+        self.location = location
+        self.demand = demand
+        self.duration = duration
 
 
-@dataclass(frozen=True)
 class PrecedenceDag:
-    edges: frozenset[tuple[str, str]]  # (before, after)
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: frozenset[tuple[str, str]]):
+        self.edges = edges  # (before, after)
 
     def topological_order(self, task_ids: list[str]) -> list[str] | None:
         """Kahn's algorithm, lowest declaration index first among ready tasks; None on cycle."""
@@ -244,36 +276,57 @@ class PrecedenceDag:
         return order if len(order) == len(task_ids) else None
 
 
-@dataclass(frozen=True)
 class CostModel:
-    battery_per_du: float = 25.0
-    tu_per_du: float = 1.0
-    pick_build_tu_per_3mu: float = 1.0
-    recharge_tu: float = 1.0
-    scan_tu_per_su: float = 1.0
-    scan_footprint: ScanFootprint = ScanFootprint.RowColLos
+    __slots__ = ("battery_per_du", "tu_per_du", "pick_build_tu_per_3mu", "recharge_tu", "scan_tu_per_su",
+                 "scan_footprint")
+
+    def __init__(
+        self,
+        battery_per_du: float = 25.0,
+        tu_per_du: float = 1.0,
+        pick_build_tu_per_3mu: float = 1.0,
+        recharge_tu: float = 1.0,
+        scan_tu_per_su: float = 1.0,
+        scan_footprint: ScanFootprint = ScanFootprint.RowColLos,
+    ):
+        self.battery_per_du = battery_per_du
+        self.tu_per_du = tu_per_du
+        self.pick_build_tu_per_3mu = pick_build_tu_per_3mu
+        self.recharge_tu = recharge_tu
+        self.scan_tu_per_su = scan_tu_per_su
+        self.scan_footprint = scan_footprint
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    instruction: str
-    site: SiteMap
-    robots: tuple[RobotSpec, ...]
-    tasks: tuple[TaskSpec, ...]
-    dag: PrecedenceDag
-    cost: CostModel
-    resources: tuple[tuple[str, int], ...]  # (location, available MU)
-    safety_rules: tuple[str, ...] = ()
+    """A loaded scenario.  ``_monitors`` holds the validator's monitors of it,
+    by check set (``Monitor.of``)."""
 
-    @cached_property
-    def _robots_by_id(self) -> dict[str, RobotSpec]:
-        return {r.id: r for r in self.robots}
+    __slots__ = ("name", "instruction", "site", "robots", "tasks", "dag", "cost", "resources", "safety_rules",
+                 "_robots_by_id", "_monitors")
 
-    @cached_property
-    def _monitors(self) -> dict:
-        """The validator's monitors of this scenario, by check set (``Monitor.of``)."""
-        return {}
+    def __init__(
+        self,
+        name: str,
+        instruction: str,
+        site: SiteMap,
+        robots: tuple[RobotSpec, ...],
+        tasks: tuple[TaskSpec, ...],
+        dag: PrecedenceDag,
+        cost: CostModel,
+        resources: tuple[tuple[str, int], ...],  # (location, available MU)
+        safety_rules: tuple[str, ...] = (),
+    ):
+        self.name = name
+        self.instruction = instruction
+        self.site = site
+        self.robots = robots
+        self.tasks = tasks
+        self.dag = dag
+        self.cost = cost
+        self.resources = resources
+        self.safety_rules = safety_rules
+        self._robots_by_id = {r.id: r for r in robots}
+        self._monitors = {}
 
     def robot(self, robot_id: str) -> RobotSpec:
         return self._robots_by_id[robot_id]
@@ -569,10 +622,8 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
     all_skills = frozenset().union(*(r.skills for r in robots)) if robots else frozenset()
     for t in tasks:
         if not t.required_skills <= all_skills:
-            import logging  # here, not at the top: a cold ``foreman validate`` need not load it
-
             missing = sorted(k.value for k in t.required_skills - all_skills)
-            logging.getLogger(__name__).warning("task %s requires skills no robot offers: %s", t.id, missing)
+            warnings.warn(f"task {t.id} requires skills no robot offers: {missing}")
     return scenario
 
 

@@ -17,7 +17,6 @@ first matching action at their location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 
 from .executor import Trace, TraceEntry, WorldState, execute
@@ -55,23 +54,49 @@ class HintKind(Enum):
     ReassignRobot = "reassign_robot"
 
 
-@dataclass(frozen=True)
 class FixHint:
-    kind: HintKind
-    anchor_step: int
-    suggested_action: ActionKind | None = None
+    __slots__ = ("kind", "anchor_step", "suggested_action")
+
+    def __init__(self, kind: HintKind, anchor_step: int, suggested_action: ActionKind | None = None):
+        self.kind = kind
+        self.anchor_step = anchor_step
+        self.suggested_action = suggested_action
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.anchor_step, self.suggested_action)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def render(self) -> str:
         what = f" {self.suggested_action.value}" if self.suggested_action else ""
         return f"{self.kind.value}{what} @ step {self.anchor_step}"
 
 
-@dataclass(frozen=True)
 class Violation:
-    cls: ViolationClass
-    step: int | None
-    detail: str
-    hint: FixHint | None = None
+    __slots__ = ("cls", "step", "detail", "hint")
+
+    def __init__(self, cls: ViolationClass, step: int | None, detail: str, hint: FixHint | None = None):
+        self.cls = cls
+        self.step = step
+        self.detail = detail
+        self.hint = hint
+
+    def _fields(self) -> tuple:
+        return (self.cls, self.step, self.detail, self.hint)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def render(self) -> str:
         where = f"step {self.step}" if self.step is not None else "plan"
@@ -81,13 +106,33 @@ class Violation:
         return line
 
 
-@dataclass(frozen=True)
 class ViolationReport:
-    violations: tuple[Violation, ...]
-    checks_run: frozenset[ViolationClass]
-    checks_completed: bool
-    psi: int
-    feasible: bool
+    __slots__ = ("violations", "checks_run", "checks_completed", "psi", "feasible")
+
+    def __init__(
+        self,
+        violations: tuple[Violation, ...],
+        checks_run: frozenset[ViolationClass],
+        checks_completed: bool,
+        psi: int,
+        feasible: bool,
+    ):
+        self.violations = violations
+        self.checks_run = checks_run
+        self.checks_completed = checks_completed
+        self.psi = psi
+        self.feasible = feasible
+
+    def _fields(self) -> tuple:
+        return (self.violations, self.checks_run, self.checks_completed, self.psi, self.feasible)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def by_class(self, cls: ViolationClass) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.cls == cls)
@@ -155,15 +200,24 @@ _EXEC_ERROR_CLASS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(slots=True)
 class CheckState:
     """What the checks carry from one executed step to the next."""
 
-    index: int = 0  # trace entries seen
-    last_step: int = 0  # step number of the last entry seen
-    placed_at: dict[str, int] = field(default_factory=dict)
-    done: dict[str, tuple[int, int]] = field(default_factory=dict)  # task id -> (trace index, step number)
-    doomed: bool = False  # a task completed before a prerequisite
+    __slots__ = ("index", "last_step", "placed_at", "done", "doomed")
+
+    def __init__(
+        self,
+        index: int = 0,  # trace entries seen
+        last_step: int = 0,  # step number of the last entry seen
+        placed_at: dict[str, int] | None = None,
+        done: dict[str, tuple[int, int]] | None = None,  # task id -> (trace index, step number)
+        doomed: bool = False,  # a task completed before a prerequisite
+    ):
+        self.index = index
+        self.last_step = last_step
+        self.placed_at = {} if placed_at is None else placed_at
+        self.done = {} if done is None else done
+        self.doomed = doomed
 
     def copy(self) -> CheckState:
         return CheckState(self.index, self.last_step, dict(self.placed_at), dict(self.done), self.doomed)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -14,7 +13,7 @@ from foreman.cli import main
 from foreman.gateway import GatewayError, MockProvider
 from foreman.plan import parse_plan
 from foreman.scenario import load_scenario
-from foreman.validator import ALL_CHECKS, validate
+from foreman.validator import ALL_CHECKS, ViolationReport, validate
 from test_scenario import _MALFORMED, _minimal_doc
 
 
@@ -279,7 +278,8 @@ def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
 def test_repair_winner_failing_validation_is_an_internal_error(runner, fix_dir, monkeypatch):
     # a validator that disagrees with the search's monitor on every plan
     def disagreeing(s, plan, checks=ALL_CHECKS, *, trace=None):
-        return dataclasses.replace(validate(s, plan, checks, trace=trace), feasible=False)
+        r = validate(s, plan, checks, trace=trace)
+        return ViolationReport(r.violations, r.checks_run, r.checks_completed, r.psi, feasible=False)
 
     monkeypatch.setattr(repair, "validate", disagreeing)
     p = _paths(fix_dir)
@@ -418,20 +418,24 @@ def _fresh(*args: str) -> subprocess.CompletedProcess:
 
 
 def test_a_cold_cli_imports_only_what_validate_runs(runner, fix_dir):
-    # what the import adds beyond what `site` loaded first, by top-level name,
-    # outside the standard library and foreman
+    # what the import adds beyond what `site` loaded first, by top-level name:
+    # outside the standard library and foreman, then `dataclasses` and `inspect`
     code = (
         "import sys; before = set(sys.modules); import foreman.cli;"
         " added = {m.split('.')[0] for m in set(sys.modules) - before};"
         " print('logging' in sys.modules, sorted(added - sys.stdlib_module_names - {'foreman'}),"
+        " sorted(added & {'dataclasses', 'inspect'}),"
         " ' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'foreman')))"
     )
     loaded = _fresh("-c", code)
     assert loaded.returncode == 0, loaded.stderr
-    # scenario.py imports logging only where it warns: the module alone
-    # costs a cold validate about 2 ms
+    # The loader warns through `warnings`, which `site` loads, not `logging`
+    # (about 2 ms of a cold validate).  The records are slotted classes, not
+    # dataclasses: `dataclasses` pulls in `inspect`, `ast`, `dis` and
+    # `tokenize` (about 4 ms), and building each class costs more on top.
     assert loaded.stdout.split() == [
         b"False",
+        b"[]",
         b"[]",
         b"foreman", b"foreman.cli", b"foreman.executor", b"foreman.plan", b"foreman.scenario", b"foreman.validator",
     ]
@@ -440,6 +444,21 @@ def test_a_cold_cli_imports_only_what_validate_runs(runner, fix_dir):
     warm = runner.invoke(main, ["validate", p["wall"], p["wall_draft"]])
     assert cold.returncode == warm.exit_code == 3, cold.stderr
     assert cold.stdout == warm.stdout_bytes
+
+
+def test_no_foreman_module_loads_dataclasses():
+    code = (
+        "import importlib, pathlib, sys; before = set(sys.modules); import foreman;"
+        " names = sorted(p.stem for p in pathlib.Path(foreman.__file__).parent.glob('*.py') if p.stem != '__init__');"
+        " [importlib.import_module('foreman.' + n) for n in names];"
+        " print(' '.join(names), 'dataclasses' in set(sys.modules) - before)"
+    )
+    loaded = _fresh("-c", code)
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.split() == [
+        b"cli", b"executor", b"experiment", b"fcfs", b"gateway", b"metrics", b"plan", b"repair", b"scenario",
+        b"validator", b"False",
+    ]
 
 
 def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
@@ -457,6 +476,29 @@ def test_every_subcommand_runs_from_a_fresh_interpreter(runner, fix_dir):
 _CHECKS_BOGUS = (
     "error: unknown check class 'bogus' (valid: precedence, capability, capacity, battery, safety, schema, coverage)"
 )
+
+
+def _scan_b(fix_dir, tmp_path) -> str:
+    """The wall document plus a SCAN task at B that no robot can do, written under ``tmp_path``."""
+    doc = json.loads(Path(_paths(fix_dir)["wall"]).read_text(encoding="utf-8"))
+    doc["tasks"].append({"id": "scan_b", "type": "SCAN", "required_skills": ["SCAN"], "location": "B"})
+    path = tmp_path / "scan_b.scn.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def test_a_loader_warning_is_one_warning_line(runner, fix_dir, tmp_path):
+    path = _scan_b(fix_dir, tmp_path)
+    stderr = (
+        "warning: task scan_b requires skills no robot offers: ['SCAN']\n"
+        "error: no single robot covers the skills of task 'scan_b'\n"
+    )
+    res = runner.invoke(main, ["fcfs", path])
+    assert res.exit_code == 1 and res.stdout_bytes == b""
+    assert res.output == stderr
+    cold = _fresh("-m", "foreman.cli", "fcfs", path)
+    assert cold.returncode == 1 and cold.stdout == b""
+    assert cold.stderr.decode() == stderr
 
 
 # (command, last line of stderr) for error paths that exit 1; the paths name the
@@ -480,9 +522,7 @@ _ERRORS = [
 def test_error_paths_exit_1_with_one_error_line(runner, fix_dir, tmp_path, command, last_line):
     (tmp_path / "bad.plan").write_text("STEP 1, garbage\n", encoding="utf-8")
     (tmp_path / "a_dir").mkdir()
-    doc = json.loads(Path(_paths(fix_dir)["wall"]).read_text(encoding="utf-8"))
-    doc["tasks"].append({"id": "scan_b", "type": "SCAN", "required_skills": ["SCAN"], "location": "B"})
-    (tmp_path / "scan_b.scn.json").write_text(json.dumps(doc), encoding="utf-8")
+    _scan_b(fix_dir, tmp_path)
     written = ("bad.plan", "missing.plan", "a_dir", "scan_b.scn.json")
     names = dict(_paths(fix_dir), **{n: str(tmp_path / n) for n in written})
     args = [names.get(a, a) for a in command.split()]
@@ -491,5 +531,5 @@ def test_error_paths_exit_1_with_one_error_line(runner, fix_dir, tmp_path, comma
     res = runner.invoke(main, args)
     assert res.exit_code == 1 and isinstance(res.exception, SystemExit), res.output
     assert res.stdout_bytes == b""
-    # only the last line: the loader's logging warning may also reach stderr
+    # only the last line: a loader warning may come first
     assert res.output.splitlines()[-1] == last_line.format(missing=names["missing.plan"], a_dir=names["a_dir"])

@@ -1,6 +1,5 @@
 import collections
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -284,7 +283,8 @@ def test_two_robots_take_turns_by_elapsed_then_id():
         for r in order:
             if own[r]:
                 counts[r] += 1
-                lines.append(replace(own[r].pop(0), step=counts[r]))
+                t = own[r].pop(0)
+                lines.append(PlanStep(counts[r], t.robot, t.location, t.action, t.cargo, t.placed, t.battery, t.coalition))
         plan = Plan(tuple(lines))
         trace = execute(three, plan)
         left = {r: [st for st in plan.steps if st.robot == r] for r in ("r1", "r2")}

@@ -2,7 +2,6 @@ import hashlib
 import http.server
 import json
 import threading
-from dataclasses import replace
 
 import pytest
 
@@ -260,7 +259,11 @@ def stub(monkeypatch):
 def test_live_transport_returns_completion(stub, monkeypatch):
     profile_for, seen = stub
     monkeypatch.setenv("FOREMAN_STUB_KEY", "k1")
-    profile = replace(profile_for("/v1/chat", (200, _completion("STEP 1"))), api_key_env="FOREMAN_STUB_KEY", seed=7)
+    p = profile_for("/v1/chat", (200, _completion("STEP 1")))
+    profile = LlmProfile(
+        p.name, p.role, p.endpoint, p.model_name, p.temperature, p.max_tokens, p.stop_tokens,
+        api_key_env="FOREMAN_STUB_KEY", seed=7,
+    )
     assert Gateway().complete(profile, "the prompt") == "STEP 1"
     [(path, payload, auth)] = seen
     assert path == "/v1/chat" and auth == "Bearer k1"

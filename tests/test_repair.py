@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import itertools
@@ -14,7 +13,7 @@ from foreman import fcfs, repair, validator
 from foreman.executor import WorldState, execute, makespan
 from foreman.experiment import battery_pressured_batch
 from foreman.fcfs import fcfs_schedule
-from foreman.plan import Action, ActionKind, Plan, parse_plan, serialize_plan
+from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
 from foreman.repair import (
     EditKind,
     EditOp,
@@ -443,7 +442,10 @@ def test_apply_script_is_pinned_on_random_op_lists(wall, grid, wall_draft, grid_
 
 
 def _snapshot(steps):
-    return [dataclasses.astuple(t) for t in steps]
+    return [
+        (t.step, t.robot, t.location, (t.action.kind, t.action.target), t.cargo, t.placed, t.battery, t.coalition)
+        for t in steps
+    ]
 
 
 def test_shared_steps_are_never_mutated(wall, grid, wall_draft, grid_draft, monkeypatch):
@@ -598,7 +600,9 @@ def test_search_exhausts_its_budget_on_a_two_robot_plan():
 
 def test_search_of_a_robot_outside_the_roster_finds_nothing(wall, wall_draft):
     # every edited plan keeps the draft's labels, so none can execute
-    draft = Plan(tuple(dataclasses.replace(t, robot="r9") for t in wall_draft.steps))
+    draft = Plan(tuple(
+        PlanStep(t.step, "r9", t.location, t.action, t.cargo, t.placed, t.battery, t.coalition) for t in wall_draft.steps
+    ))
     result = minimal_edit_repair(wall, draft, budget=2)
     assert not result.feasible
     assert result.script is None and result.plan is None
