@@ -78,11 +78,11 @@ class WorldState:
         """An independent snapshot; later steps on either leave the other alone."""
         return WorldState(
             {r: RobotState(rs.location, rs.battery, rs.cargo) for r, rs in self.robots.items()},
-            dict(self.stock),
-            dict(self.placed_at),
-            set(self.scanned),
-            set(self.discovered),
-            dict(self.elapsed),
+            self.stock.copy(),
+            self.placed_at.copy(),
+            self.scanned.copy(),
+            self.discovered.copy(),
+            self.elapsed.copy(),
             self.placed_total,
         )
 
@@ -144,13 +144,13 @@ class Trace:
 
 def initial_state(s: Scenario) -> WorldState:
     return WorldState(
-        robots={r.id: RobotState(r.start_location, r.battery_init, r.cargo_init) for r in s.robots},
-        stock=s.stock(),
-        placed_at={},
-        scanned=set(),
-        discovered=set(),
-        elapsed={r.id: 0.0 for r in s.robots},
-        placed_total=0,
+        {r.id: RobotState(r.start_location, r.battery_init, r.cargo_init) for r in s.robots},
+        s.stock(),
+        {},
+        set(),
+        set(),
+        {r.id: 0.0 for r in s.robots},
+        0,
     )
 
 
@@ -235,17 +235,7 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         raise ExecError(robot_id, step.step, "bad_action", f"unsupported action {kind.value}")
 
     world.elapsed[robot_id] += tu
-    return TraceEntry(
-        step=step,
-        robot=robot_id,
-        location=rs.location,
-        battery=rs.battery,
-        cargo=rs.cargo,
-        placed_total=world.placed_total,
-        placed_here=placed_here,
-        tu_cost=tu,
-        du_cost=du,
-    )
+    return TraceEntry(step, robot_id, rs.location, rs.battery, rs.cargo, world.placed_total, placed_here, tu, du)
 
 
 def bind(s: Scenario, labels: Iterable[str | None]) -> dict[str | None, str]:
@@ -264,9 +254,12 @@ def execute(s: Scenario, plan: Plan) -> Trace:
     keep their line order.  While two or more robots have steps left they
     take turns by (elapsed time so far, robot id), so shared stockpiles
     decrement consistently; then the last robot's steps run in line order.
-    So when every label binds to one robot, execution order is line order.
+    So when every label binds to one robot, execution order is line order,
+    and that robot runs the plan's own step tuple: nothing is queued.
     On an impossible transition the partial Trace is returned with
-    ``error`` set.
+    ``error`` set.  That ExecError carries no traceback: its frames would
+    reach the caller's, which keeps the Trace, and leave a reference cycle
+    per rejected plan for the garbage collector.
     """
     world = initial_state(s)
     steps = plan.steps
@@ -274,9 +267,14 @@ def execute(s: Scenario, plan: Plan) -> Trace:
         bound = bind(s, {step.robot for step in steps})
     except ValueError as e:  # an unlabelled step, so there is a first step
         return Trace(entries=(), final=world, error=ExecError(None, steps[0].step, "bad_action", str(e)))
-    queues: dict[str, deque[PlanStep]] = {}
-    for step in steps:
-        queues.setdefault(bound[step.robot], deque()).append(step)
+    robots = set(bound.values())
+    # robot -> the steps it has left, in line order
+    queues: dict[str, deque[PlanStep] | tuple[PlanStep, ...]] = {}
+    if len(robots) == 1:
+        queues[robots.pop()] = steps
+    else:
+        for step in steps:
+            queues.setdefault(bound[step.robot], deque()).append(step)
     elapsed = world.elapsed
     entries: list[TraceEntry] = []
     try:
@@ -291,8 +289,8 @@ def execute(s: Scenario, plan: Plan) -> Trace:
             for step in queue:
                 entries.append(apply_step(s, world, step, robot))
     except ExecError as e:
-        return Trace(entries=tuple(entries), final=world, error=e)
-    return Trace(entries=tuple(entries), final=world)
+        return Trace(tuple(entries), world, e.with_traceback(None))
+    return Trace(tuple(entries), world)
 
 
 def makespan(trace: Trace) -> float:

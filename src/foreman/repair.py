@@ -381,14 +381,15 @@ def _survivors(
     state that reached it, and ``moves`` maps a state and a step code to
     the next state, or to FAILS when the step raises ExecError, violates a
     checked class or dooms a precedence edge.  A missing entry is filled by
-    running the step on copies of that pair, so each distinct transition
-    runs once per search; a failed one drops the branch with every script
-    that extends it.  At the end of the draft the monitor's ``final`` on
-    the interned pair alone decides feasibility (a state that is not doomed
-    never fails its order check), so the walk keeps exactly the scripts
-    that ``apply_script`` plus ``validate`` find feasible.  Keeping a step
-    moves the walk's own state, so the recursion is only as deep as the
-    edit count.
+    running the step on a copy of that world, and the check state is copied
+    only once the step ran, so a step that raises ExecError copies no check
+    state.  Each distinct transition runs once per search; a failed one
+    drops the branch with every script that extends it.  At the end of the
+    draft the monitor's ``final`` on the interned pair alone decides
+    feasibility (a state that is not doomed never fails its order check),
+    so the walk keeps exactly the scripts that ``apply_script`` plus
+    ``validate`` find feasible.  Keeping a step moves the walk's own
+    state, so the recursion is only as deep as the edit count.
 
     A walk node is its gap, whether a transposed step is pending, and its
     state.  ``dead`` holds, for every level of the search, the most edits
@@ -475,21 +476,25 @@ def _survivors(
             moves.extend([UNSEEN] * width)
         return sid
 
+    def fill(sid: int, c: int) -> int:
+        """Run step ``c`` from state ``sid`` and record the state it
+        reaches, or FAILS."""
+        world, state = worlds[sid]
+        world = world.copy()
+        try:
+            entry = apply_step(s, world, runs[c], robot)
+        except ExecError:
+            nxt = FAILS
+        else:
+            state = state.copy()
+            nxt = FAILS if monitor.step(state, entry) or state.doomed else intern(world, state)
+        moves[sid * width + c] = nxt
+        return nxt
+
     def move(sid: int, c: int) -> int:
         """The state after step ``c`` from state ``sid``, or FAILS."""
-        i = sid * width + c
-        nxt = moves[i]
-        if nxt == UNSEEN:
-            world, state = worlds[sid]
-            world, state = world.copy(), state.copy()
-            try:
-                entry = apply_step(s, world, runs[c], robot)
-            except ExecError:
-                nxt = FAILS
-            else:
-                nxt = FAILS if monitor.step(state, entry) or state.doomed else intern(world, state)
-            moves[i] = nxt
-        return nxt
+        nxt = moves[sid * width + c]
+        return fill(sid, c) if nxt == UNSEEN else nxt
 
     def feasible(sid: int, ops: tuple[int, ...]) -> bool:
         """Whether the edited plan, at the end of the draft, is feasible:
@@ -516,8 +521,11 @@ def _survivors(
                         break
                     entered.append((key, alive))
                 if left:
+                    row = sid * width
                     for op, c in inserts_at[g]:
-                        nxt = move(sid, c)
+                        nxt = moves[row + c]
+                        if nxt == UNSEEN:
+                            nxt = fill(sid, c)
                         if nxt != FAILS:
                             walk(g, nxt, ops + (op,), left - 1, pending)
                 if pending is not None:  # the code of the first step of a transposed pair
@@ -534,8 +542,11 @@ def _survivors(
                             found.append(ops)
                     break
                 if left:
+                    row = sid * width
                     for op, c in subs_at[g]:
-                        nxt = move(sid, c)
+                        nxt = moves[row + c]
+                        if nxt == UNSEEN:
+                            nxt = fill(sid, c)
                         if nxt != FAILS:
                             walk(g + 1, nxt, ops + (op,), left - 1, None)
                     if swaps_at[g] is not None:

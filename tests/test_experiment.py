@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 
 import pytest
 
@@ -57,7 +58,11 @@ def test_report_bytes_are_pinned(fix_dir, tmp_path, case):
     else:
         scenario_path = fix_dir / f"{case}.scn.json"
     out = tmp_path / "out"
-    summary = run_experiment(ExperimentConfig(scenario_path, supervisors=_SUPERVISORS, out_dir=out))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        summary = run_experiment(ExperimentConfig(scenario_path, supervisors=_SUPERVISORS, out_dir=out))
+    notes = ["task scan_b requires skills no robot offers: ['SCAN']"] if case == "fcfs_fails" else []
+    assert [str(w.message) for w in caught] == notes
     digests = tuple(_sha256((out / name).read_bytes()) for name in _REPORTS)
     digests += (_sha256(json.dumps(summary, sort_keys=True).encode()),)
     assert digests == _PINNED[case]

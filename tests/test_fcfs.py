@@ -91,7 +91,9 @@ def test_two_independent_tasks_two_robots_both_go_to_lowest_id():
 
 def test_unassignable_task():
     robots = [{"id": "r1", "skills": ["NAVIGATE"], "payload_capacity": 0, "start_location": "C"}]
-    s = _world([{"id": "t1", "type": "INSPECT", "required_skills": ["INSPECT"], "location": "B"}], [], robots=robots)
+    with pytest.warns(UserWarning) as caught:
+        s = _world([{"id": "t1", "type": "INSPECT", "required_skills": ["INSPECT"], "location": "B"}], [], robots=robots)
+    assert [str(w.message) for w in caught] == ["task t1 requires skills no robot offers: ['INSPECT']"]
     with pytest.raises(UnassignableTask):
         fcfs_schedule(s)
 
@@ -279,25 +281,41 @@ def _seeded_scenarios(wall, grid):
 _SEEDED_PLANS_SHA256 = "ddc92cc3b75338589ed48c19386a0501980d08294b3fa905fdc1e2485f197252"
 
 
+def _uncoverable(s):
+    """The loader's note for each task of ``s`` that needs a skill no robot offers."""
+    offered = frozenset().union(*(r.skills for r in s.robots))
+    return [
+        f"task {t.id} requires skills no robot offers: {sorted(k.value for k in t.required_skills - offered)}"
+        for t in s.tasks
+        if not t.required_skills <= offered
+    ]
+
+
 def test_fcfs_theta_is_a_prefix_sum_of_the_executed_costs(wall, grid):
     digest = hashlib.sha256()
     single = 0
-    for s in _seeded_scenarios(wall, grid):
-        try:
-            assignment, plan = fcfs_schedule(s)
-        except (UnassignableTask, RealizationError) as e:
-            digest.update(f"{s.name}: error: {e}\n".encode())
-            continue
-        digest.update(f"{s.name}:\n{serialize_plan(plan)}".encode())
-        if len(s.robots) > 1:
-            continue  # robots take turns when run, while FCFS keeps one clock
-        trace = execute(s, plan)
-        assert trace.error is None, s.name
-        sums = {0.0, *itertools.accumulate(e.tu_cost for e in trace.entries)}
-        assert all(start in sums for _, start in assignment.theta), s.name
-        single += 1
+    notes = []  # what the loader should have warned, scenario by scenario
+    with pytest.warns(UserWarning) as caught:
+        for s in _seeded_scenarios(wall, grid):
+            notes += _uncoverable(s)
+            try:
+                assignment, plan = fcfs_schedule(s)
+            except (UnassignableTask, RealizationError) as e:
+                digest.update(f"{s.name}: error: {e}\n".encode())
+                continue
+            digest.update(f"{s.name}:\n{serialize_plan(plan)}".encode())
+            if len(s.robots) > 1:
+                continue  # robots take turns when run, while FCFS keeps one clock
+            trace = execute(s, plan)
+            assert trace.error is None, s.name
+            sums = {0.0, *itertools.accumulate(e.tu_cost for e in trace.entries)}
+            assert all(start in sums for _, start in assignment.theta), s.name
+            single += 1
     assert single > 150
     assert digest.hexdigest() == _SEEDED_PLANS_SHA256
+    # a seeded scenario warns exactly when one of its tasks needs a skill no robot has
+    assert [str(w.message) for w in caught] == notes
+    assert len(notes) == 31  # 16 distinct texts
 
 
 @pytest.mark.parametrize(

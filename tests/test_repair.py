@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import itertools
@@ -511,21 +512,24 @@ def test_runtime_budgets(wall, grid, wall_draft, grid_draft, monkeypatch):
     assert time.monotonic() - t0 < 2.0
     assert not result.feasible
     # six edits repair it: a charge in the second trip and a fifth trip at the end
-    finals = 0
-    final = validator.Monitor.final
+    calls = collections.Counter()
 
-    def counted(*args):
-        nonlocal finals
-        finals += 1
-        return final(*args)
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
 
-    monkeypatch.setattr(validator.Monitor, "final", counted)
+        return call
+
+    monkeypatch.setattr(validator.Monitor, "final", counted("final", validator.Monitor.final))
+    monkeypatch.setattr(repair, "apply_step", counted("apply_step", repair.apply_step))
     t0 = time.monotonic()
     result = minimal_edit_repair(_wall5(), wall_draft, budget=6)
     elapsed = time.monotonic() - t0
     # the walk's work without a clock: re-walking subtrees already shown dead
-    # (a `>` for `>=` in the dead check) calls `final` 73,438 times instead
-    assert finals == 275
+    # (a `>` for `>=` in the dead check) calls `final` 73,438 times instead,
+    # and each transition the walk fills runs one step, once per search
+    assert calls == {"final": 275, "apply_step": 829}
     assert elapsed < 1.0
     assert result.script.render() == (
         "S7: MOVE_C (+); S7: CHARGE (+); S19: MOVE_S (+); S19: PICK (+); S19: MOVE_C->MOVE_B; S20: CHARGE->BUILD"

@@ -127,7 +127,7 @@ def test_uncoverable_skills_warns_but_loads():
     with pytest.warns(UserWarning) as caught:
         s = load_scenario_dict(doc)
     assert s.tasks[0].id == "t1"
-    assert any("BUILD" in str(w.message) for w in caught)
+    assert [str(w.message) for w in caught] == ["task t1 requires skills no robot offers: ['BUILD']"]
 
 
 def test_malformed_json_is_parse_error(tmp_path):
