@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
-from .plan import ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
+from .plan import BUILD, CHARGE, GRID_MOVES, MOVE_TARGETS, NAVIGATE, PICK, Plan, PlanStep, SCAN
 from .scenario import Cell, Scenario, cell_id, parse_cell
 
 
@@ -169,13 +169,13 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
     tu = 0.0
     placed_here = 0
 
-    if kind in MOVE_TARGETS or kind is ActionKind.NAVIGATE:
-        target = step.action.target if kind is ActionKind.NAVIGATE else MOVE_TARGETS[kind]
+    if kind in MOVE_TARGETS or kind is NAVIGATE:
+        target = step.action.target if kind is NAVIGATE else MOVE_TARGETS[kind]
         if s.site.is_grid():
             raise ExecError(robot_id, step.step, "bad_move", f"{kind.value} is not a grid move")
         if target == rs.location:
             raise ExecError(robot_id, step.step, "bad_move", f"already at {target}")
-        if kind is ActionKind.NAVIGATE:
+        if kind is NAVIGATE:
             dist = s.site.shortest_path_du(rs.location, target)
             if dist is None:
                 raise ExecError(robot_id, step.step, "bad_move", f"no route {rs.location} -> {target}")
@@ -202,7 +202,7 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         rs.location = cell_id(nxt)
         rs.battery -= cost.battery_per_du
         tu = cost.tu_per_du
-    elif kind is ActionKind.PICK:
+    elif kind is PICK:
         if rs.location not in world.stock:
             raise ExecError(robot_id, step.step, "bad_pick", f"no stockpile at {rs.location}")
         moved = min(3, s.robot(robot_id).payload_capacity - rs.cargo, world.stock[rs.location])
@@ -210,7 +210,7 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         rs.cargo += moved
         world.stock[rs.location] -= moved
         tu = cost.pick_build_tu_per_3mu if moved > 0 else 0.0
-    elif kind is ActionKind.BUILD:
+    elif kind is BUILD:
         moved = min(3, rs.cargo)
         rs.cargo -= moved
         if moved > 0:
@@ -218,21 +218,19 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
             world.placed_total += moved
         placed_here = moved
         tu = cost.pick_build_tu_per_3mu if moved > 0 else 0.0
-    elif kind is ActionKind.CHARGE:
+    elif kind is CHARGE:
         if rs.location not in s.site.chargers:
             raise ExecError(robot_id, step.step, "bad_charge", f"no charging station at {rs.location}")
         rs.battery = s.robot(robot_id).battery_max
         tu = cost.recharge_tu
-    elif kind is ActionKind.SCAN:
+    elif kind is SCAN:
         if s.site.is_grid():
             cell = parse_cell(rs.location)
             world.scanned.add(cell)
             world.discovered |= s.site.scan_footprint(cell, cost.scan_footprint)
         tu = cost.scan_tu_per_su
-    elif kind in (ActionKind.IDLE, ActionKind.MARK_LAYOUT, ActionKind.INSPECT, ActionKind.CO_CARRY):
+    else:  # IDLE, MARK_LAYOUT, INSPECT and CO_CARRY: the alphabet is closed
         tu = 1.0
-    else:  # pragma: no cover - alphabet is closed
-        raise ExecError(robot_id, step.step, "bad_action", f"unsupported action {kind.value}")
 
     world.elapsed[robot_id] += tu
     return TraceEntry(step, robot_id, rs.location, rs.battery, rs.cargo, world.placed_total, placed_here, tu, du)

@@ -10,7 +10,7 @@ coverage reasoning, no post-hoc edits.
 from __future__ import annotations
 
 from .executor import TraceEntry, apply_step, initial_state
-from .plan import Action, ActionKind, GRID_MOVES, MOVE_TARGETS, Plan, PlanStep
+from .plan import Action, BUILD, GRID_MOVES, INSPECT, MARK_LAYOUT, MOVE_TARGETS, NAVIGATE, PICK, Plan, PlanStep, SCAN
 from .repair import reconcile_plan
 from .scenario import Scenario, TaskSpec, parse_cell
 
@@ -89,7 +89,7 @@ class _Lowering:
                 action = Action(_MOVE_FOR_STEP[(x1 - x0, y1 - y0)])
             else:
                 kind = _MOVE_FOR_NODE.get(loc)
-                action = Action(kind) if kind else Action(ActionKind.NAVIGATE, loc)
+                action = Action(kind) if kind else Action(NAVIGATE, loc)
             self._emit(robot, action)
             here = loc
 
@@ -106,23 +106,23 @@ class _Lowering:
     def run_task(self, robot: str, task: TaskSpec) -> float:
         """Lower one task; returns its start time theta (first arrival at the site)."""
         theta: float | None = None
-        if task.type is ActionKind.BUILD:
+        if task.type is BUILD:
             remaining = task.demand
             while remaining > 0:
                 if self.world.robots[robot].cargo == 0:
                     self.travel(robot, self.nearest_stock(robot))
-                    self._emit(robot, Action(ActionKind.PICK))
+                    self._emit(robot, Action(PICK))
                 self.travel(robot, task.location)
                 if theta is None:
                     theta = self.clock
-                placed = self._emit(robot, Action(ActionKind.BUILD)).placed_here
+                placed = self._emit(robot, Action(BUILD)).placed_here
                 if placed == 0:
                     raise RealizationError(f"task {task.id}: no material available to build")
                 remaining -= placed
-        elif task.type is ActionKind.NAVIGATE:
+        elif task.type is NAVIGATE:
             self.travel(robot, task.location)
             theta = self.clock
-        elif task.type in (ActionKind.SCAN, ActionKind.INSPECT, ActionKind.MARK_LAYOUT):
+        elif task.type in (SCAN, INSPECT, MARK_LAYOUT):
             self.travel(robot, task.location)
             theta = self.clock
             self._emit(robot, Action(task.type))

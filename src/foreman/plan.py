@@ -43,6 +43,16 @@ class ActionKind(Enum):
     __hash__ = object.__hash__
 
 
+# The members that per-step code compares against, bound once as module
+# names, which hot loops read instead of ``ActionKind.X``: on Python 3.10 and
+# 3.11 each such read runs ``EnumType.__getattr__``, a Python-level hook that
+# costs several times a module-global read, up to nine per step in
+# ``apply_step``.
+NAVIGATE, PICK, BUILD, CHARGE, SCAN, IDLE, INSPECT, MARK_LAYOUT = (
+    ActionKind.NAVIGATE, ActionKind.PICK, ActionKind.BUILD, ActionKind.CHARGE, ActionKind.SCAN, ActionKind.IDLE,
+    ActionKind.INSPECT, ActionKind.MARK_LAYOUT,
+)
+
 # Named-graph move actions and the node they target.
 MOVE_TARGETS = {
     ActionKind.MOVE_S: "S",
@@ -83,7 +93,7 @@ class Action:
         return self.kind.value
 
     def __str__(self) -> str:
-        if self.kind is ActionKind.NAVIGATE:
+        if self.kind is NAVIGATE:
             return f"NAVIGATE {self.target}"
         return self.kind.value
 
@@ -173,7 +183,7 @@ class SchemaError(ValueError):
 
 
 # One shared Action per kind that takes no argument.
-_PLAIN_ACTIONS = {k.value: Action(k) for k in ActionKind if k is not ActionKind.NAVIGATE}
+_PLAIN_ACTIONS = {k.value: Action(k) for k in ActionKind if k is not NAVIGATE}
 
 # The parts of the step-line grammar of docs/GRAMMAR.md.  The accept regex
 # ``_LINE_RE``, the error wording in ``_explain`` and ``STEP_HEAD`` are all
@@ -240,7 +250,7 @@ def parse_plan(text: str) -> Plan:
         if index != expected.get(robot, 0) + 1 or not math.isfinite(battery):
             _explain(line, line_no, expected)
         expected[robot] = index
-        action = _PLAIN_ACTIONS[name] if name else Action(ActionKind.NAVIGATE, target)
+        action = _PLAIN_ACTIONS[name] if name else Action(NAVIGATE, target)
         steps.append(
             PlanStep(index, robot, location, action, int(cargo), int(placed), battery, coalition)
         )

@@ -18,11 +18,15 @@ whole.  It carries an interned state through the draft: the id of what
 of the world and of the validator's check state (a ``validator.Monitor``)
 can still change a verdict.  A table per search maps each state and
 step to the next state, so each distinct transition is simulated and
-checked once, however many candidates and levels reach it.  A step that cannot execute, violates a
-checked class or (with Precedence checked) completes a task before a
-prerequisite prunes every candidate that extends it, and at the end of the
-draft the monitor's final checks decide feasibility: the walk keeps only
-feasible scripts.  For each walk state the search remembers the most edits
+checked once, however many candidates and levels reach it.  Whether a
+step can execute depends only on the robot's location and the step, so a
+set per search of the (location, step) pairs that raised ExecError
+rejects the same step at that location from any other state without
+running it.  A step that cannot execute, violates a checked class or
+(with Precedence checked) completes a task before a prerequisite prunes
+every candidate that extends it, and at the end of the draft the
+monitor's final checks decide feasibility: the walk keeps only feasible
+scripts.  For each walk state the search remembers the most edits
 with which its continuations held no feasible end, and does not explore it
 again with as few edits left.  The smallest feasible script in tie-break
 order wins; ``apply_script`` (the one applier of edit ops) rebuilds it,
@@ -37,7 +41,7 @@ from enum import Enum
 from functools import cache
 
 from .executor import ExecError, Trace, WorldState, apply_step, bind, execute, initial_state
-from .plan import Action, ActionKind, Plan, PlanStep
+from .plan import Action, CHARGE, IDLE, Plan, PlanStep
 from .scenario import Scenario
 from .validator import (
     ALL_CHECKS,
@@ -384,7 +388,13 @@ def _survivors(
     running the step on a copy of that world, and the check state is copied
     only once the step ran, so a step that raises ExecError copies no check
     state.  Each distinct transition runs once per search; a failed one
-    drops the branch with every script that extends it.  At the end of the
+    drops the branch with every script that extends it.  Whether a step
+    raises ExecError depends only on the robot's location and the step:
+    every raise in ``apply_step`` reads that location, the roster, the
+    static site and the stockpiles' keys, and no step changes the last
+    three.  So ``unexecutable`` remembers each (location, step code) pair
+    that raised, and a state at that location fills its entry with FAILS
+    without copying the world or running the step again.  At the end of the
     draft the monitor's ``final`` on the interned pair alone decides
     feasibility (a state that is not doomed never fails its order check),
     so the walk keeps exactly the scripts that ``apply_script`` plus
@@ -436,11 +446,14 @@ def _survivors(
     def code(action: Action, coalition: tuple[str, ...] = ()) -> int:
         return codes.setdefault((action, coalition), len(codes))
 
-    inserts_at = [[(3 * (g * n_actions + i), code(a)) for i, a in enumerate(alphabet)] for g in range(n + 1)]
-    subs_at = [
-        [(3 * (g * n_actions + i) + 1, code(a, t.coalition)) for i, a in enumerate(alphabet) if a != t.action]
-        for g, t in enumerate(steps)
-    ]
+    for a in alphabet:  # the alphabet's own steps take the codes 0 .. n_actions - 1, in its order
+        code(a)
+    inserts_at = [[(3 * (g * n_actions + i), i) for i in range(n_actions)] for g in range(n + 1)]
+    subs_at = []
+    for g, t in enumerate(steps):
+        own = codes.get((t.action, ()))  # the index of the step's own action, if the alphabet has it
+        subs_at.append([(3 * (g * n_actions + i) + 1, code(a, t.coalition) if t.coalition else i)
+                        for i, a in enumerate(alphabet) if i != own])
     kept = [code(t.action, t.coalition) for t in steps]
     swaps_at = [
         3 * g * n_actions + 2 if t.robot == u.robot and t.action != u.action else None
@@ -476,18 +489,25 @@ def _survivors(
             moves.extend([UNSEEN] * width)
         return sid
 
+    unexecutable: set[tuple[str, int]] = set()  # (robot location, step code) pairs that raised ExecError
+
     def fill(sid: int, c: int) -> int:
         """Run step ``c`` from state ``sid`` and record the state it
         reaches, or FAILS."""
         world, state = worlds[sid]
-        world = world.copy()
-        try:
-            entry = apply_step(s, world, runs[c], robot)
-        except ExecError:
+        at = (world.robots[robot].location, c)
+        if at in unexecutable:
             nxt = FAILS
         else:
-            state = state.copy()
-            nxt = FAILS if monitor.step(state, entry) or state.doomed else intern(world, state)
+            world = world.copy()
+            try:
+                entry = apply_step(s, world, runs[c], robot)
+            except ExecError:
+                unexecutable.add(at)
+                nxt = FAILS
+            else:
+                state = state.copy()
+                nxt = FAILS if monitor.step(state, entry) or state.doomed else intern(world, state)
         moves[sid * width + c] = nxt
         return nxt
 
@@ -622,7 +642,7 @@ def minimal_edit_repair(
         final_battery = min(rs.battery for rs in trace.final.robots.values())
         if final_battery < 50.0:
             at_charger = plan.steps[-1].location in s.site.chargers
-            tail = Action(ActionKind.CHARGE if at_charger else ActionKind.IDLE)
+            tail = Action(CHARGE if at_charger else IDLE)
             tail_ops = ops + (EditOp(EditKind.Insert, len(draft) + 1, tail),)
             tail_plan, tail_trace = apply_script(s, draft, tail_ops)
             tail_report = validate(s, tail_plan, checks, trace=tail_trace)
@@ -717,6 +737,7 @@ def repair_loop(
         except SupervisorError:
             if getattr(supervisor, "deterministic", False):
                 break
-    if report.feasible:
-        return RepairResult(True, current, edit_script(draft, current), max(1, proposals), report)
+    if report.feasible:  # an untouched draft needs no alignment against itself
+        script = EMPTY_SCRIPT if current is draft else edit_script(draft, current)
+        return RepairResult(True, current, script, max(1, proposals), report)
     return RepairResult(False, None, None, max_iters, report)

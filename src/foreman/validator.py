@@ -20,7 +20,7 @@ from __future__ import annotations
 from enum import Enum
 
 from .executor import Trace, TraceEntry, WorldState, execute
-from .plan import ActionKind, Plan, SchemaError, parse_plan
+from .plan import ActionKind, BUILD, CHARGE, IDLE, NAVIGATE, Plan, SCAN, SchemaError, parse_plan
 from .scenario import Scenario, TaskSpec, cell_id
 
 
@@ -255,7 +255,7 @@ class Monitor:
         for t in s.tasks:
             self.tasks_at.setdefault((t.type, t.location), []).append(t)
         self.demand_at = {
-            loc: sum(t.demand for t in ts) for (kind, loc), ts in self.tasks_at.items() if kind is ActionKind.BUILD
+            loc: sum(t.demand for t in ts) for (kind, loc), ts in self.tasks_at.items() if kind is BUILD
         }
         self.skills = {r.id: r.skills for r in s.robots}
         self.edges = sorted(s.dag.edges)
@@ -279,7 +279,7 @@ class Monitor:
         step, kind, loc = e.step.step, e.step.action.kind, e.location
         i = state.index
         state.index, state.last_step = i + 1, step
-        if self.capability and kind is not ActionKind.IDLE:
+        if self.capability and kind is not IDLE:
             if e.step.coalition:
                 skills = frozenset().union(*(self.skills[r] for r in e.step.coalition))
             else:
@@ -294,16 +294,16 @@ class Monitor:
             if self.capacity and demand is None:
                 found.append(Violation(
                     VC.Capacity, step, f"BUILD places {placed_here} MU at {loc}, which has no build task",
-                    FixHint(HintKind.Substitute, step, ActionKind.IDLE)))
+                    FixHint(HintKind.Substitute, step, IDLE)))
             elif self.capacity and placed > demand:
                 found.append(Violation(VC.Capacity, step, f"placed {placed} MU at {loc} exceeds demand {demand}",
-                                       FixHint(HintKind.Substitute, step, ActionKind.IDLE)))
+                                       FixHint(HintKind.Substitute, step, IDLE)))
         if self.precedence:
             done = state.done
             before = len(done)
             if placed_here > 0:
                 threshold = 0
-                for t in self.tasks_at.get((ActionKind.BUILD, loc), ()):
+                for t in self.tasks_at.get((BUILD, loc), ()):
                     threshold += t.demand
                     if t.id not in done and placed >= threshold:
                         done[t.id] = (i, step)
@@ -312,8 +312,8 @@ class Monitor:
                     if t.id not in done:
                         done[t.id] = (i, step)
                         break
-            if kind is not ActionKind.BUILD:
-                for t in self.tasks_at.get((ActionKind.NAVIGATE, loc), ()):
+            if kind is not BUILD:
+                for t in self.tasks_at.get((NAVIGATE, loc), ()):
                     done.setdefault(t.id, (i, step))
             if len(done) > before:  # prerequisites count as done when completed by this same step
                 prerequisites = self.prerequisites
@@ -322,10 +322,10 @@ class Monitor:
                 )
         if self.battery and e.battery < 0:
             found.append(Violation(VC.Battery, step, f"battery at {_fmt(e.battery)}% after {e.step.action}",
-                                   FixHint(HintKind.InsertBefore, step, ActionKind.CHARGE)))
+                                   FixHint(HintKind.InsertBefore, step, CHARGE)))
         if self.safety and loc in self.s.site.no_go:
             found.append(Violation(VC.Safety, step, f"step enters no-go zone {loc}",
-                                   FixHint(HintKind.Substitute, step, ActionKind.IDLE)))
+                                   FixHint(HintKind.Substitute, step, IDLE)))
         return found
 
     def final(self, state: CheckState, world: WorldState) -> list[Violation]:
@@ -349,7 +349,7 @@ class Monitor:
             if missing:
                 cells = ", ".join(cell_id(c) for c in sorted(missing))
                 found.append(Violation(VC.Coverage, None, f"cells never discovered: {cells}",
-                                       FixHint(HintKind.InsertAfter, state.last_step, ActionKind.SCAN)))
+                                       FixHint(HintKind.InsertAfter, state.last_step, SCAN)))
         return found
 
     def key(self, state: CheckState) -> frozenset[str]:
@@ -394,7 +394,7 @@ def validate(
                 _EXEC_ERROR_CLASS[err.kind],
                 err.step,
                 f"unexecutable: {err.reason}",
-                FixHint(HintKind.Substitute, err.step, ActionKind.IDLE),
+                FixHint(HintKind.Substitute, err.step, IDLE),
             )
         )
     else:

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from conftest import scenario_doc
-from foreman.executor import execute, makespan
+from foreman.executor import ExecError, apply_step, execute, initial_state, makespan
 from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
-from foreman.scenario import load_scenario_dict
+from foreman.scenario import load_scenario, load_scenario_dict
 
 
 def test_figure_trace_prefix_through_step_4(wall, wall_draft):
@@ -312,3 +312,66 @@ def _random_steps(rng, robot, n):
             kind = "IDLE"
         steps.append(PlanStep(0, robot, here, Action(ActionKind(kind)), 0, 0, 0.0))
     return steps
+
+
+def _world_at(rng, s, robot, location):
+    """A world in which ``robot`` stands at ``location`` and everything else
+    that a step reads or changes is drawn at random."""
+    world = initial_state(s)
+    for r in s.robots:
+        rs = world.robots[r.id]
+        rs.location = location if r.id == robot else rng.choice(sorted(s.site.locations()))
+        rs.battery = rng.uniform(-50.0, r.battery_max)
+        rs.cargo = rng.randint(0, max(r.payload_capacity, 3))
+        world.elapsed[r.id] = rng.uniform(0.0, 50.0)
+    for loc in world.stock:
+        world.stock[loc] = rng.choice([0, 1, 3, 9])
+    locations = sorted(s.site.locations())
+    world.placed_at = {loc: rng.randint(1, 9) for loc in rng.sample(locations, rng.randint(0, len(locations)))}
+    world.placed_total = sum(world.placed_at.values())
+    cells = [(x, y) for x in range(3) for y in range(3)]
+    world.discovered = set(rng.sample(cells, rng.randint(0, len(cells))))
+    world.scanned = set(rng.sample(cells, rng.randint(0, len(cells))))
+    return world
+
+
+def _raised(s, world, step, robot):
+    """The (kind, reason) of the ExecError that ``step`` raises on a copy of ``world``, or None."""
+    try:
+        apply_step(s, world.copy(), step, robot)
+    except ExecError as e:
+        return e.kind, e.reason
+    return None
+
+
+@pytest.mark.parametrize("name", ["wall_assembly", "wall_assembly_two_robots", "scan_grid"])
+def test_whether_a_step_raises_reads_only_the_robots_location(fix_dir, name):
+    # the repair walk remembers each (robot location, step) pair that raised
+    # ExecError and rejects it again without running it: that is exact only
+    # if battery, cargo, stock amounts, placed counts, elapsed time and the
+    # scanned and discovered cells never decide whether a step raises
+    if name == "wall_assembly_two_robots":
+        doc = scenario_doc("wall_assembly")
+        doc["robots"].append({**doc["robots"][0], "id": "r2", "payload_capacity": 6})
+        s = load_scenario_dict(doc)
+    else:
+        s = load_scenario(fix_dir / f"{name}.scn.json")
+    roster = tuple(r.id for r in s.robots)
+    locations = sorted(s.site.locations())
+    actions = [Action(k) for k in ActionKind if k is not ActionKind.NAVIGATE]
+    actions += [Action(ActionKind.NAVIGATE, loc) for loc in locations]
+    steps = [PlanStep(1, None, "?", a, 0, 0, 0.0) for a in actions]
+    steps.append(PlanStep(1, None, "?", Action(ActionKind.PICK), 0, 0, 0.0, roster))
+    steps.append(PlanStep(1, None, "?", Action(ActionKind.IDLE), 0, 0, 0.0, roster + ("r9",)))
+    rng = random.Random(name)
+    seen = set()
+    for robot in roster:
+        for location in locations:
+            for trial in range(20):
+                a, b = _world_at(rng, s, robot, location), _world_at(rng, s, robot, location)
+                for step in steps:
+                    for acting in (robot, "r9"):  # r9 is on no roster
+                        outcome = _raised(s, a, step, acting)
+                        assert outcome == _raised(s, b, step, acting), (robot, location, trial, step.action, acting)
+                        seen.add(outcome and outcome[0])
+    assert seen == {None, "bad_move", "bad_pick", "bad_charge", "bad_action"}
