@@ -76,8 +76,11 @@ class WorldState:
 
     def copy(self) -> WorldState:
         """An independent snapshot; later steps on either leave the other alone."""
+        robots = {}
+        for r, rs in self.robots.items():  # a loop: a comprehension is a call of its own before 3.12
+            robots[r] = RobotState(rs.location, rs.battery, rs.cargo)
         return WorldState(
-            {r: RobotState(rs.location, rs.battery, rs.cargo) for r, rs in self.robots.items()},
+            robots,
             self.stock.copy(),
             self.placed_at.copy(),
             self.scanned.copy(),

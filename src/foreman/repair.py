@@ -22,7 +22,11 @@ checked once, however many candidates and levels reach it.  Whether a
 step can execute depends only on the robot's location and the step, so a
 set per search of the (location, step) pairs that raised ExecError
 rejects the same step at that location from any other state without
-running it.  A step that cannot execute, violates a checked class or
+running it.  The battery a step leaves depends only on the robot's
+location and battery and the step, so a second set, of the (location,
+battery, step) triples whose step violated Battery, rejects it the same
+way.  A new state's key reuses its parent's parts that the step left
+equal.  A step that cannot execute, violates a checked class or
 (with Precedence checked) completes a task before a prerequisite prunes
 every candidate that extends it, and at the end of the draft the
 monitor's final checks decide feasibility: the walk keeps only feasible
@@ -394,11 +398,19 @@ def _survivors(
     static site and the stockpiles' keys, and no step changes the last
     three.  So ``unexecutable`` remembers each (location, step code) pair
     that raised, and a state at that location fills its entry with FAILS
-    without copying the world or running the step again.  At the end of the
-    draft the monitor's ``final`` on the interned pair alone decides
-    feasibility (a state that is not doomed never fails its order check),
-    so the walk keeps exactly the scripts that ``apply_script`` plus
-    ``validate`` find feasible.  Keeping a step moves the walk's own
+    without copying the world or running the step again.  Likewise
+    ``apply_step`` computes the new battery from the robot's battery and
+    location, the static site, the cost model and ``battery_max`` alone,
+    and the monitor's Battery check reads only the entry's battery: so
+    ``drained`` remembers each (location, battery, step code) whose step
+    violated Battery, and a state with that location and battery fails it
+    the same way.  A new state's key takes its parent's stock, placed
+    counts, discovered cells and monitor key wherever the step left them
+    equal (by ``==``), so its frozensets keep their cached hashes.  At the
+    end of the draft the monitor's ``final`` on the interned pair alone
+    decides feasibility (a state that is not doomed never fails its order
+    check), so the walk keeps exactly the scripts that ``apply_script``
+    plus ``validate`` find feasible.  Keeping a step moves the walk's own
     state, so the recursion is only as deep as the edit count.
 
     A walk node is its gap, whether a transposed step is pending, and its
@@ -407,10 +419,12 @@ def _survivors(
     the node is skipped when it is reached again with at most that many
     edits left: no feasible end within r edits means none within fewer
     (iterative deepening with a table of lower bounds; Reinefeld &
-    Marsland, IEEE TPAMI 16(7), 1994).  So with one robot a feasible end
-    reached with edits to spare keeps its nodes off that table, although it
-    is not a script of the level; then ``level(cost)`` lists exactly the
-    scripts of ``cost`` edits even after a lower level held some.
+    Marsland, IEEE TPAMI 16(7), 1994).  The insert and substitute loops
+    read a child's entry before they enter it.  So with one robot a
+    feasible end reached with edits to spare keeps its nodes off that
+    table, although it is not a script of the level; then ``level(cost)``
+    lists exactly the scripts of ``cost`` edits even after a lower level
+    held some.
 
     Labels bound to two or more robots take turns by elapsed time rather
     than line order, so there every step is the identity on the one state
@@ -473,41 +487,51 @@ def _survivors(
         return EditOp(EditKind.Transpose, g + 1)
 
     ids: dict[tuple, int] = {}  # projection -> state id
-    worlds: list[tuple[WorldState, CheckState]] = []  # by id, the first pair that reached it
+    worlds: list[tuple[WorldState, CheckState, tuple]] = []  # by id, the first pair that reached it and its key
     moves = [] if one_robot else [0] * width  # by id * width + code: the next id, FAILS or UNSEEN
 
-    def intern(world: WorldState, state: CheckState) -> int:
-        rs = world.robots[robot]
-        key = (
-            rs.location, rs.battery, rs.cargo, tuple(world.stock.values()),
-            frozenset(world.placed_at.items()), frozenset(world.discovered), monitor.key(state),
-        )
+    def intern(world: WorldState, state: CheckState, key: tuple) -> int:
         sid = ids.get(key)
         if sid is None:
             sid = ids[key] = len(worlds)
-            worlds.append((world, state))
+            worlds.append((world, state, key))
             moves.extend([UNSEEN] * width)
         return sid
 
     unexecutable: set[tuple[str, int]] = set()  # (robot location, step code) pairs that raised ExecError
+    drained: set[tuple[str, float, int]] = set()  # (robot location, battery, step code) that violated Battery
 
     def fill(sid: int, c: int) -> int:
         """Run step ``c`` from state ``sid`` and record the state it
         reaches, or FAILS."""
-        world, state = worlds[sid]
-        at = (world.robots[robot].location, c)
-        if at in unexecutable:
+        was, before, (_, _, _, stock, placed, discovered, done) = worlds[sid]
+        rs = was.robots[robot]
+        at = (rs.location, c)
+        if at in unexecutable or (rs.location, rs.battery, c) in drained:
             nxt = FAILS
         else:
-            world = world.copy()
+            world = was.copy()
             try:
                 entry = apply_step(s, world, runs[c], robot)
             except ExecError:
                 unexecutable.add(at)
                 nxt = FAILS
             else:
-                state = state.copy()
-                nxt = FAILS if monitor.step(state, entry) or state.doomed else intern(world, state)
+                state = before.copy()
+                found = monitor.step(state, entry)
+                if found or state.doomed:
+                    if any(v.cls is ViolationClass.Battery for v in found):
+                        drained.add((rs.location, rs.battery, c))
+                    nxt = FAILS
+                else:  # the parent's key parts, wherever the step left them equal
+                    rs = world.robots[robot]
+                    nxt = intern(world, state, (
+                        rs.location, rs.battery, rs.cargo,
+                        stock if world.stock == was.stock else tuple(world.stock.values()),
+                        placed if world.placed_at == was.placed_at else frozenset(world.placed_at.items()),
+                        discovered if world.discovered == was.discovered else frozenset(world.discovered),
+                        done if state.done == before.done else monitor.key(state),
+                    ))
         moves[sid * width + c] = nxt
         return nxt
 
@@ -521,11 +545,16 @@ def _survivors(
         with one robot the final checks on the walk's state decide; with
         more, ``validate`` on the script's edited steps."""
         if one_robot:
-            world, state = worlds[sid]
+            world, state, _ = worlds[sid]
             return not monitor.final(state, world)
         return validate(s, Plan(tuple(_edited(steps, [edit_op(op) for op in ops]))), checks).feasible
 
-    start = intern(initial_state(s), CheckState()) if one_robot else 0
+    world, state = initial_state(s), CheckState()
+    rs = world.robots[robot]
+    start = intern(world, state, (
+        rs.location, rs.battery, rs.cargo, tuple(world.stock.values()),
+        frozenset(world.placed_at.items()), frozenset(world.discovered), monitor.key(state),
+    )) if one_robot else 0
 
     def level(cost: int) -> list[tuple[EditOp, ...]]:
         found: list[tuple[int, ...]] = []
@@ -541,12 +570,12 @@ def _survivors(
                         break
                     entered.append((key, alive))
                 if left:
-                    row = sid * width
+                    row, pend = sid * width, pending is not None
                     for op, c in inserts_at[g]:
                         nxt = moves[row + c]
                         if nxt == UNSEEN:
                             nxt = fill(sid, c)
-                        if nxt != FAILS:
+                        if nxt != FAILS and dead.get((g, pend, nxt), -1) < left - 1:
                             walk(g, nxt, ops + (op,), left - 1, pending)
                 if pending is not None:  # the code of the first step of a transposed pair
                     sid = move(sid, pending)
@@ -567,13 +596,14 @@ def _survivors(
                         nxt = moves[row + c]
                         if nxt == UNSEEN:
                             nxt = fill(sid, c)
-                        if nxt != FAILS:
+                        if nxt != FAILS and dead.get((g + 1, False, nxt), -1) < left - 1:
                             walk(g + 1, nxt, ops + (op,), left - 1, None)
                     if swaps_at[g] is not None:
                         nxt = move(sid, kept[g + 1])
                         if nxt != FAILS:
                             walk(g + 1, nxt, ops + (swaps_at[g],), left - 1, kept[g])
-                sid = move(sid, kept[g])
+                nxt = moves[sid * width + kept[g]]
+                sid = fill(sid, kept[g]) if nxt == UNSEEN else nxt
                 if sid == FAILS:
                     break
                 g += 1

@@ -254,9 +254,11 @@ class Monitor:
         self.tasks_at: dict[tuple[ActionKind, str], list[TaskSpec]] = {}
         for t in s.tasks:
             self.tasks_at.setdefault((t.type, t.location), []).append(t)
-        self.demand_at = {
-            loc: sum(t.demand for t in ts) for (kind, loc), ts in self.tasks_at.items() if kind is BUILD
-        }
+        # by location, the tables that ``step`` reads for every entry
+        self.builds_at = {loc: ts for (kind, loc), ts in self.tasks_at.items() if kind is BUILD}
+        self.arrivals_at = {loc: ts for (kind, loc), ts in self.tasks_at.items() if kind is NAVIGATE}
+        self.demand_at = {loc: sum(t.demand for t in ts) for loc, ts in self.builds_at.items()}
+        self.no_go = s.site.no_go
         self.skills = {r.id: r.skills for r in s.robots}
         self.edges = sorted(s.dag.edges)
         self.prerequisites: dict[str, list[str]] = {}
@@ -303,7 +305,7 @@ class Monitor:
             before = len(done)
             if placed_here > 0:
                 threshold = 0
-                for t in self.tasks_at.get((BUILD, loc), ()):
+                for t in self.builds_at.get(loc, ()):
                     threshold += t.demand
                     if t.id not in done and placed >= threshold:
                         done[t.id] = (i, step)
@@ -313,7 +315,7 @@ class Monitor:
                         done[t.id] = (i, step)
                         break
             if kind is not BUILD:
-                for t in self.tasks_at.get((NAVIGATE, loc), ()):
+                for t in self.arrivals_at.get(loc, ()):
                     done.setdefault(t.id, (i, step))
             if len(done) > before:  # prerequisites count as done when completed by this same step
                 prerequisites = self.prerequisites
@@ -323,7 +325,7 @@ class Monitor:
         if self.battery and e.battery < 0:
             found.append(Violation(VC.Battery, step, f"battery at {_fmt(e.battery)}% after {e.step.action}",
                                    FixHint(HintKind.InsertBefore, step, CHARGE)))
-        if self.safety and loc in self.s.site.no_go:
+        if self.safety and loc in self.no_go:
             found.append(Violation(VC.Safety, step, f"step enters no-go zone {loc}",
                                    FixHint(HintKind.Substitute, step, IDLE)))
         return found

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import scenario_doc
 from foreman.executor import ExecError, apply_step, execute, initial_state, makespan
+from foreman.experiment import battery_pressured_batch
 from foreman.plan import Action, ActionKind, Plan, PlanStep, parse_plan, serialize_plan
 from foreman.scenario import load_scenario, load_scenario_dict
 
@@ -375,3 +376,42 @@ def test_whether_a_step_raises_reads_only_the_robots_location(fix_dir, name):
                         assert outcome == _raised(s, b, step, acting), (robot, location, trial, step.action, acting)
                         seen.add(outcome and outcome[0])
     assert seen == {None, "bad_move", "bad_pick", "bad_charge", "bad_action"}
+
+
+def _battery_after(s, world, step, robot):
+    """The battery of the entry that ``step`` yields on a copy of ``world``, or None if it raises."""
+    try:
+        return apply_step(s, world.copy(), step, robot).battery
+    except ExecError:
+        return None
+
+
+@pytest.mark.parametrize("name", ["wall_assembly", "wall_assembly_two_robots", "scan_grid", "batch"])
+def test_a_steps_battery_reads_only_the_robots_location_and_battery(fix_dir, name):
+    # the repair walk remembers each (robot location, battery, step) whose
+    # step violated Battery and rejects it again without running it: that is
+    # exact only if cargo, stock amounts, placed counts, elapsed time and the
+    # scanned and discovered cells never change the battery a step leaves
+    if name == "wall_assembly_two_robots":
+        doc = scenario_doc("wall_assembly")
+        doc["robots"].append({**doc["robots"][0], "id": "r2", "payload_capacity": 6})
+        s = load_scenario_dict(doc)
+    elif name == "batch":
+        s = battery_pressured_batch(2024, 1)[0]
+    else:
+        s = load_scenario(fix_dir / f"{name}.scn.json")
+    locations = sorted(s.site.locations())
+    actions = s.action_alphabet() + [Action(ActionKind.NAVIGATE, loc) for loc in locations]
+    steps = [PlanStep(1, None, "?", a, 0, 0, 0.0) for a in actions + [Action(ActionKind.CHARGE)]]
+    rng = random.Random(name)
+    seen = set()
+    for r in s.robots:
+        for location in locations:
+            for trial in range(20):
+                a, b = _world_at(rng, s, r.id, location), _world_at(rng, s, r.id, location)
+                b.robots[r.id].battery = a.robots[r.id].battery
+                for step in steps:
+                    battery = _battery_after(s, a, step, r.id)
+                    assert battery == _battery_after(s, b, step, r.id), (r.id, location, trial, step.action)
+                    seen.add(None if battery is None else battery < 0)
+    assert seen == {None, True, False}

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -509,7 +510,30 @@ def test_mutated_fixture_documents_raise_only_load_errors(fix_dir, name, data):
             del target[key]
         else:
             target[key] = data.draw(_JSON_VALUES)
-    try:
-        load_scenario_dict(doc)
-    except (ParseError, ValidationError):
-        pass
+    _load_noting(doc)
+
+
+def _load_noting(doc):
+    """Load ``doc`` and return the loader's warning texts, asserting that each
+    is its note on a loaded task no robot can do; any other warning fails."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            s = load_scenario_dict(doc)
+        except (ParseError, ValidationError):
+            s = None
+    notes = [] if s is None else [
+        f"task {t.id} requires skills no robot offers: {sorted(k.value for k in t.required_skills - offered)}"
+        for offered in [frozenset().union(*(r.skills for r in s.robots))]
+        for t in s.tasks
+        if not t.required_skills <= offered
+    ]
+    assert [(w.category, str(w.message)) for w in caught] == [(UserWarning, note) for note in notes]
+    return notes
+
+
+def test_a_robot_without_skills_leaves_every_task_noted(fix_dir):
+    # the mutation above that once failed on the note: wall_assembly's robot with no skills
+    doc = json.loads((fix_dir / "wall_assembly.scn.json").read_text(encoding="utf-8"))
+    doc["robots"][0]["skills"] = []
+    assert _load_noting(doc) == [f"task build_{i} requires skills no robot offers: ['BUILD']" for i in (1, 2, 3)]
