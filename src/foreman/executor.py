@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable
 
+from . import record
 from .plan import BUILD, CHARGE, GRID_MOVES, MOVE_TARGETS, NAVIGATE, PICK, Plan, PlanStep, SCAN
 from .scenario import Cell, Scenario, cell_id, parse_cell
 
@@ -28,51 +29,24 @@ class ExecError(Exception):
         self.reason = reason
 
 
+@record(eq=True)
 class RobotState:
-    __slots__ = ("location", "battery", "cargo")
-
-    def __init__(self, location: str, battery: float, cargo: int):
-        self.location = location
-        self.battery = battery
-        self.cargo = cargo
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.location, self.battery, self.cargo) == (other.location, other.battery, other.cargo)
+    location: str
+    battery: float
+    cargo: int
 
 
+@record(eq=True)
 class WorldState:
     """Mutable simulation state; snapshots of it appear in the Trace."""
 
-    __slots__ = ("robots", "stock", "placed_at", "scanned", "discovered", "elapsed", "placed_total")
-
-    def __init__(
-        self,
-        robots: dict[str, RobotState],
-        stock: dict[str, int],
-        placed_at: dict[str, int],
-        scanned: set[Cell],
-        discovered: set[Cell],
-        elapsed: dict[str, float],
-        placed_total: int,  # running sum of placed_at
-    ):
-        self.robots = robots
-        self.stock = stock
-        self.placed_at = placed_at
-        self.scanned = scanned
-        self.discovered = discovered
-        self.elapsed = elapsed
-        self.placed_total = placed_total
-
-    def _fields(self) -> tuple:
-        return (self.robots, self.stock, self.placed_at, self.scanned, self.discovered, self.elapsed,
-                self.placed_total)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+    robots: dict[str, RobotState]
+    stock: dict[str, int]
+    placed_at: dict[str, int]
+    scanned: set[Cell]
+    discovered: set[Cell]
+    elapsed: dict[str, float]
+    placed_total: int  # running sum of placed_at
 
     def copy(self) -> WorldState:
         """An independent snapshot; later steps on either leave the other alone."""
@@ -90,56 +64,26 @@ class WorldState:
         )
 
 
+@record(eq=True)
 class TraceEntry:
     """One executed step with its post-state and costs; read-only by convention."""
 
-    __slots__ = ("step", "robot", "location", "battery", "cargo", "placed_total", "placed_here", "tu_cost",
-                 "du_cost")
-
-    def __init__(
-        self,
-        step: PlanStep,
-        robot: str,
-        location: str,
-        battery: float,
-        cargo: int,
-        placed_total: int,
-        placed_here: int,  # bricks placed by this step (0 unless BUILD)
-        tu_cost: float,
-        du_cost: float,
-    ):
-        self.step = step
-        self.robot = robot
-        self.location = location
-        self.battery = battery
-        self.cargo = cargo
-        self.placed_total = placed_total
-        self.placed_here = placed_here
-        self.tu_cost = tu_cost
-        self.du_cost = du_cost
-
-    def _fields(self) -> tuple:
-        return (self.step, self.robot, self.location, self.battery, self.cargo, self.placed_total,
-                self.placed_here, self.tu_cost, self.du_cost)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
+    step: PlanStep
+    robot: str
+    location: str
+    battery: float
+    cargo: int
+    placed_total: int
+    placed_here: int  # bricks placed by this step (0 unless BUILD)
+    tu_cost: float
+    du_cost: float
 
 
+@record(eq=True)
 class Trace:
-    __slots__ = ("entries", "final", "error")
-
-    def __init__(self, entries: tuple[TraceEntry, ...], final: WorldState, error: ExecError | None = None):
-        self.entries = entries
-        self.final = final
-        self.error = error
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.entries, self.final, self.error) == (other.entries, other.final, other.error)
+    entries: tuple[TraceEntry, ...]
+    final: WorldState
+    error: ExecError | None = None
 
     def __len__(self) -> int:
         return len(self.entries)

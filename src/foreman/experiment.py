@@ -16,6 +16,7 @@ import json
 import random
 from pathlib import Path
 
+from . import record
 from .executor import execute, makespan
 from .fcfs import RealizationError, UnassignableTask, fcfs_schedule
 from .gateway import Gateway, GatewayError, LlmProfile, build_generator_prompt, load_profiles, strip_plan_preamble
@@ -34,31 +35,17 @@ def fixtures_dir() -> Path:
     return Path(__file__).parent / "fixtures"
 
 
+@record()
 class ExperimentConfig:
-    __slots__ = ("scenario_path", "supervisors", "max_iters", "budget", "checks", "out_dir", "seed", "mocks_dir",
-                 "profiles_path")
-
-    def __init__(
-        self,
-        scenario_path: Path,
-        supervisors: tuple[str, ...] = ("search-minimal",),
-        max_iters: int = 3,
-        budget: int = 4,
-        checks: frozenset[ViolationClass] = ALL_CHECKS,
-        out_dir: Path = Path("out"),
-        seed: int = 0,
-        mocks_dir: Path | None = None,
-        profiles_path: Path | None = None,
-    ):
-        self.scenario_path = scenario_path
-        self.supervisors = supervisors
-        self.max_iters = max_iters
-        self.budget = budget
-        self.checks = checks
-        self.out_dir = out_dir
-        self.seed = seed
-        self.mocks_dir = mocks_dir
-        self.profiles_path = profiles_path
+    scenario_path: Path
+    supervisors: tuple[str, ...] = ("search-minimal",)
+    max_iters: int = 3
+    budget: int = 4
+    checks: frozenset[ViolationClass] = ALL_CHECKS
+    out_dir: Path = Path("out")
+    seed: int = 0
+    mocks_dir: Path | None = None
+    profiles_path: Path | None = None
 
     def validate_config(self):
         if not Path(self.scenario_path).exists():

@@ -9,6 +9,7 @@ coverage reasoning, no post-hoc edits.
 
 from __future__ import annotations
 
+from . import record
 from .executor import TraceEntry, apply_step, initial_state
 from .plan import Action, BUILD, GRID_MOVES, INSPECT, MARK_LAYOUT, MOVE_TARGETS, NAVIGATE, PICK, Plan, PlanStep, SCAN
 from .repair import reconcile_plan
@@ -25,24 +26,10 @@ class RealizationError(ValueError):
     """An assigned task cannot be lowered to executable plan steps."""
 
 
+@record(eq=True, hash=True)
 class Assignment:
-    __slots__ = ("alpha", "theta")
-
-    def __init__(
-        self,
-        alpha: tuple[tuple[str, tuple[str, ...]], ...],  # task id -> robot ids
-        theta: tuple[tuple[str, float], ...],  # task id -> start TU
-    ):
-        self.alpha = alpha
-        self.theta = theta
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.alpha, self.theta) == (other.alpha, other.theta)
-
-    def __hash__(self):
-        return hash((self.alpha, self.theta))
+    alpha: tuple[tuple[str, tuple[str, ...]], ...]  # task id -> robot ids
+    theta: tuple[tuple[str, float], ...]  # task id -> start TU
 
     def to_dict(self) -> dict:
         return {

@@ -18,6 +18,7 @@ from pathlib import Path
 
 log = logging.getLogger(__name__)
 
+from . import record
 from .plan import STEP_HEAD, Plan, SchemaError, _fmt_num, parse_plan, serialize_plan
 from .scenario import Scenario, cell_id
 from .validator import ViolationReport
@@ -32,31 +33,17 @@ class GatewayError(Exception):
         self.reason = reason
 
 
+@record()
 class LlmProfile:
-    __slots__ = ("name", "role", "endpoint", "model_name", "temperature", "max_tokens", "stop_tokens",
-                 "api_key_env", "seed")
-
-    def __init__(
-        self,
-        name: str,
-        role: str,  # "generator" | "supervisor"
-        endpoint: str,
-        model_name: str,
-        temperature: float = 0.2,
-        max_tokens: int = 1024,
-        stop_tokens: tuple[str, ...] = (),
-        api_key_env: str = "",
-        seed: int | None = None,
-    ):
-        self.name = name
-        self.role = role
-        self.endpoint = endpoint
-        self.model_name = model_name
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.stop_tokens = stop_tokens
-        self.api_key_env = api_key_env
-        self.seed = seed
+    name: str
+    role: str  # "generator" | "supervisor"
+    endpoint: str
+    model_name: str
+    temperature: float = 0.2
+    max_tokens: int = 1024
+    stop_tokens: tuple[str, ...] = ()
+    api_key_env: str = ""
+    seed: int | None = None
 
     def is_mock(self) -> bool:
         return self.endpoint.startswith("mock://")

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from . import record
 from .executor import execute, makespan
 from .plan import Plan, tokenize_plan
 from .repair import EditProfile, RepairResult
@@ -162,15 +163,13 @@ def meteor(candidate: Tokens, reference: Tokens) -> float:
 # ---------------------------------------------------------------------------
 
 
+@record()
 class SimilarityScores:
-    __slots__ = ("bleu", "rouge1", "rouge2", "rougeL", "meteor")
-
-    def __init__(self, bleu: float, rouge1: float, rouge2: float | None, rougeL: float, meteor: float):
-        self.bleu = bleu
-        self.rouge1 = rouge1
-        self.rouge2 = rouge2
-        self.rougeL = rougeL
-        self.meteor = meteor
+    bleu: float
+    rouge1: float
+    rouge2: float | None
+    rougeL: float
+    meteor: float
 
     def to_dict(self) -> dict:
         return {
@@ -192,17 +191,13 @@ def similarity(candidate: Tokens, reference: Tokens, smoothing: str | None = Non
     )
 
 
+@record()
 class EvalReport:
-    __slots__ = ("scores", "fr", "edits", "makespan_tu", "makespan_delta")
-
-    def __init__(
-        self, scores: SimilarityScores | None, fr: float, edits: EditProfile, makespan_tu: float, makespan_delta: float
-    ):
-        self.scores = scores
-        self.fr = fr
-        self.edits = edits
-        self.makespan_tu = makespan_tu
-        self.makespan_delta = makespan_delta
+    scores: SimilarityScores | None
+    fr: float
+    edits: EditProfile
+    makespan_tu: float
+    makespan_delta: float
 
 
 def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:

@@ -18,6 +18,8 @@ import re
 from enum import Enum
 from typing import NoReturn
 
+from . import record
+
 
 class ActionKind(Enum):
     MOVE_S = "MOVE_S"
@@ -69,25 +71,12 @@ GRID_MOVES = {
 }
 
 
+@record(eq=True, hash=True, repr=True)
 class Action:
     """An action kind plus the target location for NAVIGATE."""
 
-    __slots__ = ("kind", "target")
-
-    def __init__(self, kind: ActionKind, target: str | None = None):
-        self.kind = kind
-        self.target = target
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.kind, self.target) == (other.kind, other.target)
-
-    def __hash__(self):
-        return hash((self.kind, self.target))
-
-    def __repr__(self):
-        return f"Action(kind={self.kind!r}, target={self.target!r})"
+    kind: ActionKind
+    target: str | None = None
 
     def token(self) -> str:
         return self.kind.value
@@ -98,6 +87,7 @@ class Action:
         return self.kind.value
 
 
+@record(eq=True, repr=True)
 class PlanStep:
     """One six-field command record; numeric fields are the *claimed* state.
 
@@ -115,59 +105,19 @@ class PlanStep:
     step has no hash.
     """
 
-    __slots__ = ("step", "robot", "location", "action", "cargo", "placed", "battery", "coalition")
-
-    def __init__(
-        self,
-        step: int,
-        robot: str | None,
-        location: str,
-        action: Action,
-        cargo: int,
-        placed: int,
-        battery: float,
-        coalition: tuple[str, ...] = (),
-    ):
-        self.step = step
-        self.robot = robot
-        self.location = location
-        self.action = action
-        self.cargo = cargo
-        self.placed = placed
-        self.battery = battery
-        self.coalition = coalition
-
-    def _fields(self) -> tuple:
-        return (self.step, self.robot, self.location, self.action, self.cargo, self.placed, self.battery,
-                self.coalition)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        return (
-            f"PlanStep(step={self.step!r}, robot={self.robot!r}, location={self.location!r}, "
-            f"action={self.action!r}, cargo={self.cargo!r}, placed={self.placed!r}, "
-            f"battery={self.battery!r}, coalition={self.coalition!r})"
-        )
+    step: int
+    robot: str | None
+    location: str
+    action: Action
+    cargo: int
+    placed: int
+    battery: float
+    coalition: tuple[str, ...] = ()
 
 
+@record(eq=True, repr=True)
 class Plan:
-    __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[PlanStep, ...]):
-        self.steps = steps
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.steps == other.steps
-
-
-    def __repr__(self):
-        return f"Plan(steps={self.steps!r})"
+    steps: tuple[PlanStep, ...]
 
     def __len__(self) -> int:
         return len(self.steps)

@@ -44,6 +44,7 @@ from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import cache
 
+from . import record
 from .executor import ExecError, Trace, WorldState, apply_step, bind, execute, initial_state
 from .plan import Action, CHARGE, IDLE, Plan, PlanStep
 from .scenario import Scenario
@@ -67,6 +68,7 @@ class EditKind(Enum):
     Transpose = "transpose"
 
 
+@record(eq=True, hash=True, repr=True)
 class EditOp:
     """One unit-cost edit.
 
@@ -77,30 +79,10 @@ class EditOp:
     never emits those.
     """
 
-    __slots__ = ("kind", "position", "payload", "replaced")
-
-    def __init__(self, kind: EditKind, position: int, payload: Action | None = None, replaced: Action | None = None):
-        self.kind = kind
-        self.position = position
-        self.payload = payload
-        self.replaced = replaced
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.position, self.payload, self.replaced)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"EditOp(kind={self.kind!r}, position={self.position!r}, "
-            f"payload={self.payload!r}, replaced={self.replaced!r})"
-        )
+    kind: EditKind
+    position: int
+    payload: Action | None = None
+    replaced: Action | None = None
 
     def render(self) -> str:
         if self.kind is EditKind.Insert:
@@ -114,24 +96,11 @@ class EditOp:
         return f"S{self.position}: ->{self.payload}"
 
 
+@record(eq=True, hash=True)
 class EditProfile:
-    __slots__ = ("insertions", "substitutions", "reorders")
-
-    def __init__(self, insertions: int = 0, substitutions: int = 0, reorders: int = 0):
-        self.insertions = insertions
-        self.substitutions = substitutions  # includes substitutions-to-nothing (deletes)
-        self.reorders = reorders
-
-    def _fields(self) -> tuple:
-        return (self.insertions, self.substitutions, self.reorders)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+    insertions: int = 0
+    substitutions: int = 0  # includes substitutions-to-nothing (deletes)
+    reorders: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -141,11 +110,9 @@ class EditProfile:
         }
 
 
+@record()
 class EditScript:
-    __slots__ = ("ops",)
-
-    def __init__(self, ops: tuple[EditOp, ...]):
-        self.ops = ops
+    ops: tuple[EditOp, ...]
 
     @property
     def cost(self) -> int:
@@ -163,22 +130,13 @@ class EditScript:
 EMPTY_SCRIPT = EditScript(())
 
 
+@record()
 class RepairResult:
-    __slots__ = ("feasible", "plan", "script", "iterations_used", "report")
-
-    def __init__(
-        self,
-        feasible: bool,
-        plan: Plan | None,
-        script: EditScript | None,
-        iterations_used: int,  # T_rep
-        report: ViolationReport,  # report of the final plan
-    ):
-        self.feasible = feasible
-        self.plan = plan
-        self.script = script
-        self.iterations_used = iterations_used
-        self.report = report
+    feasible: bool
+    plan: Plan | None
+    script: EditScript | None
+    iterations_used: int  # T_rep
+    report: ViolationReport  # report of the final plan
 
     def to_dict(self) -> dict:
         return {

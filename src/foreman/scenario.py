@@ -17,6 +17,7 @@ import warnings
 from enum import Enum
 from pathlib import Path
 
+from . import record
 from .plan import Action, ActionKind, GRID_MOVES
 
 
@@ -208,53 +209,30 @@ class SiteMap:
 # ---------------------------------------------------------------------------
 
 
+@record()
 class RobotSpec:
-    __slots__ = ("id", "skills", "payload_capacity", "battery_max", "battery_init", "start_location", "cargo_init")
-
-    def __init__(
-        self,
-        id: str,
-        skills: frozenset[ActionKind],
-        payload_capacity: int,
-        battery_max: float,
-        battery_init: float,
-        start_location: str,
-        cargo_init: int = 0,
-    ):
-        self.id = id
-        self.skills = skills
-        self.payload_capacity = payload_capacity
-        self.battery_max = battery_max
-        self.battery_init = battery_init
-        self.start_location = start_location
-        self.cargo_init = cargo_init
+    id: str
+    skills: frozenset[ActionKind]
+    payload_capacity: int
+    battery_max: float
+    battery_init: float
+    start_location: str
+    cargo_init: int = 0
 
 
+@record()
 class TaskSpec:
-    __slots__ = ("id", "type", "required_skills", "location", "demand", "duration")
-
-    def __init__(
-        self,
-        id: str,
-        type: ActionKind,
-        required_skills: frozenset[ActionKind],
-        location: str,
-        demand: int,
-        duration: float,
-    ):
-        self.id = id
-        self.type = type
-        self.required_skills = required_skills
-        self.location = location
-        self.demand = demand
-        self.duration = duration
+    id: str
+    type: ActionKind
+    required_skills: frozenset[ActionKind]
+    location: str
+    demand: int
+    duration: float
 
 
+@record()
 class PrecedenceDag:
-    __slots__ = ("edges",)
-
-    def __init__(self, edges: frozenset[tuple[str, str]]):
-        self.edges = edges  # (before, after)
+    edges: frozenset[tuple[str, str]]  # (before, after)
 
     def topological_order(self, task_ids: list[str]) -> list[str] | None:
         """Kahn's algorithm, lowest declaration index first among ready tasks; None on cycle."""
@@ -276,25 +254,14 @@ class PrecedenceDag:
         return order if len(order) == len(task_ids) else None
 
 
+@record()
 class CostModel:
-    __slots__ = ("battery_per_du", "tu_per_du", "pick_build_tu_per_3mu", "recharge_tu", "scan_tu_per_su",
-                 "scan_footprint")
-
-    def __init__(
-        self,
-        battery_per_du: float = 25.0,
-        tu_per_du: float = 1.0,
-        pick_build_tu_per_3mu: float = 1.0,
-        recharge_tu: float = 1.0,
-        scan_tu_per_su: float = 1.0,
-        scan_footprint: ScanFootprint = ScanFootprint.RowColLos,
-    ):
-        self.battery_per_du = battery_per_du
-        self.tu_per_du = tu_per_du
-        self.pick_build_tu_per_3mu = pick_build_tu_per_3mu
-        self.recharge_tu = recharge_tu
-        self.scan_tu_per_su = scan_tu_per_su
-        self.scan_footprint = scan_footprint
+    battery_per_du: float = 25.0
+    tu_per_du: float = 1.0
+    pick_build_tu_per_3mu: float = 1.0
+    recharge_tu: float = 1.0
+    scan_tu_per_su: float = 1.0
+    scan_footprint: ScanFootprint = ScanFootprint.RowColLos
 
 
 class Scenario:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from enum import Enum
 
+from . import record
 from .executor import Trace, TraceEntry, WorldState, execute
 from .plan import ActionKind, BUILD, CHARGE, IDLE, NAVIGATE, Plan, SCAN, SchemaError, parse_plan
 from .scenario import Scenario, TaskSpec, cell_id
@@ -54,49 +55,23 @@ class HintKind(Enum):
     ReassignRobot = "reassign_robot"
 
 
+@record(eq=True, hash=True)
 class FixHint:
-    __slots__ = ("kind", "anchor_step", "suggested_action")
-
-    def __init__(self, kind: HintKind, anchor_step: int, suggested_action: ActionKind | None = None):
-        self.kind = kind
-        self.anchor_step = anchor_step
-        self.suggested_action = suggested_action
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.anchor_step, self.suggested_action)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+    kind: HintKind
+    anchor_step: int
+    suggested_action: ActionKind | None = None
 
     def render(self) -> str:
         what = f" {self.suggested_action.value}" if self.suggested_action else ""
         return f"{self.kind.value}{what} @ step {self.anchor_step}"
 
 
+@record(eq=True, hash=True)
 class Violation:
-    __slots__ = ("cls", "step", "detail", "hint")
-
-    def __init__(self, cls: ViolationClass, step: int | None, detail: str, hint: FixHint | None = None):
-        self.cls = cls
-        self.step = step
-        self.detail = detail
-        self.hint = hint
-
-    def _fields(self) -> tuple:
-        return (self.cls, self.step, self.detail, self.hint)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+    cls: ViolationClass
+    step: int | None
+    detail: str
+    hint: FixHint | None = None
 
     def render(self) -> str:
         where = f"step {self.step}" if self.step is not None else "plan"
@@ -106,33 +81,13 @@ class Violation:
         return line
 
 
+@record(eq=True, hash=True)
 class ViolationReport:
-    __slots__ = ("violations", "checks_run", "checks_completed", "psi", "feasible")
-
-    def __init__(
-        self,
-        violations: tuple[Violation, ...],
-        checks_run: frozenset[ViolationClass],
-        checks_completed: bool,
-        psi: int,
-        feasible: bool,
-    ):
-        self.violations = violations
-        self.checks_run = checks_run
-        self.checks_completed = checks_completed
-        self.psi = psi
-        self.feasible = feasible
-
-    def _fields(self) -> tuple:
-        return (self.violations, self.checks_run, self.checks_completed, self.psi, self.feasible)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+    violations: tuple[Violation, ...]
+    checks_run: frozenset[ViolationClass]
+    checks_completed: bool
+    psi: int
+    feasible: bool
 
     def by_class(self, cls: ViolationClass) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.cls == cls)
