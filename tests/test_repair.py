@@ -377,6 +377,54 @@ def test_edit_distance_bounds(xs, ys):
     assert abs(len(xs) - len(ys)) <= cost <= max(len(xs), len(ys))
 
 
+_PAIR_ACTIONS = [Action(ActionKind.PICK), Action(ActionKind.BUILD), Action(ActionKind.IDLE),
+                 Action(ActionKind.NAVIGATE, "A"), Action(ActionKind.NAVIGATE, "B")]
+
+
+def _random_plan_pair(rng):
+    """Two plans of 0-9 steps over an alphabet of 1-5 actions, labelled
+    None, r1 or r2, some steps by a coalition: the second is either drawn
+    afresh or the first after a few swaps, inserts, deletes and relabels."""
+    alphabet = rng.sample(_PAIR_ACTIONS, rng.randint(1, 5))
+
+    def step():
+        coalition = ("r1", "r2") if rng.random() < 0.1 else ()
+        return (rng.choice([None, "r1", "r2"]), rng.choice(alphabet), coalition)
+
+    a = [step() for _ in range(rng.randint(0, 9))]
+    if rng.random() < 0.5:
+        b = [step() for _ in range(rng.randint(0, 9))]
+    else:
+        b = list(a)
+        for _ in range(rng.randint(1, 4)):
+            p = rng.randint(0, len(b))
+            what = rng.choice(["swap", "ins", "del", "sub"])
+            if what == "swap" and p + 1 < len(b):
+                b[p], b[p + 1] = b[p + 1], b[p]
+            elif what == "ins" or not b:
+                b.insert(p, step())
+            elif what == "del":
+                del b[min(p, len(b) - 1)]
+            else:
+                b[min(p, len(b) - 1)] = step()
+        b = b[:9]
+    return tuple(Plan(tuple(PlanStep(i, label, "S", action, 0, 0, 100.0, coalition)
+                            for i, (label, action, coalition) in enumerate(steps, 1)))
+                 for steps in (a, b))
+
+
+def test_edit_script_is_pinned_on_random_plan_pairs():
+    # 3,000 seeded plan pairs whose steps differ in label, action, target and
+    # coalition, the four things an alignment compares; with many equal-cost
+    # alignments, the digest of each script and profile pins the tie-break
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    for _ in range(3000):
+        script = edit_script(*_random_plan_pair(rng))
+        digest.update(f"{script.render()}|{script.profile.to_dict()}\n".encode())
+    assert digest.hexdigest() == "29401d05813d0386e20684dd46d3d76aa61cd3474b72992f5035c0514eed055d"
+
+
 def test_applying_search_script_reproduces_repaired_plan(wall, grid, wall_draft, grid_draft):
     cases = [(wall, wall_draft, 4), (grid, grid_draft, 4)]
     # one FCFS draft per (tasks x initial battery) class of criterion 10's
