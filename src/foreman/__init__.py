@@ -19,9 +19,9 @@ root holds only ``__version__`` and the ``record`` helper:
 Each record is a slotted class that declares its fields once, in order, as
 annotations with optional defaults, under ``@record()``; the decorator
 writes its ``__init__`` (and, where asked, ``__eq__``, ``__hash__`` and
-``__repr__``), so that no import pays for ``dataclasses``.  Three records
+``__repr__``), so that no import pays for ``dataclasses``.  Two records
 keep a hand-written ``__init__`` because it does work: ``SiteMap`` (its hop
-table), ``Scenario`` (its indexes) and ``CheckState`` (its fresh dicts).
+table) and ``Scenario`` (its indexes).
 Records are read-only by convention, except what a run updates in place:
 ``WorldState`` and its ``RobotState``s, ``CheckState``, and the
 ``PlanStep``s that ``repair.reconcile_plan`` fills in.  The test suite

@@ -11,30 +11,10 @@ insert, substitute and reorder).  After every structural edit the state
 columns are recomputed by the executor, never edited textually.
 
 A candidate is its edit script: a tuple of ``EditOp`` in script order.
-One depth-first walk per cost enumerates them, with inserts, substitutes
-and transposes drawing on one edit budget; it carries each op as a small
-integer and builds ``EditOp``s only for the scripts it keeps or validates
-whole.  It carries an interned state through the draft: the id of what
-of the world and of the validator's check state (a ``validator.Monitor``)
-can still change a verdict.  A table per search maps each state and
-step to the next state, so each distinct transition is simulated and
-checked once, however many candidates and levels reach it.  Whether a
-step can execute depends only on the robot's location and the step, so a
-set per search of the (location, step) pairs that raised ExecError
-rejects the same step at that location from any other state without
-running it.  The battery a step leaves depends only on the robot's
-location and battery and the step, so a second set, of the (location,
-battery, step) triples whose step violated Battery, rejects it the same
-way.  A new state's key reuses its parent's parts that the step left
-equal.  A step that cannot execute, violates a checked class or
-(with Precedence checked) completes a task before a prerequisite prunes
-every candidate that extends it, and at the end of the draft the
-monitor's final checks decide feasibility: the walk keeps only feasible
-scripts.  For each walk state the search remembers the most edits
-with which its continuations held no feasible end, and does not explore it
-again with as few edits left.  The smallest feasible script in tie-break
-order wins; ``apply_script`` (the one applier of edit ops) rebuilds it,
-and ``validate`` confirms it once.
+``_survivors`` walks the scripts of each cost and keeps only the feasible
+ones.  The smallest feasible script in tie-break order wins;
+``apply_script`` (the one applier of edit ops) rebuilds it, and
+``validate`` confirms it once.
 """
 
 from __future__ import annotations
@@ -196,63 +176,49 @@ def edit_script(from_plan: Plan, to_plan: Plan) -> EditScript:
     Insert, delete (reported as a substitution-to-nothing), substitute and
     adjacent transpose all cost 1.  Positions in the recovered ops refer
     to the source plan's step indices.
+
+    Each cell of the table holds its cost and the op that reached it, and
+    the backtrace only reads those ops back.  Among equal-cost ops a cell
+    prefers transpose, then keep, substitute, insert and delete: each later
+    candidate takes the cell only when it is strictly cheaper, and a
+    transpose also when it is as cheap.
     """
     a = [(_sig(s), s.action) for s in from_plan.steps]
     b = [(_sig(s), s.action) for s in to_plan.steps]
     n, m = len(a), len(b)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dist[i][0] = i
-    for j in range(m + 1):
-        dist[0][j] = j
+    table = [[(j, "insert") for j in range(m + 1)]]  # row i: (cost, op) aligning a[:i] with each b[:j]
     for i in range(1, n + 1):
+        x, up = a[i - 1][0], table[i - 1]
+        row = [(i, "delete")]
         for j in range(1, m + 1):
-            same = a[i - 1][0] == b[j - 1][0]
-            best = min(
-                dist[i - 1][j] + 1,  # delete a[i-1]
-                dist[i][j - 1] + 1,  # insert b[j-1]
-                dist[i - 1][j - 1] + (0 if same else 1),
-            )
-            if (
-                i > 1
-                and j > 1
-                and a[i - 1][0] == b[j - 2][0]
-                and a[i - 2][0] == b[j - 1][0]
-                and not same
-            ):
-                best = min(best, dist[i - 2][j - 2] + 1)
-            dist[i][j] = best
+            y = b[j - 1][0]
+            best, op = (up[j - 1][0], "keep") if x == y else (up[j - 1][0] + 1, "substitute")
+            if row[j - 1][0] + 1 < best:
+                best, op = row[j - 1][0] + 1, "insert"
+            if up[j][0] + 1 < best:
+                best, op = up[j][0] + 1, "delete"
+            if x != y and i > 1 and j > 1 and x == b[j - 2][0] and a[i - 2][0] == y and table[i - 2][j - 2][0] < best:
+                best, op = table[i - 2][j - 2][0] + 1, "transpose"
+            row.append((best, op))
+        table.append(row)
 
-    # Backtrace into ops.
     ops: list[EditOp] = []
     i, j = n, m
-    while i > 0 or j > 0:
-        cur = dist[i][j]
-        if (
-            i > 1
-            and j > 1
-            and a[i - 1][0] == b[j - 2][0]
-            and a[i - 2][0] == b[j - 1][0]
-            and a[i - 1][0] != b[j - 1][0]
-            and cur == dist[i - 2][j - 2] + 1
-        ):
+    while i or j:
+        op = table[i][j][1]
+        if op == "transpose":
             ops.append(EditOp(EditKind.Transpose, i - 1))
             i, j = i - 2, j - 2
-            continue
-        if i > 0 and j > 0 and a[i - 1][0] == b[j - 1][0] and cur == dist[i - 1][j - 1]:
-            i, j = i - 1, j - 1
-            continue
-        if i > 0 and j > 0 and cur == dist[i - 1][j - 1] + 1:
-            ops.append(EditOp(EditKind.Substitute, i, b[j - 1][1], a[i - 1][1]))
-            i, j = i - 1, j - 1
-            continue
-        if j > 0 and cur == dist[i][j - 1] + 1:
+        elif op == "insert":
             ops.append(EditOp(EditKind.Insert, i + 1, b[j - 1][1]))
             j -= 1
-            continue
-        # delete: substitution-to-nothing
-        ops.append(EditOp(EditKind.Substitute, i, None, a[i - 1][1]))
-        i -= 1
+        elif op == "delete":
+            ops.append(EditOp(EditKind.Substitute, i, None, a[i - 1][1]))
+            i -= 1
+        else:
+            if op == "substitute":
+                ops.append(EditOp(EditKind.Substitute, i, b[j - 1][1], a[i - 1][1]))
+            i, j = i - 1, j - 1
     ops.reverse()
     return EditScript(tuple(ops))
 
@@ -493,11 +459,6 @@ def _survivors(
         moves[sid * width + c] = nxt
         return nxt
 
-    def move(sid: int, c: int) -> int:
-        """The state after step ``c`` from state ``sid``, or FAILS."""
-        nxt = moves[sid * width + c]
-        return fill(sid, c) if nxt == UNSEEN else nxt
-
     def feasible(sid: int, ops: tuple[int, ...]) -> bool:
         """Whether the edited plan, at the end of the draft, is feasible:
         with one robot the final checks on the walk's state decide; with
@@ -507,7 +468,7 @@ def _survivors(
             return not monitor.final(state, world)
         return validate(s, Plan(tuple(_edited(steps, [edit_op(op) for op in ops]))), checks).feasible
 
-    world, state = initial_state(s), CheckState()
+    world, state = initial_state(s), CheckState({}, {})
     rs = world.robots[robot]
     start = intern(world, state, (
         rs.location, rs.battery, rs.cargo, tuple(world.stock.values()),
@@ -536,7 +497,8 @@ def _survivors(
                         if nxt != FAILS and dead.get((g, pend, nxt), -1) < left - 1:
                             walk(g, nxt, ops + (op,), left - 1, pending)
                 if pending is not None:  # the code of the first step of a transposed pair
-                    sid = move(sid, pending)
+                    nxt = moves[sid * width + pending]
+                    sid = fill(sid, pending) if nxt == UNSEEN else nxt
                     if sid == FAILS:
                         break
                     g, pending = g + 1, None
@@ -557,7 +519,9 @@ def _survivors(
                         if nxt != FAILS and dead.get((g + 1, False, nxt), -1) < left - 1:
                             walk(g + 1, nxt, ops + (op,), left - 1, None)
                     if swaps_at[g] is not None:
-                        nxt = move(sid, kept[g + 1])
+                        nxt = moves[row + kept[g + 1]]
+                        if nxt == UNSEEN:
+                            nxt = fill(sid, kept[g + 1])
                         if nxt != FAILS:
                             walk(g + 1, nxt, ops + (swaps_at[g],), left - 1, kept[g])
                 nxt = moves[sid * width + kept[g]]

@@ -126,16 +126,9 @@ def _make_report(
     )
 
 
-# The order of the check classes in a report.
-_REPORT_ORDER = (
-    ViolationClass.Precedence,
-    ViolationClass.Capability,
-    ViolationClass.Capacity,
-    ViolationClass.Battery,
-    ViolationClass.Safety,
-    ViolationClass.Coverage,
-)
-_RANK = {cls: i for i, cls in enumerate(_REPORT_ORDER)}
+# A report lists its violations by class, in declaration order.  A Schema
+# violation is never sorted: an unexecutable plan reports it alone.
+_RANK = {cls: i for i, cls in enumerate(ViolationClass)}
 
 # Task types completed by the first such action at their location.
 _DONE_AT_SITE = frozenset({ActionKind.SCAN, ActionKind.INSPECT, ActionKind.MARK_LAYOUT})
@@ -155,27 +148,18 @@ _EXEC_ERROR_CLASS = {
 # ---------------------------------------------------------------------------
 
 
+@record()
 class CheckState:
     """What the checks carry from one executed step to the next."""
 
-    __slots__ = ("index", "last_step", "placed_at", "done", "doomed")
-
-    def __init__(
-        self,
-        index: int = 0,  # trace entries seen
-        last_step: int = 0,  # step number of the last entry seen
-        placed_at: dict[str, int] | None = None,
-        done: dict[str, tuple[int, int]] | None = None,  # task id -> (trace index, step number)
-        doomed: bool = False,  # a task completed before a prerequisite
-    ):
-        self.index = index
-        self.last_step = last_step
-        self.placed_at = {} if placed_at is None else placed_at
-        self.done = {} if done is None else done
-        self.doomed = doomed
+    placed_at: dict[str, int]
+    done: dict[str, tuple[int, int]]  # task id -> (trace index, step number)
+    index: int = 0  # trace entries seen
+    last_step: int = 0  # step number of the last entry seen
+    doomed: bool = False  # a task completed before a prerequisite
 
     def copy(self) -> CheckState:
-        return CheckState(self.index, self.last_step, dict(self.placed_at), dict(self.done), self.doomed)
+        return CheckState(dict(self.placed_at), dict(self.done), self.index, self.last_step, self.doomed)
 
 
 class Monitor:
@@ -355,7 +339,7 @@ def validate(
             )
         )
     else:
-        monitor, state = Monitor.of(s, checks), CheckState()
+        monitor, state = Monitor.of(s, checks), CheckState({}, {})
         for e in trace.entries:
             violations += monitor.step(state, e)
         violations += monitor.final(state, trace.final)

@@ -396,7 +396,7 @@ def test_a_prefix_the_monitor_flags_never_validates():
     for s in _micro_worlds():
         for combo, plan, trace in _micro_plans(s):
             for checks in _MICRO_CHECK_SETS:
-                monitor, state = Monitor(s, checks), CheckState()
+                monitor, state = Monitor(s, checks), CheckState({}, {})
                 why = None
                 for e in trace.entries:
                     if monitor.step(state, e):
