@@ -153,7 +153,6 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         if rs.location not in world.stock:
             raise ExecError(robot_id, step.step, "bad_pick", f"no stockpile at {rs.location}")
         moved = min(3, s.robot(robot_id).payload_capacity - rs.cargo, world.stock[rs.location])
-        moved = max(0, moved)
         rs.cargo += moved
         world.stock[rs.location] -= moved
         tu = cost.pick_build_tu_per_3mu if moved > 0 else 0.0
@@ -240,6 +239,4 @@ def execute(s: Scenario, plan: Plan) -> Trace:
 
 def makespan(trace: Trace) -> float:
     """Total elapsed TU; the max over robots for multi-robot plans."""
-    if not trace.final.elapsed:
-        return 0.0
-    return max(trace.final.elapsed.values())
+    return max(trace.final.elapsed.values(), default=0.0)

@@ -65,12 +65,9 @@ class _Lowering:
         return entry
 
     def travel(self, robot: str, target: str):
-        """One move step per hop of the site's shortest route."""
+        """One move step per hop of the site's shortest route (the loader keeps every site connected)."""
         here = self.world.robots[robot].location
-        hops = self.s.site.route(here, target)
-        if hops is None:
-            raise RealizationError(f"{target} unreachable from {here}")
-        for loc, _ in hops:
+        for loc, _ in self.s.site.route(here, target):
             if self.s.site.is_grid():
                 (x0, y0), (x1, y1) = parse_cell(here), parse_cell(loc)
                 action = Action(_MOVE_FOR_STEP[(x1 - x0, y1 - y0)])
@@ -124,9 +121,7 @@ def fcfs_schedule(s: Scenario) -> tuple[Assignment, Plan]:
     Raises UnassignableTask when no single robot covers a task's skills
     (the baseline never forms coalitions).
     """
-    order = s.dag.topological_order([t.id for t in s.tasks])
-    if order is None:  # load_scenario guarantees acyclicity; belt and braces
-        raise RealizationError("precedence graph has a cycle")
+    order = s.dag.topological_order([t.id for t in s.tasks])  # not None: the loader rejects a cycle
     by_id = {t.id: t for t in s.tasks}
     lowering = _Lowering(s)
     alpha = []

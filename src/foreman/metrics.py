@@ -82,8 +82,6 @@ def _f1(p: float, r: float) -> float:
 
 
 def _lcs_length(a: Tokens, b: Tokens) -> int:
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0]

@@ -54,9 +54,9 @@ class EditOp:
 
     ``position`` is a 1-based step index for Substitute/Transpose (the
     transpose swaps ``position`` and ``position + 1``) and the index the
-    new step will occupy for Insert.  A Substitute payload of None records
-    a deletion when diffing arbitrary plan pairs; the repair search itself
-    never emits those.
+    new step will occupy for Insert.  A Substitute names the action it
+    replaces; a payload of None records a deletion when diffing arbitrary
+    plan pairs, which the repair search itself never emits.
     """
 
     kind: EditKind
@@ -71,9 +71,7 @@ class EditOp:
             return f"S{self.position}<->S{self.position + 1}"
         if self.payload is None:
             return f"S{self.position}: {self.replaced} (-)"
-        if self.replaced is not None:
-            return f"S{self.position}: {self.replaced}->{self.payload}"
-        return f"S{self.position}: ->{self.payload}"
+        return f"S{self.position}: {self.replaced}->{self.payload}"
 
 
 @record(eq=True, hash=True)

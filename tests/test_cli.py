@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from conftest import scenario_doc
 from foreman import cli, experiment, repair
 from foreman.cli import main
 from foreman.gateway import GatewayError, MockProvider
@@ -45,6 +46,12 @@ def _paths(fix_dir):
         "grid_draft": str(fix_dir / "plans" / "scan_grid.draft.plan"),
         "grid_llama": str(fix_dir / "plans" / "scan_grid.llama.plan"),
     }
+
+
+def _write_wall(path: Path, **overrides) -> str:
+    """The wall document with ``overrides`` for its top-level keys, written to ``path``."""
+    path.write_text(json.dumps(dict(scenario_doc("wall_assembly"), **overrides)), encoding="utf-8")
+    return str(path)
 
 
 def test_validate_exit_codes(runner, fix_dir):
@@ -268,6 +275,58 @@ def test_a_draft_of_a_robot_outside_the_roster_is_no_traceback(runner, fix_dir, 
     assert json.loads(res.output)["outcome"] == "infeasible"
 
 
+_WALL = scenario_doc("wall_assembly")
+_R1 = _WALL["robots"][0]
+
+# A step the executor cannot run on a copy of the wall scenario: (test id, the
+# copy's top-level overrides, the step, the executor's reason).
+_UNEXECUTABLE = [
+    ("no_route", {}, "STEP 1, [Z], NAVIGATE Z, [0], 0, [75]", "no route C -> Z"),
+    ("no_edge", {"site": dict(_WALL["site"], edges=[["S", "B", 1], ["B", "C", 1]])},
+     "STEP 1, [S], MOVE_S, [0], 0, [75]", "no edge C -> S"),
+    ("unlabelled_step_two_robots", {"robots": [_R1, dict(_R1, id="r2")]},
+     "STEP 1, [S], MOVE_S, [0], 0, [75]", "plan omits robot ids but scenario has multiple robots"),
+]
+
+
+@pytest.mark.parametrize("overrides, step, reason", [c[1:] for c in _UNEXECUTABLE], ids=[c[0] for c in _UNEXECUTABLE])
+def test_an_unexecutable_step_is_one_schema_violation_and_no_repair(runner, tmp_path, overrides, step, reason):
+    scenario = _write_wall(tmp_path / "wall_assembly.scn.json", **overrides)
+    plan = tmp_path / "one.plan"
+    plan.write_text(step + "\n", encoding="utf-8")
+    res = runner.invoke(main, ["validate", scenario, str(plan)])
+    assert res.exit_code == 3 and isinstance(res.exception, SystemExit), res.output
+    assert json.loads(res.output)["violations"] == [
+        {"class": "schema", "step": 1, "detail": f"unexecutable: {reason}", "hint": "substitute IDLE @ step 1"}
+    ]
+    res = runner.invoke(main, ["repair", scenario, str(plan), "--budget", "1"])
+    assert res.exit_code == 0 and res.exception is None, res.output
+    assert json.loads(res.output) == {
+        "outcome": "infeasible", "iterations_used": 3, "edit_script": None, "edit_profile": None,
+    }
+
+
+def test_an_empty_name_in_the_checks_list_is_skipped(runner, fix_dir):
+    p = _paths(fix_dir)
+    res = runner.invoke(main, ["validate", p["wall"], p["wall_draft"], "--checks", "battery,,coverage"])
+    assert res.exit_code == 3, res.output
+    assert json.loads(res.output)["checks_run"] == ["battery", "coverage"]
+    same = runner.invoke(main, ["validate", p["wall"], p["wall_draft"], "--checks", "battery,coverage"])
+    assert res.output == same.output
+
+
+def test_simulate_an_empty_plan_for_an_empty_roster(runner, tmp_path):
+    scenario = tmp_path / "nobody.scn.json"
+    scenario.write_text(json.dumps(_minimal_doc(robots=[])), encoding="utf-8")
+    plan = tmp_path / "empty.plan"
+    plan.write_text("", encoding="utf-8")
+    res = runner.invoke(main, ["simulate", str(scenario), str(plan)])
+    assert res.exit_code == 0, res.output
+    assert res.output == (
+        '{"summary": {"discovered": [], "error": null, "makespan_tu": 0.0, "placed": 0, "scanned": []}}\n'
+    )
+
+
 def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
     p = _paths(fix_dir)
     res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--max-iters", "0"])
@@ -390,6 +449,29 @@ def test_cli_output_is_pinned(runner, fix_dir, tmp_path, command, code, digest):
 
 
 @pytest.mark.parametrize(
+    "name, code, digest, stderr",
+    [
+        # the shipped draft fixture stands in for the generator: the run is `experiment wall`'s
+        ("wall_assembly", 0, {c: d for c, _, d in _PINNED}["experiment wall"], ""),
+        ("other", 1, hashlib.sha256(b"").hexdigest(), "error: no generator profile and no draft fixture for other\n"),
+    ],
+    ids=["wall_assembly", "other"],
+)
+def test_experiment_without_a_generator_profile_reads_the_draft_fixture(
+    runner, fix_dir, tmp_path, name, code, digest, stderr
+):
+    profiles = json.loads((fix_dir / "llm_profiles.json").read_text(encoding="utf-8"))
+    del profiles["generator"]
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps(profiles), encoding="utf-8")
+    scenario = _write_wall(tmp_path / f"{name}.scn.json")
+    res = runner.invoke(main, ["experiment", scenario, "--profiles", str(path), "--out-dir", str(tmp_path / "out")])
+    assert res.exit_code == code, res.output
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+    assert res.output[len(res.stdout_bytes.decode()):] == stderr
+
+
+@pytest.mark.parametrize(
     "command",
     [
         "repair wall wall_draft --budget x",
@@ -507,8 +589,9 @@ def test_a_loader_warning_is_one_warning_line(runner, fix_dir, tmp_path):
 
 # (command, last line of stderr) for error paths that exit 1; the paths name the
 # keys of ``_paths`` or files that the test writes under tmp_path: ``bad.plan``
-# fails the grammar, ``a_dir`` is a directory and ``scan_b.scn.json`` is the
-# wall document plus a SCAN task at B that no robot can do.
+# fails the grammar, ``a_dir`` is a directory, ``scan_b.scn.json`` is the wall
+# document plus a SCAN task at B that no robot can do, and ``pick_p.scn.json``
+# is the wall document with one PICK task, a type that FCFS cannot lower.
 _ERRORS = [
     ("simulate wall bad.plan", "error: line 1: expected 6 fields, got 2"),
     ("simulate wall missing.plan", "error: [Errno 2] No such file or directory: '{missing}'"),
@@ -516,6 +599,7 @@ _ERRORS = [
     ("validate wall wall_draft --checks bogus", _CHECKS_BOGUS),
     ("validate wall a_dir", "error: [Errno 21] Is a directory: '{a_dir}'"),
     ("fcfs scan_b.scn.json", "error: no single robot covers the skills of task 'scan_b'"),
+    ("fcfs pick_p.scn.json", "error: task p: cannot lower task type PICK"),
     ("repair wall wall_draft --supervisor nope", "error: unknown supervisor spec 'nope'"),
     ("repair wall wall_draft --supervisor llm:nope", "error: unknown LLM profile 'nope'"),
     ("experiment wall --checks bogus", _CHECKS_BOGUS),
@@ -528,7 +612,8 @@ def test_error_paths_exit_1_with_one_error_line(runner, fix_dir, tmp_path, comma
     (tmp_path / "bad.plan").write_text("STEP 1, garbage\n", encoding="utf-8")
     (tmp_path / "a_dir").mkdir()
     _scan_b(fix_dir, tmp_path)
-    written = ("bad.plan", "missing.plan", "a_dir", "scan_b.scn.json")
+    _write_wall(tmp_path / "pick_p.scn.json", tasks=[{"id": "p", "type": "PICK", "location": "S"}], dag=[])
+    written = ("bad.plan", "missing.plan", "a_dir", "scan_b.scn.json", "pick_p.scn.json")
     names = dict(_paths(fix_dir), **{n: str(tmp_path / n) for n in written})
     args = [names.get(a, a) for a in command.split()]
     if args[0] == "experiment":

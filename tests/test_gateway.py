@@ -192,6 +192,22 @@ def test_mock_missing_key_is_malformed_response(fix_dir):
     assert exc.value.kind == "malformed-response"
 
 
+@pytest.mark.parametrize(
+    "mocks, key, reason",
+    [
+        (False, ("gemma", "wall_assembly", 1), "mock profile but no mocks directory configured"),
+        (True, None, "mock completion requires a (role, scenario, iteration) key"),
+    ],
+    ids=["no_mocks_dir", "no_mock_key"],
+)
+def test_a_mock_profile_needs_a_mocks_directory_and_a_key(fix_dir, mocks, key, reason):
+    gateway = Gateway(mocks_dir=fix_dir / "mocks") if mocks else Gateway()
+    profile = load_profiles(fix_dir / "llm_profiles.json")["gemma"]
+    with pytest.raises(GatewayError) as exc:
+        gateway.complete(profile, "x", mock_key=key)
+    assert (exc.value.kind, exc.value.reason) == ("malformed-response", reason)
+
+
 def test_live_profile_missing_key_is_auth_error():
     profile = LlmProfile(
         name="live", role="supervisor", endpoint="https://example.invalid/v1/chat/completions",
@@ -261,13 +277,13 @@ def test_live_transport_returns_completion(stub, monkeypatch):
     monkeypatch.setenv("FOREMAN_STUB_KEY", "k1")
     p = profile_for("/v1/chat", (200, _completion("STEP 1")))
     profile = LlmProfile(
-        p.name, p.role, p.endpoint, p.model_name, p.temperature, p.max_tokens, p.stop_tokens,
+        p.name, p.role, p.endpoint, p.model_name, p.temperature, p.max_tokens, ("END",),
         api_key_env="FOREMAN_STUB_KEY", seed=7,
     )
     assert Gateway().complete(profile, "the prompt") == "STEP 1"
     [(path, payload, auth)] = seen
     assert path == "/v1/chat" and auth == "Bearer k1"
-    assert payload["model"] == "m" and payload["seed"] == 7
+    assert payload["model"] == "m" and payload["seed"] == 7 and payload["stop"] == ["END"]
     assert payload["messages"] == [{"role": "user", "content": "the prompt"}]
 
 

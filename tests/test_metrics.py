@@ -84,6 +84,21 @@ def test_rouge_empty_inputs():
         rouge([A], [], "rl")
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: rouge([A], [A], "r3"), ValueError, "unknown ROUGE variant 'r3'"),
+        (lambda: meteor([], [A]), EmptyInput, "METEOR inputs must be nonempty"),
+    ],
+    ids=["rouge-variant", "meteor-empty"],
+)
+def test_api_only_argument_errors(call, error, message):
+    # similarity() names only known variants, and rouge rejects empty input before meteor sees it
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_meteor_goldens():
     # 1. identical five tokens: one chunk, penalty 0.5*(1/5)^3 -> 0.996
     assert abs(meteor([A, B, C, D, E], [A, B, C, D, E]) - 0.996) < 1e-12

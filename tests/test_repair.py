@@ -239,6 +239,21 @@ def test_supervisor_error_counts_as_failed_iteration(wall, wall_draft):
     assert result.iterations_used == 3
 
 
+# Argument checks that the CLI makes first, so only the Python API reaches
+# them: (test id, the call on the wall draft, its message).
+_BAD_ARGUMENTS = [
+    ("style", lambda s, draft: SearchSupervisor("bold"), "unknown search style 'bold'"),
+    ("max_iters", lambda s, draft: repair_loop(s, draft, SearchSupervisor(), max_iters=0), "max_iters must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", [c[1:] for c in _BAD_ARGUMENTS], ids=[c[0] for c in _BAD_ARGUMENTS])
+def test_a_bad_argument_is_a_value_error(wall, wall_draft, call, message):
+    with pytest.raises(ValueError) as exc:
+        call(wall, wall_draft)
+    assert str(exc.value) == message
+
+
 def test_repair_loop_with_canned_plan_supervisor(wall, wall_draft, wall_llama):
     class Canned:
         name = "canned"

@@ -220,6 +220,60 @@ def test_malformed_value_is_validation_error_at_its_path(where, overrides):
     assert exc.value.where == where
 
 
+def _grid_start(location: str) -> dict:
+    """A 2x2 grid with the one robot starting at ``location``."""
+    return dict(_robot(start_location=location), site={"kind": "grid", "width": 2, "height": 2})
+
+
+def _two_tasks(**fields):
+    """Tasks t1 and t2 at A, each with ``fields`` but ``dag``, the document's DAG."""
+    dag = fields.pop("dag", [])
+    tasks = [dict({"id": i, "type": "NAVIGATE", "location": "A"}, **fields) for i in ("t1", "t2")]
+    return {"tasks": tasks, "dag": dag}
+
+
+# Documents the loader rejects, with the path it names and its reason:
+# (path, test id suffix, reason, overrides).
+_REASONS = [
+    ("robots[0].start_location", "letter", "unknown or blocked grid cell 'A'", _grid_start("A")),
+    ("robots[0].start_location", "three-numbers", "unknown or blocked grid cell '(1,2,3)'",
+     _grid_start("(1,2,3)")),
+    ("robots[0].start_location", "not-numbers", "unknown or blocked grid cell '(a,b)'", _grid_start("(a,b)")),
+    ("robots[0].payload_capacity", "huge", f"expected a finite integer, got {10 ** 400}",
+     _robot(payload_capacity=10 ** 400)),
+    ("site.nodes", "duplicate", "duplicate node ids",
+     {"site": {"kind": "named_graph", "nodes": ["A", "a"], "edges": []}}),
+    ("site.edges[0]", "undeclared", "edge references undeclared node 'A'/'Z'",
+     {"site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["A", "Z", 1]]}}),
+    ("site", "zero-width", "grid dimensions must be positive", {"site": {"kind": "grid", "width": 0, "height": 2}}),
+    ("site.blocked[0]", "outside", "cell (2, 0) outside 2x2 grid",
+     {"site": {"kind": "grid", "width": 2, "height": 2, "blocked": [[2, 0]]}}),
+    ("robots[0]", "cargo", "cargo_init 4 exceeds payload_capacity 3", _robot(payload_capacity=3, cargo_init=4)),
+    ("robots", "duplicate", "duplicate robot ids", {"robots": _robot()["robots"] + _robot(id="R1")["robots"]}),
+    ("tasks[0]", "zero-duration", "duration 0.0 must be > 0", _two_tasks(duration=0)),
+    ("tasks", "duplicate", "duplicate task ids", {"tasks": _two_tasks()["tasks"] * 2}),
+    ("tasks[0].type", "unknown", "unknown action name 'FLY'", _two_tasks(type="FLY")),
+    ("dag[0]", "undeclared", "edge ('t1', 't3') references undeclared task", _two_tasks(dag=[["t1", "t3"]])),
+]
+
+
+@pytest.mark.parametrize(
+    "where, reason, overrides",
+    [(where, reason, o) for where, _, reason, o in _REASONS],
+    ids=[f"{where}-{suffix}" for where, suffix, _, _ in _REASONS],
+)
+def test_malformed_value_is_validation_error_with_its_reason(where, reason, overrides):
+    with pytest.raises(ValidationError) as exc:
+        load_scenario_dict(_minimal_doc(**overrides))
+    assert (exc.value.where, exc.value.reason) == (where, reason)
+
+
+def test_a_document_that_is_not_an_object_is_a_parse_error():
+    with pytest.raises(ParseError) as exc:
+        load_scenario_dict([_minimal_doc()])
+    assert str(exc.value) == "scenario document must be a JSON object"
+
+
 def test_id_canonicalization():
     doc = _minimal_doc()
     doc["robots"][0]["id"] = "  R1 "
