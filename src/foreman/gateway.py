@@ -4,8 +4,8 @@ This is the one module that knows what an LLM sees.  Prompts are rendered
 from the ``Scenario`` itself and are structured, not free-form prose:
 commented blocks, key-value rosters, and explicit do/don't rules,
 byte-stable for equal inputs.  The transport speaks the OpenAI-compatible
-chat-completions shape; a canned mock provider keyed by (role, scenario,
-iteration) makes every workflow runnable fully offline.
+chat-completions shape; a canned mock provider keyed by (profile name,
+scenario, iteration) makes every workflow runnable fully offline.
 """
 
 from __future__ import annotations
@@ -210,11 +210,13 @@ def strip_plan_preamble(text: str) -> str:
 
 
 class MockProvider:
-    """Serves canned responses from a manifest keyed 'role::scenario::iteration'.
+    """Serves canned responses from a manifest keyed 'profile::scenario::iteration'.
 
-    The manifest maps each key to a file name under the mocks directory; a
-    manifest of another shape, or a response file that cannot be read as
-    UTF-8 text, is a malformed response.
+    A key's first part names the profile that asks, not its role (the
+    generator's is the profile named ``generator``).  The manifest maps
+    each key to a file name under the mocks directory; a manifest of
+    another shape, or a response file that cannot be read as UTF-8 text,
+    is a malformed response.
     """
 
     def __init__(self, mocks_dir: str | Path):
@@ -227,8 +229,8 @@ class MockProvider:
             raise GatewayError("malformed-response", f"{manifest_path} must map each mock key to a file name")
 
     def complete(self, key: tuple[str, str, int]) -> str:
-        role, scenario, iteration = key
-        for candidate in (f"{role}::{scenario}::{iteration}", f"{role}::{scenario}::1"):
+        profile, scenario, iteration = key
+        for candidate in (f"{profile}::{scenario}::{iteration}", f"{profile}::{scenario}::1"):
             if candidate in self.manifest:
                 path = self.mocks_dir / self.manifest[candidate]
                 try:
@@ -236,7 +238,7 @@ class MockProvider:
                 except (OSError, ValueError) as e:  # missing, unreadable or not UTF-8
                     raise GatewayError("malformed-response", f"mock response {path}: {e}") from None
         raise GatewayError(
-            "malformed-response", f"no mock response for {role}::{scenario}::{iteration}"
+            "malformed-response", f"no mock response for {profile}::{scenario}::{iteration}"
         )
 
 
@@ -257,7 +259,7 @@ class Gateway:
             if self._mock is None:
                 raise GatewayError("malformed-response", "mock profile but no mocks directory configured")
             if mock_key is None:
-                raise GatewayError("malformed-response", "mock completion requires a (role, scenario, iteration) key")
+                raise GatewayError("malformed-response", "mock completion requires a (profile, scenario, iteration) key")
             return self._mock.complete(mock_key)
         return self._http_complete(profile, prompt)
 

@@ -202,14 +202,15 @@ def eval_run(s: Scenario, draft: Plan, result: RepairResult) -> EvalReport:
     """Aggregate one draft -> repair run into the per-run metric row.
 
     Similarity compares the corrected plan (candidate) against the draft
-    (reference) over action/location tokens.  The edit profile is the
+    (reference) over action/location tokens; it is None when either plan
+    is empty, since no score is defined then.  The edit profile is the
     run's own draft -> final script (empty when the run found no plan).
     FR is 1.0 iff the run ended in a plan that validates with zero
     violations.
     """
-    draft_tokens = tokenize_plan(draft)
     final = result.plan if result.feasible else draft
-    scores = similarity(tokenize_plan(final), draft_tokens) if draft_tokens else None
+    final_tokens, draft_tokens = tokenize_plan(final), tokenize_plan(draft)
+    scores = similarity(final_tokens, draft_tokens) if final_tokens and draft_tokens else None
     ms_final = makespan(execute(s, final))
     ms_draft = ms_final if final is draft else makespan(execute(s, draft))
     return EvalReport(

@@ -399,14 +399,16 @@ def _names(raw: dict, key: str, where: str) -> frozenset[str]:
     return frozenset(_canon_id(n, at, i).upper() for i, n in enumerate(_typed(raw.get(key, []), list, at)))
 
 
+def _action_kind(name, where: str) -> ActionKind:
+    """The action ``name`` names: a robot skill or a task type."""
+    try:
+        return ActionKind(str(name))
+    except ValueError:
+        raise ValidationError(where, f"unknown action name {name!r}") from None
+
+
 def _skills(raw: list, where: str) -> frozenset[ActionKind]:
-    out = set()
-    for i, name in enumerate(_typed(raw, list, where)):
-        try:
-            out.add(ActionKind(str(name)))
-        except ValueError:
-            raise ValidationError(f"{where}[{i}]", f"unknown action name {name!r}") from None
-    return frozenset(out)
+    return frozenset(_action_kind(name, f"{where}[{i}]") for i, name in enumerate(_typed(raw, list, where)))
 
 
 def _check_location(site: SiteMap, loc, where: str) -> str:
@@ -518,11 +520,7 @@ def load_scenario_dict(doc: dict, name: str = "scenario") -> Scenario:
         demand = _count(t.get("demand", 0), f"{where}.demand")
         if duration <= 0:
             raise ValidationError(where, f"duration {duration} must be > 0")
-        raw_type = _require(t, "type", where)
-        try:
-            task_type = ActionKind(str(raw_type))
-        except ValueError:
-            raise ValidationError(f"{where}.type", f"unknown action name {raw_type!r}") from None
+        task_type = _action_kind(_require(t, "type", where), f"{where}.type")
         tasks.append(
             TaskSpec(
                 id=_canon_id(_require(t, "id", where), f"{where}.id").lower(),

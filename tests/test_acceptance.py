@@ -13,6 +13,7 @@ import pytest
 
 from brute_oracle import brute_feasible
 from edit_oracle import as_ops, enumerate_scripts, unnumbered
+from foreman import experiment
 from foreman.executor import execute, makespan
 from foreman.experiment import (
     ExperimentConfig,
@@ -370,17 +371,32 @@ def test_criterion_9_offline_end_to_end(fix_dir, tmp_path):
     )
 
 
-def test_criterion_10_fcfs_directional_claim():
+def test_criterion_10_fcfs_directional_claim(monkeypatch):
     scenarios = battery_pressured_batch(seed=2024, n=50)
+    runs = []  # (scenario, FCFS plan, hybrid result): the batch's one search per instance
+    loop = experiment.repair_loop
+
+    def kept(s, plan, *args):
+        result = loop(s, plan, *args)
+        runs.append((s, plan, result))
+        return result
+
+    monkeypatch.setattr(experiment, "repair_loop", kept)
     stats = fcfs_vs_hybrid(scenarios)
+    # the FCFS verdicts, each from a validate of its own rather than the loop's
+    fcfs_ok = [validate(s, plan).feasible for s, plan, _ in runs]
+    fcfs_only = sum(ok and not result.feasible for ok, (_, _, result) in zip(fcfs_ok, runs))
     ok = (
         stats["hybrid_rate"] >= stats["fcfs_rate"]
         and stats["strict_hybrid_wins"] >= 10
         and stats["fcfs_only_wins"] == 0
+        and len(runs) == 50
+        and sum(fcfs_ok) / 50 == stats["fcfs_rate"]
+        and fcfs_only == 0
     )
     _report(
         ok,
         "criterion 10 (FCFS directional claim)",
         f"hybrid rate {stats['hybrid_rate']:.2f} >= fcfs rate {stats['fcfs_rate']:.2f}, "
-        f"strict hybrid wins {stats['strict_hybrid_wins']}/50",
+        f"strict hybrid wins {stats['strict_hybrid_wins']}/50, FCFS-only wins by own validate {fcfs_only}",
     )

@@ -327,6 +327,65 @@ def test_simulate_an_empty_plan_for_an_empty_roster(runner, tmp_path):
     )
 
 
+def test_validate_on_text_that_does_not_parse_is_one_schema_violation_without_a_hint(runner, fix_dir, tmp_path):
+    plan = tmp_path / "bad.plan"
+    plan.write_text("STEP 1, garbage\n", encoding="utf-8")
+    res = runner.invoke(main, ["validate", _paths(fix_dir)["wall"], str(plan)])
+    assert res.exit_code == 3, res.output
+    assert json.loads(res.output)["violations"] == [
+        {"class": "schema", "step": 1, "detail": "expected 6 fields, got 2", "hint": None}
+    ]
+
+
+def test_simulate_stops_at_an_unexecutable_step(runner, fix_dir, tmp_path):
+    plan = tmp_path / "two.plan"
+    plan.write_text("STEP 1, [S], MOVE_S, [0], 0, [75]\nSTEP 2, [Z], NAVIGATE Z, [0], 0, [75]\n", encoding="utf-8")
+    res = runner.invoke(main, ["simulate", _paths(fix_dir)["wall"], str(plan)])
+    assert res.exit_code == 0, res.output
+    *steps, summary = [json.loads(line) for line in res.output.splitlines()]
+    assert [r["action"] for r in steps] == ["MOVE_S"]
+    assert summary["summary"] == {
+        "discovered": [], "error": "step 2 (r1): no route S -> Z", "makespan_tu": 1.0, "placed": 0, "scanned": [],
+    }
+
+
+def _no_go_b(tmp_path, draft: str, supervisor_answer: str) -> list[str]:
+    """``experiment`` arguments for a copy of the wall with no tasks and B a
+    no-go zone, whose generator answers ``draft`` and whose supervisor
+    ``llm:x`` answers ``supervisor_answer``, both served as mocks."""
+    scenario = _write_wall(tmp_path / "no_go_b.scn.json", tasks=[], dag=[], site=dict(_WALL["site"], no_go=["B"]))
+    mocks = tmp_path / "mocks"
+    mocks.mkdir()
+    (mocks / "draft.txt").write_text(draft, encoding="utf-8")
+    (mocks / "x.txt").write_text(supervisor_answer, encoding="utf-8")
+    manifest = {"generator::no_go_b::1": "draft.txt", "x::no_go_b::1": "x.txt"}
+    (mocks / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    profiles = tmp_path / "profiles.json"
+    mock = {"endpoint": "mock://m"}
+    profiles.write_text(json.dumps({"generator": dict(mock, role="generator"), "x": dict(mock, role="supervisor")}))
+    return ["experiment", scenario, "--supervisor", "llm:x", "--mocks-dir", str(mocks), "--profiles", str(profiles),
+            "--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "draft, answer, edits",
+    [
+        # the draft enters B; the supervisor answers an empty plan, which is feasible
+        ("STEP 1, [B], MOVE_B, [0], 0, [75]\n", "", "S1: MOVE_B (-)"),
+        # a generator answer of comments alone is an empty draft, feasible as it is
+        ("# nothing to do here\n", "", "(none)"),
+    ],
+    ids=["empty_repair", "empty_draft"],
+)
+def test_an_empty_plan_on_either_side_has_no_similarity_row(runner, tmp_path, draft, answer, edits):
+    res = runner.invoke(main, _no_go_b(tmp_path, draft, answer))
+    assert res.exit_code == 0, res.output
+    out = tmp_path / "out"
+    assert (out / "similarity.csv").read_text() == "Supervisor,BLEU,ROUGE-1,ROUGE-L,METEOR\n"
+    arm = json.loads((out / "summary.json").read_text())["arms"]["hybrid/llm:x"]
+    assert (arm["fr"], arm["edited_steps"]) == (1.0, edits)
+
+
 def test_repair_max_iters_zero_is_a_one_line_error(runner, fix_dir):
     p = _paths(fix_dir)
     res = runner.invoke(main, ["repair", p["wall"], p["wall_draft"], "--max-iters", "0"])

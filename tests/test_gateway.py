@@ -10,6 +10,7 @@ from foreman.gateway import (
     Gateway,
     GatewayError,
     LlmProfile,
+    MockProvider,
     build_generator_prompt,
     build_supervisor_prompt,
     load_profiles,
@@ -115,6 +116,34 @@ def test_prompt_bytes_are_pinned(fix_dir):
     assert {k: hashlib.sha256(p.encode("utf-8")).hexdigest() for k, p in prompts.items()} == _PROMPT_SHA256
 
 
+def _without(name, section, key, empty):
+    """The shipped scenario ``name`` with ``doc[section][key]`` (or ``doc[key]``) set to ``empty``."""
+    doc = scenario_doc(name)
+    (doc[section] if section else doc)[key] = empty
+    return load_scenario_dict(doc, name=name)
+
+
+# A line the context leaves out when the scenario has nothing to list:
+# (label, the line's head, the shipped scenario without it, SHA-256 of its
+# generator prompt, recorded with the 15 prompts' code unchanged).
+_ELIDED_LINES = [
+    ("scan_grid-blocked", "blocked cells: ", ("scan_grid", "site", "blocked", []),
+     "bf4dd10de78bca54164bee105eed8f683c3e934d65a9ca22741e45ff02089932"),
+    ("wall_assembly-chargers", "charging stations: ", ("wall_assembly", "site", "chargers", []),
+     "339efc603acabff9b5663e98c448db899933a3b9989df13ef656a21c276f6985"),
+    ("wall_assembly-safety_rules", "safety rules in force: ", ("wall_assembly", None, "safety_rules", []),
+     "1c9aa6e4abe92a3dc6beb30cf14c083e65514f67322d2bd5cd596b2e87921b4c"),
+]
+
+
+@pytest.mark.parametrize("head, variant, digest", [c[1:] for c in _ELIDED_LINES], ids=[c[0] for c in _ELIDED_LINES])
+def test_a_context_line_with_nothing_to_list_is_left_out(fix_dir, head, variant, digest):
+    shipped = build_generator_prompt(load_scenario(fix_dir / f"{variant[0]}.scn.json"))
+    prompt = build_generator_prompt(_without(*variant))
+    assert f"\n{head}" in shipped and f"\n{head}" not in prompt
+    assert hashlib.sha256(prompt.encode("utf-8")).hexdigest() == digest
+
+
 def test_strip_preamble_and_idempotence():
     text = "Sure! Here is the plan you asked for:\n\nSTEP 1, [C], IDLE, [0], 0, [100]\n"
     stripped = strip_plan_preamble(text)
@@ -166,6 +195,24 @@ def test_profile_fields_of_the_wrong_type_are_value_errors(tmp_path, field, valu
     assert str(exc.value) == f"{path}: profile 'x': {field} must be {kind}"
 
 
+@pytest.mark.parametrize("raw", ["mock://fixtures", {"role": "supervisor"}], ids=["a_string", "no_endpoint"])
+def test_a_profile_that_is_not_an_object_with_an_endpoint_is_a_value_error(tmp_path, raw):
+    path = tmp_path / "profiles.json"
+    path.write_text(json.dumps({"x": raw}), encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        load_profiles(path)
+    assert str(exc.value) == f"{path}: profile 'x' must be an object with an endpoint"
+
+
+def test_a_mock_manifest_that_is_not_an_object_is_a_malformed_response(tmp_path):
+    (tmp_path / "manifest.json").write_text('["generator::wall_assembly::1"]', encoding="utf-8")
+    with pytest.raises(GatewayError) as exc:
+        MockProvider(tmp_path)
+    assert (exc.value.kind, exc.value.reason) == (
+        "malformed-response", f"{tmp_path / 'manifest.json'} must map each mock key to a file name"
+    )
+
+
 def test_profile_stop_tokens_and_seed_load_typed(tmp_path):
     path = tmp_path / "profiles.json"
     doc = {"x": {"endpoint": "mock://fixtures", "stop_tokens": ["END"], "seed": 7}, "y": {"endpoint": "mock://f", "seed": None}}
@@ -196,7 +243,7 @@ def test_mock_missing_key_is_malformed_response(fix_dir):
     "mocks, key, reason",
     [
         (False, ("gemma", "wall_assembly", 1), "mock profile but no mocks directory configured"),
-        (True, None, "mock completion requires a (role, scenario, iteration) key"),
+        (True, None, "mock completion requires a (profile, scenario, iteration) key"),
     ],
     ids=["no_mocks_dir", "no_mock_key"],
 )

@@ -77,6 +77,11 @@ def test_rouge_goldens():
     assert abs(rouge([B, A], [A, B], "rl") - 0.5) < 1e-12
 
 
+def test_a_one_token_pair_has_no_rouge2():
+    # every plan gives two tokens per step, so only a hand-built pair gets here
+    assert similarity([A], [A]).to_dict() == {"bleu": 1.0, "rouge1": 1.0, "rouge2": None, "rougeL": 1.0, "meteor": 0.5}
+
+
 def test_rouge_empty_inputs():
     with pytest.raises(EmptyInput):
         rouge([], [A], "r1")

@@ -123,6 +123,30 @@ def test_conservative_appends_idle_on_low_end_battery(grid, grid_draft):
     assert apply_script(grid, grid_draft, conservative.script.ops)[0] == conservative.plan
 
 
+@pytest.mark.parametrize(
+    "skills, script, ends",
+    [
+        (["MOVE_S", "MOVE_B", "MOVE_C", "CHARGE"], "S1: MOVE_B->MOVE_S; S3: CHARGE (+)", 100.0),
+        # a robot that cannot charge fails the tail's validation, so the plan ends as the winner did
+        (["MOVE_S", "MOVE_B", "MOVE_C"], "S1: MOVE_B->MOVE_S", 25.0),
+    ],
+    ids=["charges", "cannot_charge"],
+)
+def test_a_conservative_tail_at_a_charger_is_a_charge_kept_only_if_it_validates(skills, script, ends):
+    # the winner leaves the robot at the charger C with 25 % battery
+    doc = scenario_doc("wall_assembly")
+    doc.update(tasks=[], dag=[], resources={})
+    doc["site"]["no_go"] = ["B"]
+    doc["robots"][0].update(skills=skills, battery_init=75)
+    s = load_scenario_dict(doc, name="no_go_b")
+    draft = parse_plan("STEP 1, [B], MOVE_B, [0], 0, [50]\nSTEP 2, [C], MOVE_C, [0], 0, [25]\n")
+    minimal = minimal_edit_repair(s, draft, budget=1)
+    assert minimal.script.render() == "S1: MOVE_B->MOVE_S" and minimal.plan.steps[-1].location == "C"
+    result = minimal_edit_repair(s, draft, budget=1, style="conservative")
+    assert result.script.render() == script and result.report.feasible
+    assert execute(s, result.plan).final.robots["r1"].battery == ends
+
+
 def test_conservative_tail_reuses_the_winners_trace(monkeypatch, grid, grid_draft):
     # the winner runs once, in its rebuild, and is validated on that trace;
     # so is the tail, and no plan runs twice

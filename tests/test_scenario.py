@@ -245,6 +245,8 @@ _REASONS = [
      {"site": {"kind": "named_graph", "nodes": ["A", "a"], "edges": []}}),
     ("site.edges[0]", "undeclared", "edge references undeclared node 'A'/'Z'",
      {"site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["A", "Z", 1]]}}),
+    ("site.edges[0]", "undeclared-first", "edge references undeclared node 'Z'/'A'",
+     {"site": {"kind": "named_graph", "nodes": ["A", "B"], "edges": [["Z", "A", 1]]}}),
     ("site", "zero-width", "grid dimensions must be positive", {"site": {"kind": "grid", "width": 0, "height": 2}}),
     ("site.blocked[0]", "outside", "cell (2, 0) outside 2x2 grid",
      {"site": {"kind": "grid", "width": 2, "height": 2, "blocked": [[2, 0]]}}),
@@ -253,7 +255,9 @@ _REASONS = [
     ("tasks[0]", "zero-duration", "duration 0.0 must be > 0", _two_tasks(duration=0)),
     ("tasks", "duplicate", "duplicate task ids", {"tasks": _two_tasks()["tasks"] * 2}),
     ("tasks[0].type", "unknown", "unknown action name 'FLY'", _two_tasks(type="FLY")),
+    ("robots[0].skills[1]", "unknown", "unknown action name 'FLY'", _robot(skills=["NAVIGATE", "FLY"])),
     ("dag[0]", "undeclared", "edge ('t1', 't3') references undeclared task", _two_tasks(dag=[["t1", "t3"]])),
+    ("dag[0]", "undeclared-first", "edge ('t3', 't1') references undeclared task", _two_tasks(dag=[["t3", "t1"]])),
 ]
 
 
@@ -299,6 +303,16 @@ def test_scan_footprints():
     assert site.scan_footprint((0, 0), ScanFootprint.Self) == frozenset({(0, 0)})
     cheb = site.scan_footprint((1, 1), ScanFootprint.Chebyshev1)
     assert (2, 0) in cheb and (0, 2) in cheb and (1, 0) not in cheb
+
+
+def test_a_chebyshev_footprint_stops_at_the_grid_edge():
+    site = load_scenario_dict(_minimal_doc(site={"kind": "grid", "width": 3, "height": 3}, robots=[])).site
+    assert site.scan_footprint((0, 0), ScanFootprint.Chebyshev1) == frozenset({(0, 0), (0, 1), (1, 0), (1, 1)})
+
+
+def test_a_site_with_no_locations_loads_as_connected():
+    s = load_scenario_dict(_minimal_doc(site={"kind": "named_graph", "nodes": [], "edges": []}, robots=[]))
+    assert list(s.site.locations()) == []
 
 
 def test_dag_acyclicity_matches_brute_force():

@@ -338,6 +338,37 @@ def test_whole_reports_are_pinned(grid_draft):
     assert validate(risky, grid_draft, subset).to_dict() == _report_dict(subset, True, 1, grid_rows[:2])
 
 
+def test_a_second_inspect_at_a_site_completes_the_next_task_there():
+    doc = scenario_doc("wall_assembly")
+    doc["robots"][0]["skills"] += ["INSPECT"]
+    doc["tasks"] = [{"id": t, "type": "INSPECT", "location": "B"} for t in ("i1", "i2")]
+    doc["dag"] = []
+    s = load_scenario_dict(doc, name="two_inspections")
+    steps = [ActionKind.MOVE_B, ActionKind.INSPECT, ActionKind.INSPECT]
+    twice, _ = reconcile_plan(s, [unnumbered(None, Action(a)) for a in steps])
+    once, _ = reconcile_plan(s, [unnumbered(None, Action(a)) for a in steps[:2]])
+    assert validate(s, twice).to_dict() == _report_dict(ALL_CHECKS, True, 0, [])
+    never = ("precedence", None, "task i2 (INSPECT at B) never completes", "insert_after INSPECT @ step 2")
+    assert validate(s, once).to_dict() == _report_dict(ALL_CHECKS, True, 1, [never])
+
+
+def test_a_fractional_battery_reads_as_a_decimal():
+    doc = scenario_doc("wall_assembly")
+    doc["robots"][0]["battery_init"] = 10
+    doc["cost"]["battery_per_du"] = 12.5
+    s = load_scenario_dict(doc, name="fractional")
+    report = validate_text(s, "STEP 1, [S], MOVE_S, [0], 0, [-2.5]\n", {VC.Battery})
+    battery = ("battery", 1, "battery at -2.5% after MOVE_S", "insert_before CHARGE @ step 1")
+    assert report.to_dict() == _report_dict({VC.Battery}, True, 1, [battery])
+
+
+def test_a_schema_violation_from_the_parser_has_no_hint(wall):
+    report = validate_text(wall, "STEP 1, garbage\n")
+    assert [v.render() for v in report.violations] == ["[schema] step 1: expected 6 fields, got 2"]
+    schema = ("schema", 1, "expected 6 fields, got 2", None)
+    assert report.to_dict() == _report_dict(ALL_CHECKS, False, 1, [schema])
+
+
 def test_coalition_member_outside_the_roster_is_unexecutable(wall):
     text = "r1+r9: STEP 1, [S], MOVE_S, [0], 0, [75]\n"
     unexecutable = [("schema", 1, "unexecutable: unknown robot 'r9'", "substitute IDLE @ step 1")]
