@@ -75,6 +75,7 @@ class TraceEntry:
     cargo: int
     placed_total: int
     placed_here: int  # bricks placed by this step (0 unless BUILD)
+    placed_so_far: int  # bricks placed at ``location`` so far, this step's included
     tu_cost: float
     du_cost: float
 
@@ -179,7 +180,8 @@ def apply_step(s: Scenario, world: WorldState, step: PlanStep, robot_id: str) ->
         tu = 1.0
 
     world.elapsed[robot_id] += tu
-    return TraceEntry(step, robot_id, rs.location, rs.battery, rs.cargo, world.placed_total, placed_here, tu, du)
+    return TraceEntry(step, robot_id, rs.location, rs.battery, rs.cargo, world.placed_total, placed_here,
+                      world.placed_at.get(rs.location, 0), tu, du)
 
 
 def bind(s: Scenario, labels: Iterable[str | None]) -> dict[str | None, str]:

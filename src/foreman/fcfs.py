@@ -78,14 +78,12 @@ class _Lowering:
             here = loc
 
     def nearest_stock(self, robot: str) -> str:
+        """The closest stockpile with material left (the loader keeps every stockpile reachable)."""
         here = self.world.robots[robot].location
-        reachable = []
-        for loc, mu in self.world.stock.items():
-            if mu > 0 and (du := self.s.site.shortest_path_du(here, loc)) is not None:
-                reachable.append((du, loc))
-        if not reachable:
+        stocked = [(self.s.site.shortest_path_du(here, loc), loc) for loc, mu in self.world.stock.items() if mu > 0]
+        if not stocked:
             raise RealizationError("no stock left anywhere")
-        return min(reachable)[1]
+        return min(stocked)[1]
 
     def run_task(self, robot: str, task: TaskSpec) -> float:
         """Lower one task; returns its start time theta (first arrival at the site)."""

@@ -27,10 +27,6 @@ from .repair import EditProfile, RepairResult
 from .scenario import Scenario
 
 
-class EmptyReference(ValueError):
-    pass
-
-
 class EmptyInput(ValueError):
     pass
 
@@ -56,7 +52,7 @@ def bleu(candidate: Tokens, reference: Tokens, smoothing: str | None = None) -> 
     shorter than the reference.
     """
     if not reference:
-        raise EmptyReference("BLEU reference must be nonempty")
+        raise EmptyInput("BLEU reference must be nonempty")
     if not candidate:
         return 0.0
     max_n = min(4, len(candidate))

@@ -110,11 +110,14 @@ EMPTY_SCRIPT = EditScript(())
 
 @record()
 class RepairResult:
-    feasible: bool
-    plan: Plan | None
+    plan: Plan | None  # None when no feasible plan was found
     script: EditScript | None
     iterations_used: int  # T_rep
     report: ViolationReport  # report of the final plan
+
+    @property
+    def feasible(self) -> bool:
+        return self.plan is not None
 
     def to_dict(self) -> dict:
         return {
@@ -466,7 +469,7 @@ def _survivors(
             return not monitor.final(state, world)
         return validate(s, Plan(tuple(_edited(steps, [edit_op(op) for op in ops]))), checks).feasible
 
-    world, state = initial_state(s), CheckState({}, {})
+    world, state = initial_state(s), CheckState({})
     rs = world.robots[robot]
     start = intern(world, state, (
         rs.location, rs.battery, rs.cargo, tuple(world.stock.values()),
@@ -572,7 +575,7 @@ def minimal_edit_repair(
     if base_report is None:
         base_report = validate(s, draft, checks)
     if base_report.feasible:
-        return RepairResult(True, draft, EMPTY_SCRIPT, 1, base_report)
+        return RepairResult(draft, EMPTY_SCRIPT, 1, base_report)
 
     alphabet = s.action_alphabet()
     rank = {a: i for i, a in enumerate(alphabet)}
@@ -583,7 +586,7 @@ def minimal_edit_repair(
             ops = min(leaves, key=lambda ops: _candidate_key(ops, rank))
             break
     else:
-        return RepairResult(False, None, None, 1, base_report)
+        return RepairResult(None, None, 1, base_report)
 
     plan, trace = apply_script(s, draft, ops)
     report = validate(s, plan, checks, trace=trace)
@@ -599,7 +602,7 @@ def minimal_edit_repair(
             if tail_report.feasible:
                 plan, ops, report = tail_plan, tail_ops, tail_report
 
-    return RepairResult(True, plan, EditScript(ops), 1, report)
+    return RepairResult(plan, EditScript(ops), 1, report)
 
 
 # ---------------------------------------------------------------------------
@@ -689,5 +692,5 @@ def repair_loop(
                 break
     if report.feasible:  # an untouched draft needs no alignment against itself
         script = EMPTY_SCRIPT if current is draft else edit_script(draft, current)
-        return RepairResult(True, current, script, max(1, proposals), report)
-    return RepairResult(False, None, None, max_iters, report)
+        return RepairResult(current, script, max(1, proposals), report)
+    return RepairResult(None, None, max_iters, report)

@@ -86,8 +86,15 @@ class ViolationReport:
     violations: tuple[Violation, ...]
     checks_run: frozenset[ViolationClass]
     checks_completed: bool
-    psi: int
-    feasible: bool
+
+    @property
+    def psi(self) -> int:
+        """The invalidity score: the distinct classes violated."""
+        return len({_PSI_GROUPING.get(v.cls, v.cls) for v in self.violations})
+
+    @property
+    def feasible(self) -> bool:
+        return self.checks_completed and not self.violations
 
     def by_class(self, cls: ViolationClass) -> tuple[Violation, ...]:
         return tuple(v for v in self.violations if v.cls == cls)
@@ -111,19 +118,6 @@ class ViolationReport:
                 for v in self.violations
             ],
         }
-
-
-def _make_report(
-    violations: list[Violation], checks: frozenset[ViolationClass], completed: bool
-) -> ViolationReport:
-    psi = len({_PSI_GROUPING.get(v.cls, v.cls) for v in violations})
-    return ViolationReport(
-        violations=tuple(violations),
-        checks_run=checks,
-        checks_completed=completed,
-        psi=psi,
-        feasible=(psi == 0 and completed),
-    )
 
 
 # A report lists its violations by class, in declaration order.  A Schema
@@ -152,14 +146,13 @@ _EXEC_ERROR_CLASS = {
 class CheckState:
     """What the checks carry from one executed step to the next."""
 
-    placed_at: dict[str, int]
     done: dict[str, tuple[int, int]]  # task id -> (trace index, step number)
     index: int = 0  # trace entries seen
     last_step: int = 0  # step number of the last entry seen
     doomed: bool = False  # a task completed before a prerequisite
 
     def copy(self) -> CheckState:
-        return CheckState(dict(self.placed_at), dict(self.done), self.index, self.last_step, self.doomed)
+        return CheckState(dict(self.done), self.index, self.last_step, self.doomed)
 
 
 class Monitor:
@@ -169,8 +162,8 @@ class Monitor:
     and returns that step's Capability, Capacity, Battery and Safety
     violations; ``final`` returns the "never completes" and precedence-order
     violations and Coverage once the trace has ended.  A step violation is
-    irrevocable: the placed counts and the done map only grow, and the trace
-    is never revisited.  So is a task completing before one of its
+    irrevocable: the world's placed counts and the done map only grow, and
+    the trace is never revisited.  So is a task completing before one of its
     prerequisites: that prerequisite either completes later (an order
     violation) or never does, so ``step`` marks the state ``doomed``.  Only
     classes in ``checks`` are tracked or reported.
@@ -228,15 +221,14 @@ class Monitor:
             if kind not in skills:
                 found.append(Violation(VC.Capability, step, f"{e.robot} lacks skill {kind.value}",
                                        FixHint(HintKind.ReassignRobot, step)))
-        placed_here = e.placed_here
-        if placed_here > 0 and (self.capacity or self.precedence):
-            placed = state.placed_at[loc] = state.placed_at.get(loc, 0) + placed_here
+        placed_here, placed = e.placed_here, e.placed_so_far
+        if placed_here > 0 and self.capacity:
             demand = self.demand_at.get(loc)
-            if self.capacity and demand is None:
+            if demand is None:
                 found.append(Violation(
                     VC.Capacity, step, f"BUILD places {placed_here} MU at {loc}, which has no build task",
                     FixHint(HintKind.Substitute, step, IDLE)))
-            elif self.capacity and placed > demand:
+            elif placed > demand:
                 found.append(Violation(VC.Capacity, step, f"placed {placed} MU at {loc} exceeds demand {demand}",
                                        FixHint(HintKind.Substitute, step, IDLE)))
         if self.precedence:
@@ -296,8 +288,7 @@ class Monitor:
     def key(self, state: CheckState) -> frozenset[str]:
         """What of ``state`` can still change a verdict: the tasks done.
 
-        The placed counts equal the world's ``placed_at`` when one robot
-        runs every step, and a walk prunes a doomed state before keying it.
+        A walk prunes a doomed state before keying it.
         """
         return frozenset(state.done)
 
@@ -339,12 +330,12 @@ def validate(
             )
         )
     else:
-        monitor, state = Monitor.of(s, checks), CheckState({}, {})
+        monitor, state = Monitor.of(s, checks), CheckState({})
         for e in trace.entries:
             violations += monitor.step(state, e)
         violations += monitor.final(state, trace.final)
         violations.sort(key=lambda v: _RANK[v.cls])  # stable: by class, then in the order found
-    return _make_report(violations, checks, trace.error is None)
+    return ViolationReport(tuple(violations), checks, trace.error is None)
 
 
 def validate_text(
@@ -357,7 +348,7 @@ def validate_text(
         plan = parse_plan(text)
     except SchemaError as e:
         v = Violation(ViolationClass.Schema, e.line, e.reason, None)
-        return _make_report([v], frozenset(checks), False)
+        return ViolationReport((v,), frozenset(checks), False)
     return validate(s, plan, checks)
 
 

@@ -397,7 +397,7 @@ def test_repair_winner_failing_validation_is_an_internal_error(runner, fix_dir, 
     # a validator that disagrees with the search's monitor on every plan
     def disagreeing(s, plan, checks=ALL_CHECKS, *, trace=None):
         r = validate(s, plan, checks, trace=trace)
-        return ViolationReport(r.violations, r.checks_run, r.checks_completed, r.psi, feasible=False)
+        return ViolationReport(r.violations, r.checks_run, False)
 
     monkeypatch.setattr(repair, "validate", disagreeing)
     p = _paths(fix_dir)

@@ -301,6 +301,26 @@ def test_two_robots_take_turns_by_elapsed_then_id():
             assert trace.error is None and not any(left.values())
 
 
+def test_an_entry_counts_the_bricks_placed_at_its_location_so_far():
+    # two robots build at B in turns, so their BUILDs interleave with each other's moves
+    doc = scenario_doc("wall_assembly")
+    doc["robots"].append(dict(doc["robots"][0], id="r2"))
+    two = load_scenario_dict(doc, name="two")
+    trip = ["MOVE_S, [0], 0, [75]", "PICK, [3], 0, [75]", "MOVE_B, [3], 0, [50]", "BUILD, [0], 3, [50]"]
+    lines = [f"{r}: STEP {i}, [S], {step}" for r, n in (("r1", 2), ("r2", 1)) for i, step in enumerate(trip * n, 1)]
+    lines.append("r2: STEP 5, [B], BUILD, [0], 3, [50]")  # vacuous: r2's cargo is empty
+    trace = execute(two, parse_plan("\n".join(lines) + "\n"))
+    assert trace.error is None
+    placed = collections.Counter()
+    for e in trace.entries:
+        placed[e.location] += e.placed_here
+        assert e.placed_so_far == placed[e.location], e
+    assert [(e.robot, e.placed_so_far) for e in trace.entries if e.step.action.kind is ActionKind.BUILD] == [
+        ("r1", 3), ("r2", 6), ("r2", 6), ("r1", 9),
+    ]
+    assert trace.final.placed_at == {loc: n for loc, n in placed.items() if n}
+
+
 def _random_steps(rng, robot, n):
     """``n`` steps that ``robot`` can run in turn from C on the triangle site."""
     steps, here = [], "C"

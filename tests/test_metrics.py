@@ -7,7 +7,6 @@ from foreman import metrics, validator
 from foreman.executor import execute
 from foreman.metrics import (
     EmptyInput,
-    EmptyReference,
     bleu,
     eval_run,
     meteor,
@@ -49,7 +48,7 @@ def test_bleu_goldens():
 
 
 def test_bleu_empty_reference():
-    with pytest.raises(EmptyReference):
+    with pytest.raises(EmptyInput, match="^BLEU reference must be nonempty$"):
         bleu([A], [])
     assert bleu([], [A]) == 0.0
 

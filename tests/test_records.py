@@ -23,7 +23,7 @@ _RECORDS = [
     (Action, (ActionKind.NAVIGATE, "B")),
     (FixHint, _HINT),
     (Violation, _VIOLATION),
-    (ViolationReport, ((Violation(*_VIOLATION),), frozenset({VC.Battery}), True, 1, False)),
+    (ViolationReport, ((Violation(*_VIOLATION),), frozenset({VC.Battery}), True)),
     (EditOp, (EditKind.Substitute, 2, Action(ActionKind.PICK), Action(ActionKind.MOVE_S))),
     (EditProfile, (1, 2, 0)),
     (Assignment, ((("t1", ("r1",)),), (("t1", 0.0),))),
@@ -45,13 +45,24 @@ def test_a_record_hashes_as_its_fields_and_equals_only_its_own_class(cls, fields
     assert record != fields and fields != record
 
 
+def test_a_report_and_a_result_derive_psi_and_feasible_from_their_fields():
+    incomplete = ViolationReport((), ALL_CHECKS, False)
+    assert incomplete.psi == 0 and incomplete.feasible is False
+    unsafe = ViolationReport((Violation(VC.Safety, 1, "x"), Violation(VC.Coverage, None, "y")), ALL_CHECKS, True)
+    assert unsafe.psi == 1 and unsafe.feasible is False  # Coverage counts as Safety
+    clean = ViolationReport((), ALL_CHECKS, True)
+    assert clean.psi == 0 and clean.feasible is True
+    assert RepairResult(None, None, 3, incomplete).feasible is False
+    assert RepairResult(Plan(()), EditScript(()), 1, clean).feasible is True
+
+
 # Every record that ``foreman.record`` writes: its fields in declaration
 # order, the defaults of the trailing ones, and how it compares: by value
 # with a hash ("hash"), by value without one ("eq"), or by identity.
 _DECLARED = [
     (RobotState, "location battery cargo", {}, "eq"),
     (WorldState, "robots stock placed_at scanned discovered elapsed placed_total", {}, "eq"),
-    (TraceEntry, "step robot location battery cargo placed_total placed_here tu_cost du_cost", {}, "eq"),
+    (TraceEntry, "step robot location battery cargo placed_total placed_here placed_so_far tu_cost du_cost", {}, "eq"),
     (Trace, "entries final error", {"error": None}, "eq"),
     (ExperimentConfig, "scenario_path supervisors max_iters budget checks out_dir seed mocks_dir profiles_path",
      {"supervisors": ("search-minimal",), "max_iters": 3, "budget": 4, "checks": ALL_CHECKS, "out_dir": Path("out"),
@@ -67,7 +78,7 @@ _DECLARED = [
     (EditOp, "kind position payload replaced", {"payload": None, "replaced": None}, "hash"),
     (EditProfile, "insertions substitutions reorders", {"insertions": 0, "substitutions": 0, "reorders": 0}, "hash"),
     (EditScript, "ops", {}, "identity"),
-    (RepairResult, "feasible plan script iterations_used report", {}, "identity"),
+    (RepairResult, "plan script iterations_used report", {}, "identity"),
     (RobotSpec, "id skills payload_capacity battery_max battery_init start_location cargo_init",
      {"cargo_init": 0}, "identity"),
     (TaskSpec, "id type required_skills location demand duration", {}, "identity"),
@@ -77,8 +88,8 @@ _DECLARED = [
       "scan_tu_per_su": 1.0, "scan_footprint": ScanFootprint.RowColLos}, "identity"),
     (FixHint, "kind anchor_step suggested_action", {"suggested_action": None}, "hash"),
     (Violation, "cls step detail hint", {"hint": None}, "hash"),
-    (ViolationReport, "violations checks_run checks_completed psi feasible", {}, "hash"),
-    (CheckState, "placed_at done index last_step doomed", {"index": 0, "last_step": 0, "doomed": False}, "identity"),
+    (ViolationReport, "violations checks_run checks_completed", {}, "hash"),
+    (CheckState, "done index last_step doomed", {"index": 0, "last_step": 0, "doomed": False}, "identity"),
 ]
 _REPRS = {Action, PlanStep, Plan, EditOp}
 _declared = pytest.mark.parametrize("cls, names, defaults, compares", _DECLARED,
